@@ -16,6 +16,7 @@ before the weights themselves become relevant.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -256,31 +257,95 @@ def _coefficient_signed_log(
     return signed_log_sum_arrays(signs, log_mag)
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
-    """Precomputed small-branch weights ``h_v * v!`` for counts ``1..v_max``.
+    """Small-branch weights ``h_v * v!`` for counts ``1..v_max``, filled on first read.
 
-    ``values[0]`` is 0 (an unseen symbol contributes nothing).  ``clamped``
-    and ``cancelled`` mark counts whose weight hit the envelope or lost all
-    significance to cancellation.
+    :meth:`weights` computes only the entries it is asked for and keeps them.
+    ``values``, ``clamped`` and ``cancelled`` (and the counts derived from
+    them) complete the table on first access, so their readers see every
+    entry.  ``values[0]`` is 0 (an unseen symbol contributes nothing).
+    ``clamped`` and ``cancelled`` mark counts whose weight hit the envelope or
+    lost all significance to cancellation.  Entries are computed under a
+    per-table lock, so concurrent estimates can share one table.
     """
 
-    values: np.ndarray
-    clamped: np.ndarray
-    cancelled: np.ndarray
-    log_clamp_bound: float
-    spec: PropertySpec
-    params: EstimatorParams
-    q_x: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("values", "clamped", "cancelled"):
-            arr = getattr(self, name)
-            arr.flags.writeable = False
+    def __init__(
+        self,
+        spec: PropertySpec,
+        params: EstimatorParams,
+        v_max: int,
+        log_clamp_bound: float,
+        q_x: float | None = None,
+    ) -> None:
+        self.spec = spec
+        self.params = params
+        self.q_x = q_x
+        self.log_clamp_bound = log_clamp_bound
+        self._values = np.zeros(v_max + 1)
+        self._clamped = np.zeros(v_max + 1, dtype=bool)
+        self._cancelled = np.zeros(v_max + 1, dtype=bool)
+        self._computed = np.zeros(v_max + 1, dtype=bool)
+        self._computed[0] = True
+        self._lock = threading.Lock()
+        # Looked up now, not on first read: a long-lived array allocated in
+        # the middle of an estimate kept the heap from shrinking after it
+        # (peak RSS +8 MiB on a million-symbol sweep).
+        self._log_tail = _cached_log_tail(params.r, params.v_max + params.u_max)
+        self._log_fact = _cached_log_factorials(params.v_max + params.u_max)
 
     @property
     def v_max(self) -> int:
-        return len(self.values) - 1
+        return len(self._values) - 1
+
+    def weights(self, v):
+        """``values[v]`` for counts ``v`` in ``0..v_max``.
+
+        Computes only the entries of ``v`` not computed yet, and keeps them.
+        """
+        with self._lock:
+            need = np.zeros(self.v_max + 1, dtype=bool)
+            need[v] = True
+            self._compute(np.flatnonzero(need & ~self._computed))
+            return self._values[v]
+
+    def _compute(self, vs: np.ndarray) -> None:
+        for v in vs.tolist():
+            sign, log_mag, cancel = _coefficient_signed_log(
+                self.spec, v, self.params, self.q_x, self._log_tail, self._log_fact
+            )
+            self._cancelled[v] = cancel
+            if sign == 0:
+                continue
+            if log_mag > self.log_clamp_bound:
+                log_mag = self.log_clamp_bound
+                self._clamped[v] = True
+            self._values[v] = sign * math.exp(log_mag)
+        self._computed[vs] = True
+
+    def _complete(self, arr: np.ndarray) -> np.ndarray:
+        with self._lock:
+            self._compute(np.flatnonzero(~self._computed))
+        view = arr.view()
+        view.flags.writeable = False
+        return view
+
+    @property
+    def computed(self) -> np.ndarray:
+        """The counts ``v >= 1`` whose entries have been computed so far."""
+        with self._lock:
+            return np.flatnonzero(self._computed[1:]) + 1
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._complete(self._values)
+
+    @property
+    def clamped(self) -> np.ndarray:
+        return self._complete(self._clamped)
+
+    @property
+    def cancelled(self) -> np.ndarray:
+        return self._complete(self._cancelled)
 
     @property
     def clamp_bound(self) -> float:
@@ -312,21 +377,14 @@ def coefficient(
 ) -> float:
     """Small-branch weight ``h_v * v!`` for a symbol observed ``v`` times.
 
-    Shares its arithmetic with :func:`build_coefficient_table`, so the two
+    A one-entry read of :func:`build_coefficient_table`'s table, so the two
     agree bit for bit.
     """
     if v < 1 or v != int(v):
         raise ValueError(f"v must be a positive integer, got {v!r}")
     if v > params.v_max:
         raise ValueError(f"v={v} exceeds the table range v_max={params.v_max}")
-    qx = _resolve_context(spec, q_x)
-    log_tail = _cached_log_tail(params.r, params.v_max + params.u_max)
-    log_fact = _cached_log_factorials(params.v_max + params.u_max)
-    sign, log_mag, _ = _coefficient_signed_log(spec, v, params, qx, log_tail, log_fact)
-    if sign == 0:
-        return 0.0
-    log_mag = min(log_mag, _log_clamp_bound(spec, params))
-    return sign * math.exp(log_mag)
+    return float(build_coefficient_table(spec, params, q_x=q_x).weights(int(v)))
 
 
 def build_coefficient_table(
@@ -335,38 +393,20 @@ def build_coefficient_table(
     v_max: int | None = None,
     q_x: float | None = None,
 ) -> CoefficientTable:
-    """Tabulate ``h_v * v!`` for ``v = 1..v_max`` (default ``params.v_max``)."""
+    """Table of ``h_v * v!`` for ``v = 1..v_max`` (default ``params.v_max``).
+
+    No weight is computed here; each entry is computed when first read.
+    """
     if v_max is None:
         v_max = params.v_max
     if v_max < 1 or v_max > params.v_max:
         raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    qx = _resolve_context(spec, q_x)
-    log_tail = _cached_log_tail(params.r, params.v_max + params.u_max)
-    log_fact = _cached_log_factorials(params.v_max + params.u_max)
-    log_clamp = _log_clamp_bound(spec, params)
-
-    values = np.zeros(v_max + 1)
-    clamped = np.zeros(v_max + 1, dtype=bool)
-    cancelled = np.zeros(v_max + 1, dtype=bool)
-    for v in range(1, v_max + 1):
-        sign, log_mag, cancel = _coefficient_signed_log(
-            spec, v, params, qx, log_tail, log_fact
-        )
-        cancelled[v] = cancel
-        if sign == 0:
-            continue
-        if log_mag > log_clamp:
-            log_mag = log_clamp
-            clamped[v] = True
-        values[v] = sign * math.exp(log_mag)
     return CoefficientTable(
-        values=values,
-        clamped=clamped,
-        cancelled=cancelled,
-        log_clamp_bound=log_clamp,
         spec=spec,
         params=params,
-        q_x=qx,
+        v_max=v_max,
+        log_clamp_bound=_log_clamp_bound(spec, params),
+        q_x=_resolve_context(spec, q_x),
     )
 
 
@@ -388,14 +428,6 @@ class CoefficientTables:
         if self.unique_q is None:
             return np.zeros(len(symbols), dtype=np.int64)
         return np.searchsorted(self.unique_q, self.spec.q[symbols])
-
-    @property
-    def n_clamped(self) -> int:
-        return sum(t.n_clamped for t in self.tables)
-
-    @property
-    def n_cancelled(self) -> int:
-        return sum(t.n_cancelled for t in self.tables)
 
 
 def build_coefficient_tables(
@@ -460,7 +492,12 @@ def modified_empirical(hist: Histogram, rate: float, spec: PropertySpec) -> floa
 
 @dataclass(frozen=True)
 class AmplifiedEstimate:
-    """An amplified estimate with its branch decomposition and diagnostics."""
+    """An amplified estimate with its branch decomposition and diagnostics.
+
+    ``n_clamped`` and ``n_cancelled`` count the small-branch symbols whose
+    weight was clamped or cancelled; ``n_overflow`` those whose count lies
+    beyond the table.
+    """
 
     value: float
     small_sum: float
@@ -511,8 +548,8 @@ def amplified_estimate_detailed(
             n_small=0,
             n_large=0,
             n_overflow=0,
-            n_clamped=tables.n_clamped,
-            n_cancelled=tables.n_cancelled,
+            n_clamped=0,
+            n_cancelled=0,
         )
 
     n1 = np.array([sample.first.get(s) for s in symbols], dtype=np.int64)
@@ -526,10 +563,15 @@ def amplified_estimate_detailed(
     overflow = int(np.count_nonzero(v_small > v_max))
 
     weights = np.zeros(len(v_small))
+    n_clamped = n_cancelled = 0
     owner = tables.table_for_symbols(idx[small])
     for j, table in enumerate(tables.tables):
         pick = in_range & (owner == j)
-        weights[pick] = table.values[v_small[pick]]
+        v = v_small[pick]
+        weights[pick] = table.weights(v)
+        # weights() has computed every entry at v, so its flags are final.
+        n_clamped += int(np.count_nonzero(table._clamped[v]))
+        n_cancelled += int(np.count_nonzero(table._cancelled[v]))
     small_sum = float(weights.sum())
 
     large_idx = idx[~small]
@@ -546,8 +588,8 @@ def amplified_estimate_detailed(
         n_small=int(np.count_nonzero(small)),
         n_large=int(np.count_nonzero(~small)),
         n_overflow=overflow,
-        n_clamped=tables.n_clamped,
-        n_cancelled=tables.n_cancelled,
+        n_clamped=n_clamped,
+        n_cancelled=n_cancelled,
     )
 
 
@@ -613,7 +655,7 @@ def smoothed_h_hat(
     v = np.arange(1, v_stop + 1)
     log_fact = _cached_log_factorials(params.v_max + params.u_max)
     log_weight = v * math.log(lam) - lam - log_fact[v]
-    series = float(np.sum(table.values[v] * np.exp(log_weight)))
+    series = float(np.sum(table.weights(v) * np.exp(log_weight)))
 
     t = params.t
     y = lam * (t - 1.0)

@@ -206,7 +206,9 @@ def integrate_exp_poly_bessel(u: int, y: float, upper: float = math.inf) -> floa
     With ``upper = inf`` the integrand is cut at ``u + y + 50`` and the
     remainder is bounded analytically by the incomplete-gamma tail (the
     Bessel factor has magnitude at most 1).  Raises
-    :class:`ConvergenceError` when the absolute error estimate exceeds 1e-9.
+    :class:`ConvergenceError` when the error estimate exceeds
+    ``1e-9 * max(1, |value|)``: the integral reaches ``u!``, so the bound is
+    relative to its magnitude once that exceeds 1.
     """
     if u < 1 or u != int(u):
         raise ValueError(f"u must be a positive integer, got {u!r}")
@@ -229,9 +231,10 @@ def integrate_exp_poly_bessel(u: int, y: float, upper: float = math.inf) -> floa
         err += math.exp(
             math.lgamma(u + 1.0) + math.log(float(_special.gammaincc(u + 1.0, cut)))
         )
-    if not err <= _QUAD_ABS_TOL:
+    bound = _QUAD_ABS_TOL * max(1.0, abs(value))
+    if not err <= bound:
         raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds {_QUAD_ABS_TOL:.1e} "
+            f"quadrature error estimate {err:.3e} exceeds {bound:.1e} "
             f"for u={u}, y={y}, upper={upper}"
         )
     return value

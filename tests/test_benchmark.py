@@ -161,6 +161,20 @@ class TestRunExperiment:
         dist = make_distribution("dirichlet", 30, None, rng=dist_rng)
         assert row.true_value == exact_value(support_size(30), dist.probs)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_readme_outlier_cells_pinned(self, threads):
+        # Two cells of the README sweep; trial 64 of n=59948 holds the outlier.
+        # Threads share each cell's coefficient table while it is filled.
+        cfg = ExperimentConfig(
+            spec=entropy(), family="zipf", k=10_000, n_grid=(21544, 59948),
+            trials=100, seed=7, estimators=("amplified",),
+        )
+        rows = run_experiment(cfg, threads=threads)
+        assert [(row.mse, row.mean_estimate) for row in rows] == [
+            (0.00099850175452182561, 3.079965180032449),
+            (0.28136183302619405, 3.0379114278601467),
+        ]
+
     def test_aggregate_consistency(self):
         cfg = ExperimentConfig(
             spec=entropy(), family="zipf", k=40, n_grid=(200, 600),

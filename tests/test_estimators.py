@@ -6,12 +6,16 @@ streams where every branch contribution is known.
 """
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from propest.distributions import Histogram, SplitSample
+from propest import estimators
+from propest.benchmark import trial_seed
+from propest.distributions import Histogram, SplitSample, make_distribution, split_sample
 from propest.estimators import (
     EstimatorParams,
     ParameterError,
@@ -38,6 +42,11 @@ from propest.properties import (
 
 def small_params(t_decay=False, rate=150.0, t=3.0, s0=1):
     return EstimatorParams.from_t_s0(rate, t, s0, t_decay=t_decay)
+
+
+def clamping_params():
+    # 185 entries from v=212 on hit the envelope; v_max is 400.
+    return EstimatorParams.from_t_s0(500.0, 4.0, 2, t_decay=False)
 
 
 def mp_entropy_coefficient(v, params):
@@ -246,6 +255,85 @@ class TestCoefficient:
             assert weighted == pytest.approx(series, rel=1e-10)
 
 
+class TestLazyTable:
+    @pytest.mark.parametrize(
+        "params, v_max, flagged, flag",
+        [
+            (clamping_params(), None, 212, "clamped"),
+            # README tuning at n=1e5: entries cancel from v=37 on.
+            (derive_params(1e5, entropy()), 200, 47, "cancelled"),
+        ],
+    )
+    def test_weights_match_completed_table_bit_for_bit(self, params, v_max, flagged, flag):
+        completed = build_coefficient_table(entropy(), params, v_max)
+        fresh = build_coefficient_table(entropy(), params, v_max)
+        vs = np.unique([1, 2, 17, 47, 200, flagged, completed.v_max])
+        assert getattr(completed, flag)[flagged]
+        assert fresh.weights(vs).tobytes() == completed.values[vs].tobytes()
+        np.testing.assert_array_equal(fresh.computed, vs)
+        assert fresh.values.tobytes() == completed.values.tobytes()
+        np.testing.assert_array_equal(fresh.clamped, completed.clamped)
+        np.testing.assert_array_equal(fresh.cancelled, completed.cancelled)
+
+    def test_v_max_does_not_compute(self):
+        table = build_coefficient_table(entropy(), clamping_params())
+        assert table.v_max == 400
+        assert len(table.computed) == 0
+
+    def test_estimate_computes_only_the_entries_it_reads(self):
+        # The README sweep's n=1e5 cell, trial 0.
+        n, spec = 100_000, entropy()
+        dist_rng = np.random.default_rng(trial_seed(7, 0, "distribution", 0))
+        dist = make_distribution("zipf", 10_000, {}, rng=dist_rng)
+        rng = np.random.default_rng(trial_seed(7, n, "amplified", 0))
+        sample = split_sample(dist, n, mode="two_stream", rng=rng)
+        params = derive_params(n, spec)
+        tables = build_coefficient_tables(spec, params)
+        amplified_estimate_detailed(sample, spec, params, tables)
+        read = {
+            n1
+            for sym, n1 in sample.first.counts.items()
+            if sample.second.get(sym) <= params.s0 and n1 <= params.v_max
+        }
+        (table,) = tables.tables
+        assert set(table.computed.tolist()) == read
+        assert len(read) <= 100
+
+    def test_concurrent_reads_compute_each_entry_once(self, monkeypatch):
+        params = clamping_params()
+        reference = build_coefficient_table(entropy(), params).values
+        calls = []
+
+        def counted(spec, v, *args):
+            calls.append(v)
+            return signed_log(spec, v, *args)
+
+        signed_log = estimators._coefficient_signed_log
+        monkeypatch.setattr(estimators, "_coefficient_signed_log", counted)
+        table = build_coefficient_table(entropy(), params)
+        chunks = [np.arange(1 + i, 401, 7) for i in range(7)] * 2
+        out = [None] * len(chunks)
+
+        def read(i):
+            out[i] = table.weights(chunks[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(chunks))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert sorted(calls) == list(range(1, 401))
+        for v, w in zip(chunks, out):
+            assert w.tobytes() == reference[v].tobytes()
+        assert table.values.tobytes() == reference.tobytes()
+
+
 class TestAmplified:
     def test_empty_sample(self):
         sample = SplitSample(Histogram({}), Histogram({}), rate=150.0)
@@ -304,6 +392,23 @@ class TestAmplified:
         detail = amplified_estimate_detailed(sample, entropy(), params)
         assert detail.n_overflow == 1
         assert detail.small_sum == 0.0
+
+    def test_flag_counts_are_per_estimate(self):
+        params = clamping_params()
+        table = build_coefficient_table(entropy(), params)
+        assert table.n_clamped == 185
+        clamped, clean = 212, 17
+        assert table.clamped[clamped] and not table.clamped[clean]
+        reads_both = SplitSample(
+            Histogram({"a": clamped, "b": clean}), Histogram({}), rate=500.0
+        )
+        detail = amplified_estimate_detailed(reads_both, entropy(), params)
+        assert (detail.n_clamped, detail.n_cancelled) == (1, 0)
+        reads_clean = SplitSample(
+            Histogram({"b": clean, "c": 2}), Histogram({"c": params.s0 + 1}), rate=500.0
+        )
+        detail = amplified_estimate_detailed(reads_clean, entropy(), params)
+        assert (detail.n_clamped, detail.n_cancelled) == (0, 0)
 
     def test_rate_mismatch_rejected(self):
         sample = SplitSample(Histogram({"a": 1}), Histogram({}), rate=100.0)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propest import numerics
 from propest.numerics import (
     CancellationWarning,
     ConvergenceError,
@@ -188,6 +189,17 @@ class TestIntegrateExpPolyBessel:
                 target = math.exp(-y) * y**u
                 value = integrate_exp_poly_bessel(u, y)
                 assert abs(value - target) < 1e-6 * max(1.0, target)
+
+    def test_error_bound_relative_to_large_values(self):
+        # e^-5 5^8 ~ 2632: quad's error estimate (~2e-8) is below 1e-9 of
+        # the value but above 1e-9 in absolute terms.
+        target = math.exp(-5.0) * 5.0**8
+        assert integrate_exp_poly_bessel(8, 5.0) == pytest.approx(target, rel=1e-12)
+
+    def test_large_error_estimate_raises(self, monkeypatch):
+        monkeypatch.setattr(numerics._integrate, "quad", lambda *a, **k: (2632.0, 1e-3))
+        with pytest.raises(ConvergenceError):
+            integrate_exp_poly_bessel(8, 5.0, upper=40.0)
 
     def test_finite_upper_against_mpmath(self):
         with mp.workprec(128):

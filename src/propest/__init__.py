@@ -24,7 +24,6 @@ from .estimators import (
     amplified_estimate_detailed,
     build_coefficient_table,
     build_coefficient_tables,
-    coefficient,
     derive_params,
     empirical,
     modified_empirical,
@@ -32,7 +31,6 @@ from .estimators import (
 )
 from .properties import (
     PropertySpec,
-    SmoothnessParams,
     distance_to_uniformity,
     entropy,
     eval_fx,
@@ -41,7 +39,6 @@ from .properties import (
     l1_distance,
     lipschitz,
     power_sum,
-    smoothness,
     support_coverage,
     support_size,
 )
@@ -51,7 +48,6 @@ from .benchmark import (
     mse,
     run_experiment,
     trial_seed,
-    write_results_csv,
 )
 
 __version__ = "0.1.0"

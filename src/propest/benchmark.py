@@ -42,7 +42,6 @@ __all__ = [
     "results_to_csv",
     "run_experiment",
     "trial_seed",
-    "write_results_csv",
 ]
 
 ESTIMATORS = (
@@ -273,8 +272,3 @@ def results_to_csv(rows: Sequence[ResultRow]) -> str:
             + "\n"
         )
     return out.getvalue()
-
-
-def write_results_csv(rows: Sequence[ResultRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(results_to_csv(rows))

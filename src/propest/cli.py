@@ -7,7 +7,8 @@ Subcommands:
 * ``coeffs``    - dump an amplified-estimator coefficient table as CSV
 * ``selfcheck`` - run the numerical validation suite
 
-Exit codes: 0 success, 1 usage error, 2 runtime or check failure.  All
+Exit codes: 0 success, 1 usage error or invalid input (any ``ValueError``,
+reported as one ``error:`` line), 2 runtime or check failure.  All
 randomness flows from ``--seed`` (default 1729), so reruns are byte-identical.
 """
 
@@ -28,7 +29,6 @@ from .benchmark import (
 from .distributions import FAMILIES, SPLIT_MODES, Histogram, SplitSample
 from .estimators import (
     EstimatorParams,
-    ParameterError,
     amplified_estimate_detailed,
     build_coefficient_table,
     derive_params,
@@ -57,7 +57,7 @@ PROPERTY_ALIASES = {
 }
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flags or malformed input files."""
 
 
@@ -75,28 +75,25 @@ def _spec_from_args(args) -> PropertySpec:
     kind = PROPERTY_ALIASES.get(args.property)
     if kind is None:
         raise UsageError(f"unknown property {args.property!r}")
-    try:
-        if kind == "entropy":
-            return PropertySpec("entropy")
-        if kind == "support_size":
-            if args.k is None:
-                raise UsageError("support_size requires --k")
-            return PropertySpec("support_size", k=args.k)
-        if kind == "support_coverage":
-            m = args.m if args.m is not None else 5000.0
-            return PropertySpec("support_coverage", m=m)
-        if kind == "power_sum":
-            if args.a is None:
-                raise UsageError("power_sum requires --a (exponent > 1)")
-            return PropertySpec("power_sum", a=args.a)
-        if kind == "dist_to_uniform":
-            if args.k is None:
-                raise UsageError("uniformity requires --k")
-            return PropertySpec("dist_to_uniform", k=args.k)
-        q = _reference_from_args(args)
-        return PropertySpec(kind, q=q)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    if kind == "entropy":
+        return PropertySpec("entropy")
+    if kind == "support_size":
+        if args.k is None:
+            raise UsageError("support_size requires --k")
+        return PropertySpec("support_size", k=args.k)
+    if kind == "support_coverage":
+        m = args.m if args.m is not None else 5000.0
+        return PropertySpec("support_coverage", m=m)
+    if kind == "power_sum":
+        if args.a is None:
+            raise UsageError("power_sum requires --a (exponent > 1)")
+        return PropertySpec("power_sum", a=args.a)
+    if kind == "dist_to_uniform":
+        if args.k is None:
+            raise UsageError("uniformity requires --k")
+        return PropertySpec("dist_to_uniform", k=args.k)
+    q = _reference_from_args(args)
+    return PropertySpec(kind, q=q)
 
 
 def _reference_from_args(args) -> np.ndarray:
@@ -185,7 +182,7 @@ def _amplified_params_from_args(args, total_n: float, spec: PropertySpec, split_
         if args.alpha is not None:
             raise UsageError("--t/--s0 and --alpha are mutually exclusive")
         rate = total_n / 2.0 if split_mode == "thinned" else float(total_n)
-        return EstimatorParams.from_t_s0(
+        return EstimatorParams(
             rate, args.t, args.s0, t_decay=args.t_decay, v_max=args.v_max
         )
     return derive_params(
@@ -223,24 +220,21 @@ def cmd_simulate(args) -> int:
     if args.preset and args.alpha is not None:
         raise UsageError("--preset and --alpha are mutually exclusive")
 
-    try:
-        cfg = ExperimentConfig(
-            spec=spec,
-            family=args.dist,
-            k=k,
-            n_grid=n_grid,
-            trials=args.trials,
-            seed=args.seed,
-            estimators=estimators,
-            split_mode=args.split_mode,
-            dist_params=_dist_params_from_args(args),
-            poissonized=not args.fixed_size,
-            alpha=args.alpha,
-            s0_mult=args.s0_mult,
-            t_decay=args.t_decay,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = ExperimentConfig(
+        spec=spec,
+        family=args.dist,
+        k=k,
+        n_grid=n_grid,
+        trials=args.trials,
+        seed=args.seed,
+        estimators=estimators,
+        split_mode=args.split_mode,
+        dist_params=_dist_params_from_args(args),
+        poissonized=not args.fixed_size,
+        alpha=args.alpha,
+        s0_mult=args.s0_mult,
+        t_decay=args.t_decay,
+    )
 
     rows = run_experiment(cfg, threads=args.threads)
 
@@ -298,10 +292,7 @@ def cmd_estimate(args) -> int:
             )
             second = first
             split_mode = "shared"
-        try:
-            params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
-        except ParameterError as exc:
-            raise UsageError(str(exc)) from exc
+        params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
         sample = SplitSample(first=first, second=second, rate=float(args.rate))
         detail = amplified_estimate_detailed(sample, spec, params)
         value = detail.value
@@ -332,16 +323,15 @@ def cmd_coeffs(args) -> int:
     spec = _spec_from_args(args)
     if spec.q is not None and args.q_x is None:
         raise UsageError(f"{spec.kind} tables depend on --q-x (the reference mass)")
-    try:
-        params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+    params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
     table = build_coefficient_table(spec, params, q_x=args.q_x)
+    # Completed before the file opens, so a table that fails leaves no file.
+    values, clamped = table.values, table.clamped
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as f:
             f.write("v,h_v_times_vfact,clamped\n")
             for v in range(1, table.v_max + 1):
-                f.write(f"{v},{_fmt(table.values[v])},{int(table.clamped[v])}\n")
+                f.write(f"{v},{_fmt(values[v])},{int(clamped[v])}\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
@@ -457,10 +447,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ParameterError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

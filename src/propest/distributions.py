@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable, Mapping
+from typing import Hashable
 
 import numpy as np
-from scipy import stats as _stats
+from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "FAMILIES",
@@ -73,10 +73,6 @@ class Histogram:
         cleaned = {sym: int(c) for sym, c in self.counts.items() if c > 0}
         object.__setattr__(self, "counts", cleaned)
         object.__setattr__(self, "total", sum(cleaned.values()))
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[Hashable, int]) -> "Histogram":
-        return cls(dict(counts))
 
     @classmethod
     def from_array(cls, count_vector: np.ndarray) -> "Histogram":
@@ -154,12 +150,16 @@ def make_distribution(
         if k == 1:
             probs = np.array([1.0])
         else:
-            probs = _normalize_log(_stats.binom.logpmf(np.arange(k), k - 1, prob))
+            # scipy.stats.binom's own log-pmf formula, without its import cost.
+            x = np.arange(k, dtype=np.float64)
+            log_pmf = gammaln(k) - (gammaln(x + 1.0) + gammaln(k - x))
+            probs = _normalize_log(log_pmf + xlogy(x, prob) + xlog1py(k - 1 - x, -prob))
     elif family == "poisson":
         mean = float(merged["mean"])
         if not mean > 0:
             raise ValueError("poisson mean must be positive")
-        probs = _normalize_log(_stats.poisson.logpmf(np.arange(k), mean))
+        x = np.arange(k, dtype=np.float64)
+        probs = _normalize_log(xlogy(x, mean) - gammaln(x + 1.0) - mean)
     else:  # geometric
         prob = float(merged["prob"])
         if not 0 < prob < 1:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "amplified_estimate_detailed",
     "build_coefficient_table",
     "build_coefficient_tables",
-    "coefficient",
     "derive_params",
     "empirical",
     "modified_empirical",
@@ -66,6 +65,9 @@ PRESETS = {
 MIN_TOTAL_N = 150.0
 MIN_T = 2.5
 
+# Weights are clamped to at most 1e100 in magnitude, whatever the envelope.
+_LOG_CLAMP_CEILING = math.log(1e100)
+
 
 class ParameterError(ValueError):
     """Estimator parameters out of their admissible range."""
@@ -80,19 +82,18 @@ class EstimatorParams:
     """Tuning of the amplified estimator.
 
     ``rate`` is the per-stream Poisson rate entering every count ratio.
-    ``u_max`` and ``r`` are derived from ``t`` and ``s0`` and validated, so
-    construct instances through :meth:`from_t_s0` or :func:`derive_params`.
-    ``v_max`` caps the coefficient table; counts beyond it contribute zero.
+    The series truncation ``u_max`` and the tail level ``r`` are derived
+    from ``t`` and ``s0``.  ``v_max`` caps the coefficient table (default
+    ``max(4r, 200)``); counts beyond it contribute zero.
     """
 
     rate: float
     t: float
     s0: int
-    u_max: int
-    r: int
+    u_max: int = field(init=False)
+    r: int = field(init=False)
     t_decay: bool = True
     v_max: int | None = None
-    clamp_ceiling: float = 1e100
 
     def __post_init__(self) -> None:
         if not self.rate > 0:
@@ -101,39 +102,16 @@ class EstimatorParams:
             raise ParameterError(f"amplification t must exceed {MIN_T}, got {self.t!r}")
         if self.s0 < 1 or self.s0 != int(self.s0):
             raise ParameterError(f"s0 must be a positive integer, got {self.s0!r}")
-        expected_u = _round_half_up(2 * self.s0 * self.t + 2 * self.s0 - 1)
-        expected_r = _round_half_up(10 * self.s0 * self.t + 10 * self.s0)
-        if self.u_max != expected_u:
-            raise ParameterError(f"u_max must be {expected_u} for t={self.t}, s0={self.s0}")
-        if self.r != expected_r:
-            raise ParameterError(f"r must be {expected_r} for t={self.t}, s0={self.s0}")
+        t, s0 = float(self.t), int(self.s0)
+        object.__setattr__(self, "rate", float(self.rate))
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "s0", s0)
+        object.__setattr__(self, "u_max", _round_half_up(2 * s0 * t + 2 * s0 - 1))
+        object.__setattr__(self, "r", _round_half_up(10 * s0 * t + 10 * s0))
         if self.v_max is None:
             object.__setattr__(self, "v_max", max(4 * self.r, 200))
         if self.v_max < 1 or self.v_max != int(self.v_max):
             raise ParameterError(f"v_max must be a positive integer, got {self.v_max!r}")
-        if not self.clamp_ceiling > 0:
-            raise ParameterError("clamp_ceiling must be positive")
-
-    @classmethod
-    def from_t_s0(
-        cls,
-        rate: float,
-        t: float,
-        s0: int,
-        t_decay: bool = True,
-        v_max: int | None = None,
-        clamp_ceiling: float = 1e100,
-    ) -> "EstimatorParams":
-        return cls(
-            rate=float(rate),
-            t=float(t),
-            s0=int(s0),
-            u_max=_round_half_up(2 * s0 * t + 2 * s0 - 1),
-            r=_round_half_up(10 * s0 * t + 10 * s0),
-            t_decay=t_decay,
-            v_max=v_max,
-            clamp_ceiling=clamp_ceiling,
-        )
 
     def t_at(self, v: int) -> float:
         """Effective amplification used for the coefficient at count ``v``.
@@ -156,7 +134,6 @@ def derive_params(
     split_mode: str = "two_stream",
     t_decay: bool = True,
     v_max: int | None = None,
-    clamp_ceiling: float = 1e100,
 ) -> EstimatorParams:
     """Tune the amplified estimator for a total sampling budget ``total_n``.
 
@@ -194,9 +171,7 @@ def derive_params(
         )
     s0 = max(1, _round_half_up(mult * log_n**0.2))
     rate = total_n / 2.0 if split_mode == "thinned" else float(total_n)
-    return EstimatorParams.from_t_s0(
-        rate, t, s0, t_decay=t_decay, v_max=v_max, clamp_ceiling=clamp_ceiling
-    )
+    return EstimatorParams(rate, t, s0, t_decay=t_decay, v_max=v_max)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +194,7 @@ def _cached_log_factorials(j_max: int) -> np.ndarray:
 
 
 def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
-    """Log of the analytic weight envelope, capped at the configured ceiling."""
+    """Log of the analytic weight envelope, capped at 1e100."""
     nt = params.rate * params.t
     lip = lipschitz(spec, min(1.0, 1.0 / nt))
     if lip == 0.0:
@@ -227,7 +202,7 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
     bound = math.log(lip) + math.log(params.u_max) - math.log(nt) + 2.0 * params.r * (
         params.t - 1.0
     )
-    return min(bound, math.log(params.clamp_ceiling))
+    return min(bound, _LOG_CLAMP_CEILING)
 
 
 def _coefficient_signed_log(
@@ -369,22 +344,9 @@ def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
         return None
     if q_x is None:
         raise ValueError(f"{spec.kind} weights depend on the reference mass q_x")
+    if not 0.0 <= q_x <= 1.0:
+        raise ValueError(f"reference mass q_x must be in [0, 1], got {q_x!r}")
     return float(q_x)
-
-
-def coefficient(
-    spec: PropertySpec, v: int, params: EstimatorParams, q_x: float | None = None
-) -> float:
-    """Small-branch weight ``h_v * v!`` for a symbol observed ``v`` times.
-
-    A one-entry read of :func:`build_coefficient_table`'s table, so the two
-    agree bit for bit.
-    """
-    if v < 1 or v != int(v):
-        raise ValueError(f"v must be a positive integer, got {v!r}")
-    if v > params.v_max:
-        raise ValueError(f"v={v} exceeds the table range v_max={params.v_max}")
-    return float(build_coefficient_table(spec, params, q_x=q_x).weights(int(v)))
 
 
 def build_coefficient_table(
@@ -461,6 +423,10 @@ def _symbol_indices(spec: PropertySpec, symbols: list) -> np.ndarray:
         raise ValueError(
             f"{spec.kind} requires integer symbol ids indexing q"
         ) from exc
+    if idx.size and (idx.min() < 0 or idx.max() >= len(spec.q)):
+        raise ValueError(
+            f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
+        )
     return idx
 
 

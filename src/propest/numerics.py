@@ -11,32 +11,22 @@ estimators themselves never integrate anything.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import integrate as _integrate
 from scipy import special as _special
 
 __all__ = [
-    "CancellationWarning",
     "ConvergenceError",
-    "SignedLogValue",
-    "alternating_sum",
     "bessel_f",
     "integrate_exp_poly_bessel",
     "integrate_poisson_kernel_bessel",
-    "log_factorial",
     "log_poisson_tail",
     "log_poisson_tail_table",
     "poisson_tail",
-    "signed_log_sum",
     "signed_log_sum_arrays",
 ]
-
-LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 #: An alternating sum whose result is below this fraction of its largest term
 #: has lost essentially all significance.
@@ -53,49 +43,6 @@ _QUAD_ABS_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-class CancellationWarning(RuntimeWarning):
-    """An alternating sum cancelled down to numerical noise."""
-
-
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as a sign and the natural log of its magnitude.
-
-    ``sign`` is -1, 0, or +1; a zero value always carries
-    ``log_magnitude == -inf`` so that equal values compare equal.
-    """
-
-    sign: int
-    log_magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0, or +1, got {self.sign!r}")
-        if self.sign == 0:
-            object.__setattr__(self, "log_magnitude", -math.inf)
-
-    @classmethod
-    def from_value(cls, x: float) -> "SignedLogValue":
-        if x == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def value(self) -> float:
-        """Convert back to a plain float (``inf`` if out of double range)."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > LOG_DOUBLE_MAX:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.log_magnitude)
-
-
-def log_factorial(v: int) -> float:
-    """Natural log of ``v!`` for a nonnegative integer ``v``."""
-    if v < 0 or v != int(v):
-        raise ValueError(f"v must be a nonnegative integer, got {v!r}")
-    return math.lgamma(v + 1.0)
 
 
 def poisson_tail(r: float, j: int) -> float:
@@ -298,31 +245,3 @@ def signed_log_sum_arrays(
     if diff == 0.0:
         return 0, -math.inf, cancelled
     return (1 if diff > 0 else -1), shift + math.log(abs(diff)), cancelled
-
-
-def signed_log_sum(
-    terms: Iterable[SignedLogValue],
-) -> tuple[SignedLogValue, bool]:
-    """Sum a sequence of :class:`SignedLogValue`, reporting cancellation."""
-    terms = list(terms)
-    signs = np.array([t.sign for t in terms], dtype=np.int64)
-    mags = np.array([t.log_magnitude for t in terms], dtype=np.float64)
-    sign, log_mag, cancelled = signed_log_sum_arrays(signs, mags)
-    return SignedLogValue(sign, log_mag), cancelled
-
-
-def alternating_sum(terms: Sequence[SignedLogValue]) -> float:
-    """Evaluate a finite signed sum, stable against intermediate overflow.
-
-    Emits :class:`CancellationWarning` when the result is smaller than
-    ``CANCELLATION_RTOL`` times the largest term, i.e. when the returned
-    digits are mostly rounding noise.  The empty sum is exactly 0.
-    """
-    result, cancelled = signed_log_sum(terms)
-    if cancelled:
-        warnings.warn(
-            "alternating sum cancelled below 1e-10 of its largest term",
-            CancellationWarning,
-            stacklevel=2,
-        )
-    return result.value()

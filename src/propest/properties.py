@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "KINDS",
-    "SYMMETRIC_KINDS",
     "PropertySpec",
-    "SmoothnessParams",
     "entropy",
     "support_size",
     "support_coverage",
@@ -33,7 +30,6 @@ __all__ = [
     "eval_fx_many",
     "exact_value",
     "lipschitz",
-    "smoothness",
 ]
 
 KINDS = (
@@ -44,11 +40,6 @@ KINDS = (
     "dist_to_uniform",
     "l1_distance",
     "kl_divergence",
-)
-
-#: Kinds whose per-symbol function is the same for every symbol.
-SYMMETRIC_KINDS = frozenset(
-    {"entropy", "support_size", "support_coverage", "power_sum", "dist_to_uniform"}
 )
 
 PROB_SUM_TOL = 1e-12
@@ -101,23 +92,11 @@ class PropertySpec:
         if self.kind in ("dist_to_uniform", "l1_distance"):
             object.__setattr__(self, "report_offset", 1.0)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.kind in SYMMETRIC_KINDS
-
     def reference_mass(self, x: int) -> float:
         """The reference probability ``q_x``; only meaningful for l1/kl."""
         if self.q is None:
             raise ValueError(f"{self.kind} carries no reference distribution")
         return float(self.q[x])
-
-
-@dataclass(frozen=True)
-class SmoothnessParams:
-    """Lipschitz-type profile and second-order constant of a property."""
-
-    lipschitz_fn: Callable[[float], float]
-    s_f: float
 
 
 def entropy() -> PropertySpec:
@@ -205,12 +184,13 @@ def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx: float | None = None) -> 
 
 
 def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``f_x(p_x)`` over aligned arrays of symbol indices and probabilities."""
+    """``f_x(p_x)`` over aligned arrays of symbol indices and probabilities.
+
+    For l1/kl the symbols index ``q`` and must lie in ``0..len(q)-1``; the
+    estimators check their ids before they get here.
+    """
     if spec.q is None:
         return _fx_values(spec, p, 0.0)
-    symbols = np.asarray(symbols)
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= len(spec.q)):
-        raise ValueError("symbol index outside the reference distribution")
     return _fx_values(spec, p, spec.q[symbols])
 
 
@@ -249,14 +229,3 @@ def lipschitz(spec: PropertySpec, h: float) -> float:
     if kind == "support_size":
         return min(1.0, 1.0 / (spec.k * h))
     return 1.0
-
-
-def smoothness(spec: PropertySpec) -> SmoothnessParams:
-    """Smoothness profile: the Lipschitz map and second-order constant."""
-    if spec.kind in ("entropy", "kl_divergence"):
-        s_f = math.log(2.0)
-    elif spec.kind == "power_sum":
-        s_f = spec.a
-    else:
-        s_f = 1.0
-    return SmoothnessParams(lipschitz_fn=lambda h: lipschitz(spec, h), s_f=s_f)

@@ -34,7 +34,7 @@ class CheckResult:
 
 
 def _small_params(rate: float = 150.0, t: float = 3.0, s0: int = 1) -> EstimatorParams:
-    return EstimatorParams.from_t_s0(rate, t, s0, t_decay=False)
+    return EstimatorParams(rate, t, s0, t_decay=False)
 
 
 def check_quadrature_identity(deep: bool = False) -> CheckResult:

@@ -27,7 +27,6 @@ from propest.estimators import (
     EstimatorParams,
     _log_clamp_bound,
     build_coefficient_table,
-    coefficient,
     empirical,
     smoothed_h_hat,
 )
@@ -40,7 +39,7 @@ SMALL = dict(rate=150.0, t=3.0, s0=1)
 
 
 def small_params(t_decay=False):
-    return EstimatorParams.from_t_s0(t_decay=t_decay, **SMALL)
+    return EstimatorParams(t_decay=t_decay, **SMALL)
 
 
 def mp_entropy_coefficient(v, params):
@@ -101,7 +100,7 @@ def test_criterion_3_coefficient_correctness():
     envelope = math.exp(_log_clamp_bound(spec, params))
     worst = 0.0
     for v in range(1, 21):
-        value = coefficient(spec, v, params)
+        value = build_coefficient_table(spec, params).weights(v)
         oracle = mp_entropy_coefficient(v, params)
         if abs(value) < 1e-12 and abs(oracle) < 1e-12:
             continue

@@ -7,7 +7,7 @@ import pytest
 
 import propest.numerics
 from propest.cli import main
-from propest.estimators import EstimatorParams, coefficient
+from propest.estimators import EstimatorParams, build_coefficient_table
 from propest.numerics import poisson_tail
 from propest.properties import entropy, eval_fx
 
@@ -217,10 +217,10 @@ class TestCoeffs:
         assert lines[0] == "v,h_v_times_vfact,clamped"
         assert len(lines) == 51
         v1 = float(lines[1].split(",")[1])
-        params = EstimatorParams.from_t_s0(150.0, 3.0, 1, t_decay=False)
+        params = EstimatorParams(150.0, 3.0, 1, t_decay=False)
         target = 3.0 * eval_fx(entropy(), 0, 1 / 450.0) * poisson_tail(params.r, 2)
         assert v1 == pytest.approx(target, rel=1e-12)
-        assert v1 == coefficient(entropy(), 1, params)
+        assert v1 == build_coefficient_table(entropy(), params).weights(1)
         for line in lines[1:]:
             _, value, clamped = line.split(",")
             assert math.isfinite(float(value))
@@ -240,6 +240,49 @@ class TestCoeffs:
             "--rate", "1000", "--t", "3", "--s0", "1",
             "--out", str(tmp_path / "c.csv"),
         ) == 1
+
+
+KL_MANUAL = ("--property", "kl", "--q", "uniform", "--k", "4", "--alpha", "0.5", "--s0-mult", "2")
+SIM_EMPIRICAL = ("--n-grid", "1000", "--trials", "1", "--estimators", "empirical")
+COEFFS_KL_AT_QX = ("coeffs", *KL_MANUAL, "--rate", "1000", "--out", "{out}", "--q-x")
+
+MALFORMED = {
+    "negative_rate": (
+        "estimate", "--property", "entropy", "--counts", "{counts}",
+        "--estimator", "modified_empirical", "--rate", "-1",
+    ),
+    "kl_symbol_not_an_id": ("estimate", *KL_MANUAL, "--counts", "{counts}", "--rate", "1000"),
+    "q_file_shorter_than_ids": (
+        "estimate", "--property", "kl", "--q-file", "{q2}", "--alpha", "0.5",
+        "--s0-mult", "2", "--counts", "{ids}", "--rate", "1000",
+    ),
+    "zero_support": (
+        "simulate", "--property", "entropy", "--dist", "uniform", "--k", "0",
+        *SIM_EMPIRICAL, "--out", "{out}",
+    ),
+    "negative_zipf_power": (
+        "simulate", "--property", "entropy", "--dist", "zipf", "--k", "10",
+        "--zipf-power", "-1", *SIM_EMPIRICAL, "--out", "{out}",
+    ),
+    "kl_zero_reference_mass": (*COEFFS_KL_AT_QX, "0"),
+    "negative_reference_mass": (*COEFFS_KL_AT_QX, "-0.5"),
+    "reference_mass_above_one": (*COEFFS_KL_AT_QX, "1.5"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_1_with_one_error_line(self, case, counts_file, tmp_path, capsys):
+        files = {"counts": counts_file, "out": str(tmp_path / "out.csv")}
+        for name, text in (("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n")):
+            files[name] = str(tmp_path / f"{name}.txt")
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        argv = [arg.format(**files) for arg in MALFORMED[case]]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestSelfcheck:

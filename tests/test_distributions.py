@@ -33,9 +33,13 @@ class TestMakeDistribution:
         assert d.probs[0] == pytest.approx(0.99, rel=1e-10)
 
     def test_binomial_matches_scipy(self):
-        k, prob = 50, 0.3
+        # scipy.stats is the reference for both closed-form log-pmf families
+        k, prob, mean = 50, 0.3, 30.0
         d = make_distribution("binomial", k, {"prob": prob})
         ref = sp_stats.binom.pmf(np.arange(k), k - 1, prob)
+        np.testing.assert_allclose(d.probs, ref / ref.sum(), rtol=1e-10)
+        d = make_distribution("poisson", k, {"mean": mean})
+        ref = sp_stats.poisson.pmf(np.arange(k), mean)
         np.testing.assert_allclose(d.probs, ref / ref.sum(), rtol=1e-10)
 
     def test_poisson_heavy_truncation_survives(self):

@@ -23,7 +23,6 @@ from propest.estimators import (
     amplified_estimate_detailed,
     build_coefficient_table,
     build_coefficient_tables,
-    coefficient,
     derive_params,
     empirical,
     modified_empirical,
@@ -34,6 +33,7 @@ from propest.properties import (
     distance_to_uniformity,
     entropy,
     eval_fx,
+    kl_divergence,
     l1_distance,
     support_coverage,
     support_size,
@@ -41,12 +41,12 @@ from propest.properties import (
 
 
 def small_params(t_decay=False, rate=150.0, t=3.0, s0=1):
-    return EstimatorParams.from_t_s0(rate, t, s0, t_decay=t_decay)
+    return EstimatorParams(rate, t, s0, t_decay=t_decay)
 
 
 def clamping_params():
     # 185 entries from v=212 on hit the envelope; v_max is 400.
-    return EstimatorParams.from_t_s0(500.0, 4.0, 2, t_decay=False)
+    return EstimatorParams(500.0, 4.0, 2, t_decay=False)
 
 
 def mp_entropy_coefficient(v, params):
@@ -158,11 +158,9 @@ class TestDeriveParams:
 
     def test_params_invariants_enforced(self):
         with pytest.raises(ParameterError):
-            EstimatorParams(rate=100.0, t=3.0, s0=1, u_max=99, r=40)
+            EstimatorParams(100.0, 2.0, 1)
         with pytest.raises(ParameterError):
-            EstimatorParams.from_t_s0(100.0, 2.0, 1)
-        with pytest.raises(ParameterError):
-            EstimatorParams.from_t_s0(100.0, 3.0, 0)
+            EstimatorParams(100.0, 3.0, 0)
 
     def test_v_max_default(self):
         p = small_params()
@@ -173,33 +171,35 @@ class TestCoefficient:
     def test_v1_closed_form(self):
         params = small_params()
         target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * poisson_tail(params.r, 2)
-        assert coefficient(entropy(), 1, params) == pytest.approx(target, rel=1e-12)
+        value = build_coefficient_table(entropy(), params).weights(1)
+        assert value == pytest.approx(target, rel=1e-12)
 
     def test_v1_closed_form_under_decay(self):
         # decay leaves v = 1 untouched
         params = small_params(t_decay=True)
         target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * poisson_tail(params.r, 2)
-        assert coefficient(entropy(), 1, params) == pytest.approx(target, rel=1e-12)
+        value = build_coefficient_table(entropy(), params).weights(1)
+        assert value == pytest.approx(target, rel=1e-12)
 
     def test_zero_function_on_grid(self):
         # rate * t <= 1 clamps every grid point to 1 where entropy vanishes
-        params = EstimatorParams.from_t_s0(0.3, 3.0, 1)
+        params = EstimatorParams(0.3, 3.0, 1)
         for v in (1, 2, 5):
-            assert coefficient(entropy(), v, params) == 0.0
+            assert build_coefficient_table(entropy(), params).weights(v) == 0.0
 
     def test_matches_256bit_direct_evaluation(self):
         params = small_params()
         for v in (1, 2, 3, 5, 8, 13, 20):
             oracle = mp_entropy_coefficient(v, params)
-            assert coefficient(entropy(), v, params) == pytest.approx(oracle, rel=1e-9)
+            value = build_coefficient_table(entropy(), params).weights(v)
+            assert value == pytest.approx(oracle, rel=1e-9)
 
     def test_matches_256bit_with_decay(self):
         params = small_params(t_decay=True)
         for v in (1, 2, 3, 4, 7, 12):
             oracle = mp_entropy_coefficient(v, params)
-            assert coefficient(entropy(), v, params) == pytest.approx(
-                oracle, rel=1e-9, abs=1e-15
-            )
+            value = build_coefficient_table(entropy(), params).weights(v)
+            assert value == pytest.approx(oracle, rel=1e-9, abs=1e-15)
 
     def test_envelope_respected(self):
         params = small_params()
@@ -207,26 +207,19 @@ class TestCoefficient:
         assert np.max(np.abs(table.values)) <= table.clamp_bound * (1 + 1e-12)
         assert table.n_clamped == 0
 
-    def test_table_matches_scalar_calls_exactly(self):
-        params = small_params()
-        table = build_coefficient_table(entropy(), params)
-        for v in (1, 2, 3, 17, 50, 200):
-            assert table.values[v] == coefficient(entropy(), v, params)
-
-    def test_v_range_validation(self):
-        params = small_params()
-        with pytest.raises(ValueError):
-            coefficient(entropy(), 0, params)
-        with pytest.raises(ValueError):
-            coefficient(entropy(), params.v_max + 1, params)
-
     def test_reference_property_needs_mass(self):
         spec = l1_distance(np.full(4, 0.25))
         params = small_params()
         with pytest.raises(ValueError):
-            coefficient(spec, 1, params)
-        value = coefficient(spec, 1, params, q_x=0.25)
+            build_coefficient_table(spec, params)
+        value = build_coefficient_table(spec, params, q_x=0.25).weights(1)
         assert math.isfinite(value)
+
+    def test_reference_mass_outside_unit_interval_rejected(self):
+        spec = kl_divergence(np.full(4, 0.25))
+        for q_x in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="q_x"):
+                build_coefficient_table(spec, small_params(), q_x=q_x)
 
     def test_uniform_reference_deduplicates(self):
         spec = l1_distance(np.full(6, 1.0 / 6))
@@ -342,7 +335,7 @@ class TestAmplified:
     def test_single_rare_symbol_uses_table_weight(self):
         params = small_params()
         sample = SplitSample(Histogram({"x": 1}), Histogram({}), rate=150.0)
-        target = coefficient(entropy(), 1, params)
+        target = build_coefficient_table(entropy(), params).weights(1)
         assert amplified_estimate(sample, entropy(), params) == pytest.approx(
             target, rel=1e-12
         )
@@ -387,7 +380,7 @@ class TestAmplified:
         assert amplified_estimate(sample, entropy(), params) == 0.0
 
     def test_overflow_counts_beyond_table(self):
-        params = EstimatorParams.from_t_s0(150.0, 3.0, 1, v_max=2, t_decay=False)
+        params = EstimatorParams(150.0, 3.0, 1, v_max=2, t_decay=False)
         sample = SplitSample(Histogram({"a": 3}), Histogram({}), rate=150.0)
         detail = amplified_estimate_detailed(sample, entropy(), params)
         assert detail.n_overflow == 1
@@ -429,9 +422,9 @@ class TestAmplified:
         sample = SplitSample(Histogram({0: 1, 1: 2, 2: 1}), Histogram({}), rate=150.0)
         detail = amplified_estimate_detailed(sample, spec, params, tables)
         target = (
-            coefficient(spec, 1, params, q_x=0.5)
-            + coefficient(spec, 2, params, q_x=0.25)
-            + coefficient(spec, 1, params, q_x=0.25)
+            build_coefficient_table(spec, params, q_x=0.5).weights(1)
+            + build_coefficient_table(spec, params, q_x=0.25).weights(2)
+            + build_coefficient_table(spec, params, q_x=0.25).weights(1)
         )
         assert detail.small_sum == pytest.approx(target, rel=1e-12)
 
@@ -441,6 +434,19 @@ class TestAmplified:
         a = amplified_estimate(sample, entropy(), params)
         b = amplified_estimate(sample, entropy(), params)
         assert a == b
+
+
+class TestSymbolIds:
+    @pytest.mark.parametrize("make_spec", [l1_distance, kl_divergence])
+    @pytest.mark.parametrize("bad_id", [-1, 5])
+    def test_ids_outside_q_rejected(self, make_spec, bad_id):
+        # -1 used to read q[-1] in the small branch: the same estimate as id 4
+        spec = make_spec(np.full(5, 0.2))
+        first, second = Histogram({bad_id: 1}), Histogram({0: 2})
+        with pytest.raises(ValueError, match="symbol ids"):
+            empirical(first, spec)
+        with pytest.raises(ValueError, match="symbol ids"):
+            amplified_estimate(SplitSample(first, second, 150.0), spec, small_params())
 
 
 class TestSmoothedHHat:
@@ -457,7 +463,7 @@ class TestSmoothedHHat:
         # u_max = 17: the unscaled Bessel integral reaches ~u! here and its
         # absolute error bound fails, so this pins the 1/u!-scaled kernel.
         spec = support_coverage(m=500.0)
-        params = EstimatorParams.from_t_s0(200.0, 3.5, 2, t_decay=False)
+        params = EstimatorParams(200.0, 3.5, 2, t_decay=False)
         for lam in (1.0, 2.0, 3.0, 5.0):
             series, quad = smoothed_h_hat(spec, lam, params)
             assert abs(series - quad) < 1e-5

@@ -5,12 +5,16 @@ module is compiled from source and its code objects are walked with
 ``dis``.  A ``LOAD_GLOBAL`` or ``LOAD_NAME`` whose target is neither bound
 in the imported module, bound earlier in the same code object (class
 bodies), nor a builtin would raise ``NameError`` only when that line runs.
+An ``__all__`` entry the module does not define breaks ``import *`` the
+same way.
 """
 
 import builtins
 import dis
 import importlib
 import pkgutil
+import subprocess
+import sys
 import types
 
 import pytest
@@ -52,6 +56,21 @@ def undefined_globals(module):
 @pytest.mark.parametrize("name", MODULES)
 def test_no_undefined_globals(name):
     assert undefined_globals(importlib.import_module(name)) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_exports_are_defined(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold import and the package needs none of it
+    code = "import sys, propest; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_detects_undefined_global(tmp_path, monkeypatch):

@@ -15,67 +15,14 @@ from hypothesis import strategies as st
 
 from propest import numerics
 from propest.numerics import (
-    CancellationWarning,
     ConvergenceError,
-    SignedLogValue,
-    alternating_sum,
     bessel_f,
     integrate_exp_poly_bessel,
-    log_factorial,
     log_poisson_tail,
     log_poisson_tail_table,
     poisson_tail,
-    signed_log_sum,
+    signed_log_sum_arrays,
 )
-
-
-class TestSignedLogValue:
-    def test_round_trip(self):
-        # one exp/log round trip costs about |log x| * eps in relative terms
-        for x in (1.0, -1.0, 3.5e-200, -2.75e187, 123.456):
-            slv = SignedLogValue.from_value(x)
-            rel = max(4.0, abs(math.log(abs(x)))) * 4e-16
-            assert slv.value() == pytest.approx(x, rel=rel)
-
-    def test_zero_iff_sign_zero(self):
-        assert SignedLogValue.from_value(0.0).sign == 0
-        assert SignedLogValue(0, 5.0).log_magnitude == -math.inf
-        assert SignedLogValue(0, 5.0).value() == 0.0
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            SignedLogValue(2, 0.0)
-
-    def test_overflow_maps_to_inf(self):
-        assert SignedLogValue(1, 800.0).value() == math.inf
-        assert SignedLogValue(-1, 800.0).value() == -math.inf
-
-
-class TestLogFactorial:
-    def test_zero(self):
-        assert log_factorial(0) == 0.0
-
-    def test_five_direct_product(self):
-        oracle = math.log(1 * 2 * 3 * 4 * 5)
-        assert log_factorial(5) == pytest.approx(oracle, rel=1e-14)
-
-    def test_170_cumulative_log_sum(self):
-        oracle = math.fsum(math.log(i) for i in range(1, 171))
-        assert log_factorial(170) == pytest.approx(oracle, rel=1e-13)
-
-    def test_twelve_significant_digits(self):
-        with mp.workprec(256):
-            for v in (1, 2, 7, 20, 100, 1000, 50000):
-                exact = float(mp.log(mp.factorial(v)))
-                assert log_factorial(v) == pytest.approx(exact, rel=1e-12)
-
-    def test_monotone_nondecreasing(self):
-        vals = [log_factorial(v) for v in range(0, 300)]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            log_factorial(-1)
 
 
 def _mp_poisson_cdf(r, j, terms=None):
@@ -223,23 +170,28 @@ class TestIntegrateExpPolyBessel:
 
 
 class TestAlternatingSum:
+    """Signed sums in log space, through ``signed_log_sum_arrays``."""
+
     def test_empty_is_exact_zero(self):
-        assert alternating_sum([]) == 0.0
+        empty = signed_log_sum_arrays(np.array([], dtype=np.int64), np.array([]))
+        assert empty == (0, -math.inf, False)
 
     def test_exact_cancellation(self):
-        terms = [SignedLogValue(1, 1.0), SignedLogValue(-1, 1.0)]
-        with pytest.warns(CancellationWarning):
-            assert alternating_sum(terms) == 0.0
+        sign, log_mag, cancelled = signed_log_sum_arrays(
+            np.array([1, -1]), np.array([1.0, 1.0])
+        )
+        assert (sign, log_mag) == (0, -math.inf)
+        assert cancelled
 
     def test_near_cancellation_value(self):
         # e^10 - e^10 * (1 - 1e-6), oracle in extended precision
         with mp.workprec(256):
             oracle = float(mp.e**10 - mp.e**10 * (1 - mp.mpf("1e-6")))
-        terms = [
-            SignedLogValue(1, 10.0),
-            SignedLogValue(-1, 10.0 + math.log1p(-1e-6)),
-        ]
-        assert alternating_sum(terms) == pytest.approx(oracle, rel=1e-9)
+        sign, log_mag, cancelled = signed_log_sum_arrays(
+            np.array([1, -1]), np.array([10.0, 10.0 + math.log1p(-1e-6)])
+        )
+        assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9)
+        assert not cancelled
 
     def test_randomized_against_mpmath(self):
         rng = np.random.default_rng(20240817)
@@ -256,17 +208,21 @@ class TestAlternatingSum:
                 if abs(exact) <= mp.mpf("1e-8") * max_term:
                     continue
                 oracle = float(exact)
-            terms = [SignedLogValue(int(s), float(m)) for s, m in zip(signs, mags)]
-            assert alternating_sum(terms) == pytest.approx(oracle, rel=1e-9)
+            sign, log_mag, _ = signed_log_sum_arrays(signs, mags)
+            assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9)
             checked += 1
         assert checked > 200
 
     def test_signed_log_sum_reports_flag(self):
-        value, cancelled = signed_log_sum(
-            [SignedLogValue(1, 0.0), SignedLogValue(-1, 0.0)]
+        # 1 - (1 - 1e-12) is nonzero but below 1e-10 of the largest term.
+        sign, _, cancelled = signed_log_sum_arrays(
+            np.array([1, -1]), np.array([0.0, math.log1p(-1e-12)])
         )
-        assert cancelled and value.sign == 0
+        assert sign == 1 and cancelled
 
     def test_zero_terms_ignored(self):
-        terms = [SignedLogValue(0, -math.inf), SignedLogValue(1, 0.0)]
-        assert alternating_sum(terms) == pytest.approx(1.0, rel=1e-15)
+        sign, log_mag, cancelled = signed_log_sum_arrays(
+            np.array([0, 1]), np.array([-math.inf, 0.0])
+        )
+        assert sign * math.exp(log_mag) == pytest.approx(1.0, rel=1e-15)
+        assert not cancelled

@@ -18,7 +18,6 @@ from propest.properties import (
     l1_distance,
     lipschitz,
     power_sum,
-    smoothness,
     support_coverage,
     support_size,
 )
@@ -166,12 +165,6 @@ class TestLipschitz:
             lipschitz(entropy(), 0.0)
         with pytest.raises(ValueError):
             lipschitz(entropy(), 1.5)
-
-    def test_smoothness_constants(self):
-        assert smoothness(entropy()).s_f == pytest.approx(math.log(2))
-        assert smoothness(power_sum(3.0)).s_f == 3.0
-        assert smoothness(support_coverage(10.0)).s_f == 1.0
-        assert smoothness(entropy()).lipschitz_fn(math.exp(-2)) == pytest.approx(2.0)
 
 
 class TestSpecValidation:

@@ -130,8 +130,27 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _read_counts(path: str) -> Histogram:
-    """Parse a ``symbol,count`` file (optional ``symbol,count`` header)."""
+def _symbol_id(sym: str, spec: PropertySpec, ids: dict) -> int:
+    if spec.q is None:
+        return ids.setdefault(sym, len(ids))
+    try:
+        x = int(sym)
+    except ValueError:
+        raise UsageError(f"{spec.kind} requires integer symbol ids indexing q") from None
+    if not 0 <= x < len(spec.q):
+        raise UsageError(
+            f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
+        )
+    return x
+
+
+def _read_counts(path: str, spec: PropertySpec, ids: dict) -> dict:
+    """Parse a ``symbol,count`` file (optional ``symbol,count`` header) to ``{id: count}``.
+
+    l1/kl symbols are integer ids indexing q, so ``5``, ``05`` and ``+5``
+    are one symbol.  Other labels are opaque: each new one gets the next id
+    in ``ids``, which both streams share.
+    """
     counts: dict = {}
     try:
         with open(path, encoding="utf-8") as f:
@@ -152,10 +171,17 @@ def _read_counts(path: str) -> Histogram:
             raise UsageError(f"{path}: line {i}: count {count_s!r} not an integer") from exc
         if count <= 0:
             raise UsageError(f"{path}: line {i}: counts must be positive")
-        if sym in counts:
+        x = _symbol_id(sym, spec, ids)
+        if x in counts:
             raise UsageError(f"{path}: duplicate symbol {sym!r}")
-        counts[sym] = count
-    return Histogram(counts)
+        counts[x] = count
+    return counts
+
+
+def _histogram(counts: dict, spec: PropertySpec, ids: dict) -> Histogram:
+    array = np.zeros(len(ids) if spec.q is None else len(spec.q), dtype=np.int64)
+    array[list(counts)] = list(counts.values())
+    return Histogram(array)
 
 
 def _dist_params_from_args(args) -> dict:
@@ -268,21 +294,24 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     spec = _spec_from_args(args)
-    first = _read_counts(args.counts)
+    ids: dict = {}
+    counts = _read_counts(args.counts, spec, ids)
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
 
     if args.estimator == "empirical":
-        value = empirical(first, spec)
+        value = empirical(_histogram(counts, spec, ids), spec)
     elif args.estimator == "modified_empirical":
         if args.rate is None:
             raise UsageError("modified_empirical requires --rate")
-        value = modified_empirical(first, args.rate, spec)
+        value = modified_empirical(_histogram(counts, spec, ids), args.rate, spec)
         lines.append(f"rate={_fmt(args.rate)}")
     else:  # amplified
         if args.rate is None:
             raise UsageError("amplified requires --rate")
         if args.counts2 is not None:
-            second = _read_counts(args.counts2)
+            counts2 = _read_counts(args.counts2, spec, ids)
+            first = _histogram(counts, spec, ids)
+            second = _histogram(counts2, spec, ids)
             split_mode = "two_stream"
         else:
             print(
@@ -290,7 +319,7 @@ def cmd_estimate(args) -> int:
                 "small/large split (shared mode, streams fully dependent)",
                 file=sys.stderr,
             )
-            second = first
+            first = second = _histogram(counts, spec, ids)
             split_mode = "shared"
         params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
         sample = SplitSample(first=first, second=second, rate=float(args.rate))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Hashable
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -55,40 +54,41 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Histogram:
-    """Multiset of symbol counts from one sample stream.
+    """Counts of one sample stream: ``array[x]`` is the count of symbol id ``x``.
 
-    Symbols with zero count are absent from the map; ``total`` is the sum
-    of all counts.
+    ``array`` is a read-only ``int64`` view of the given vector (an ``int64``
+    vector is not copied); ``total`` is its sum.
     """
 
-    counts: dict
+    array: np.ndarray
     total: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        for sym, c in self.counts.items():
-            if c < 0 or c != int(c):
-                raise ValueError(f"count for {sym!r} must be a nonnegative integer")
-        cleaned = {sym: int(c) for sym, c in self.counts.items() if c > 0}
-        object.__setattr__(self, "counts", cleaned)
-        object.__setattr__(self, "total", sum(cleaned.values()))
+        given = np.asarray(self.array)
+        if given.ndim != 1:
+            raise ValueError("counts must be a 1-D vector indexed by symbol id")
+        if given.dtype.kind == "f" and not np.array_equal(given, np.trunc(given)):
+            raise ValueError("counts must be integers")
+        array = given.astype(np.int64, copy=False)
+        if array.size and array.min() < 0:
+            raise ValueError("counts must be nonnegative")
+        array = array.view()
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "total", int(array.sum()))
 
     @classmethod
     def from_array(cls, count_vector: np.ndarray) -> "Histogram":
-        """Build from a dense per-symbol count vector indexed by symbol."""
-        count_vector = np.asarray(count_vector)
-        (nz,) = np.nonzero(count_vector)
-        return cls({int(i): int(count_vector[i]) for i in nz})
+        """The same as ``Histogram(count_vector)``."""
+        return cls(count_vector)
 
-    def as_arrays(self) -> tuple[list, np.ndarray]:
-        """Symbols (in insertion order) and the aligned count array."""
-        syms = list(self.counts.keys())
-        cnts = np.fromiter(self.counts.values(), dtype=np.int64, count=len(syms))
-        return syms, cnts
-
-    def get(self, sym: Hashable) -> int:
-        return self.counts.get(sym, 0)
+    @property
+    def counts(self) -> dict:
+        """``{id: count}`` for the nonzero ids, ascending; built on each access."""
+        (ids,) = np.nonzero(self.array)
+        return dict(zip(ids.tolist(), self.array[ids].tolist()))
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def sample_histogram(
         counts = rng.poisson(dist.probs * float(n))
     else:
         counts = rng.multinomial(int(round(n)), dist.probs)
-    return Histogram.from_array(counts)
+    return Histogram(counts)
 
 
 def split_sample(
@@ -224,7 +224,5 @@ def split_sample(
     counts = rng.poisson(dist.probs * float(budget))
     first = rng.binomial(counts, 0.5)
     return SplitSample(
-        first=Histogram.from_array(first),
-        second=Histogram.from_array(counts - first),
-        rate=float(budget) / 2.0,
+        first=Histogram(first), second=Histogram(counts - first), rate=float(budget) / 2.0
     )

@@ -414,20 +414,21 @@ def build_coefficient_tables(
 # ---------------------------------------------------------------------------
 
 
-def _symbol_indices(spec: PropertySpec, symbols: list) -> np.ndarray:
-    if spec.q is None:
-        return np.zeros(len(symbols), dtype=np.int64)
-    try:
-        idx = np.array([int(s) for s in symbols], dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(
-            f"{spec.kind} requires integer symbol ids indexing q"
-        ) from exc
-    if idx.size and (idx.min() < 0 or idx.max() >= len(spec.q)):
+def _symbol_indices(spec: PropertySpec, ids: np.ndarray) -> np.ndarray:
+    """The nonzero-count ``ids`` themselves, range-checked against ``q`` for l1/kl."""
+    if spec.q is not None and ids.size and ids.max() >= len(spec.q):
         raise ValueError(
             f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
         )
-    return idx
+    return ids
+
+
+def _plug_in(hist: Histogram, scale: float, spec: PropertySpec) -> float:
+    if hist.total == 0:
+        return spec.report_offset
+    idx = _symbol_indices(spec, np.flatnonzero(hist.array))
+    values = eval_fx_many(spec, idx, hist.array[idx] / scale)
+    return float(values.sum()) + spec.report_offset
 
 
 def empirical(hist: Histogram, spec: PropertySpec) -> float:
@@ -436,24 +437,14 @@ def empirical(hist: Histogram, spec: PropertySpec) -> float:
     The empty histogram reports the offset alone (the estimate of the
     offset-form sum is zero).
     """
-    if hist.total == 0:
-        return spec.report_offset
-    syms, counts = hist.as_arrays()
-    idx = _symbol_indices(spec, syms)
-    values = eval_fx_many(spec, idx, counts / hist.total)
-    return float(values.sum()) + spec.report_offset
+    return _plug_in(hist, hist.total, spec)
 
 
 def modified_empirical(hist: Histogram, rate: float, spec: PropertySpec) -> float:
     """Plug-in estimate at ``N_x / rate`` with ratios above 1 clamped."""
     if not rate > 0:
         raise ValueError(f"rate must be positive, got {rate!r}")
-    if hist.total == 0:
-        return spec.report_offset
-    syms, counts = hist.as_arrays()
-    idx = _symbol_indices(spec, syms)
-    values = eval_fx_many(spec, idx, counts / rate)
-    return float(values.sum()) + spec.report_offset
+    return _plug_in(hist, rate, spec)
 
 
 @dataclass(frozen=True)
@@ -500,27 +491,18 @@ def amplified_estimate_detailed(
             raise ValueError("non-symmetric properties need the full table set")
         tables = CoefficientTables(spec=spec, params=params, tables=(tables,))
 
-    symbols = list(sample.first.counts.keys())
-    seen = set(symbols)
-    for sym in sample.second.counts:
-        if sym not in seen:
-            symbols.append(sym)
-    if not symbols:
-        return AmplifiedEstimate(
-            value=spec.report_offset,
-            small_sum=0.0,
-            large_sum=0.0,
-            report_offset=spec.report_offset,
-            n_small=0,
-            n_large=0,
-            n_overflow=0,
-            n_clamped=0,
-            n_cancelled=0,
-        )
-
-    n1 = np.array([sample.first.get(s) for s in symbols], dtype=np.int64)
-    n2 = np.array([sample.second.get(s) for s in symbols], dtype=np.int64)
-    idx = _symbol_indices(spec, symbols)
+    c1, c2 = sample.first.array, sample.second.array
+    if len(c1) != len(c2):
+        size = max(len(c1), len(c2))
+        c1, c2 = (np.pad(c, (0, size - len(c))) for c in (c1, c2))
+    # The symbols seen in the first stream, then those seen only in the
+    # second, each ascending: the order fixes the bits of the pairwise sums.
+    idx = np.flatnonzero(c1)
+    if sample.second is not sample.first:
+        only2 = np.flatnonzero(c2)
+        idx = np.concatenate([idx, only2[c1[only2] == 0]])
+    idx = _symbol_indices(spec, idx)
+    n1, n2 = c1[idx], c2[idx]
 
     small = n2 <= params.s0
     v_small = n1[small]

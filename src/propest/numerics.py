@@ -5,7 +5,8 @@ range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
 moment.  The Bessel-series evaluator and the adaptive quadrature exist to
 cross-validate the coefficient machinery in :mod:`propest.estimators`; the
-estimators themselves never integrate anything.
+estimators themselves never integrate anything, so ``scipy.integrate`` (a
+large share of a cold import) is imported only when a quadrature runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "integrate_poisson_kernel_bessel",
     "log_poisson_tail",
     "log_poisson_tail_table",
-    "poisson_tail",
     "signed_log_sum_arrays",
 ]
 
@@ -45,25 +44,8 @@ class ConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-def poisson_tail(r: float, j: int) -> float:
-    """Tail probability ``P(Poisson(r) > j)``.
-
-    ``j = -1`` returns 1 by convention.  Evaluated through the regularized
-    incomplete gamma function, which stays accurate when the tail is tiny.
-    """
-    if r < 0:
-        raise ValueError(f"rate must be nonnegative, got {r!r}")
-    if j < -1 or j != int(j):
-        raise ValueError(f"j must be an integer >= -1, got {j!r}")
-    if j < 0:
-        return 1.0
-    if r == 0.0:
-        return 0.0
-    return float(_special.gammainc(j + 1.0, r))
-
-
 def log_poisson_tail(r: float, j: int) -> float:
-    """Natural log of ``poisson_tail(r, j)``, robust deep into the tail."""
+    """Natural log of ``P(Poisson(r) > j)`` (0 for ``j < 0``), robust deep into the tail."""
     if r < 0:
         raise ValueError(f"rate must be nonnegative, got {r!r}")
     if j < 0:
@@ -169,9 +151,11 @@ def integrate_exp_poly_bessel(u: int, y: float, upper: float = math.inf) -> floa
     def integrand(a: float) -> float:
         return _exp_poly(u, a) * bessel_f(u, a * y)
 
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        value, err = _integrate.quad(
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(
             integrand, 0.0, cut, epsabs=_QUAD_ABS_TOL / 100.0, epsrel=1e-11, limit=400
         )
     if math.isinf(upper):
@@ -207,9 +191,11 @@ def integrate_poisson_kernel_bessel(u: int, y: float, upper: float) -> float:
             return 0.0
         return math.exp(u * math.log(a) - a - log_fact) * bessel_f(u, a * y)
 
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _integrate.IntegrationWarning)
-        value, err = _integrate.quad(
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(
             integrand, 0.0, float(upper), epsabs=1e-12, epsrel=1e-12, limit=400
         )
     if not err <= _QUAD_ABS_TOL:

@@ -8,7 +8,7 @@ import pytest
 import propest.numerics
 from propest.cli import main
 from propest.estimators import EstimatorParams, build_coefficient_table
-from propest.numerics import poisson_tail
+from propest.numerics import log_poisson_tail
 from propest.properties import entropy, eval_fx
 
 
@@ -194,6 +194,48 @@ class TestEstimate:
             "--estimator", "empirical",
         ) == 1
 
+    @pytest.mark.parametrize("alias", ["05", "+5"])
+    def test_kl_ids_canonicalised(self, alias, tmp_path, capsys):
+        # 5 and 05 used to be two symbols that both read q[5]: kl/empirical
+        # printed 1.068 where the merged counts give log 4 = 1.386
+        argv = (
+            "estimate", "--property", "kl", "--q", "uniform", "--k", "8",
+            "--estimator", "empirical", "--counts",
+        )
+        path = tmp_path / "ids.csv"
+        path.write_text(f"5,1\n{alias},2\n0,3\n", encoding="utf-8")
+        assert run_cli(*argv, str(path)) == 1
+        assert f"duplicate symbol {alias!r}" in capsys.readouterr().err
+        path.write_text(f"{alias},3\n0,3\n", encoding="utf-8")
+        assert run_cli(*argv, str(path)) == 0
+        estimate = float(_parse_kv(capsys.readouterr().out)["estimate"])
+        assert estimate == pytest.approx(math.log(4), rel=1e-14)
+
+    def test_kl_ids_shared_across_streams(self, tmp_path, capsys):
+        first, second = tmp_path / "c1.csv", tmp_path / "c2.csv"
+        first.write_text("5,3\n0,3\n", encoding="utf-8")
+        outs = []
+        for label in ("5", "05"):
+            second.write_text(f"{label},9\n", encoding="utf-8")
+            assert run_cli(
+                "estimate", "--property", "kl", "--q", "uniform", "--k", "8",
+                "--counts", str(first), "--counts2", str(second),
+                "--rate", "150", "--t", "3", "--s0", "1",
+            ) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert _parse_kv(outs[0])["n_large"] == "1"
+
+    def test_other_labels_stay_opaque(self, tmp_path, capsys):
+        path = tmp_path / "labels.csv"
+        path.write_text("5,1\n05,1\n", encoding="utf-8")
+        assert run_cli(
+            "estimate", "--property", "entropy", "--counts", str(path),
+            "--estimator", "empirical",
+        ) == 0
+        estimate = float(_parse_kv(capsys.readouterr().out)["estimate"])
+        assert estimate == pytest.approx(math.log(2), rel=1e-14)
+
     def test_nonpositive_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,0\n", encoding="utf-8")
@@ -218,7 +260,8 @@ class TestCoeffs:
         assert len(lines) == 51
         v1 = float(lines[1].split(",")[1])
         params = EstimatorParams(150.0, 3.0, 1, t_decay=False)
-        target = 3.0 * eval_fx(entropy(), 0, 1 / 450.0) * poisson_tail(params.r, 2)
+        tail = math.exp(log_poisson_tail(params.r, 2))
+        target = 3.0 * eval_fx(entropy(), 0, 1 / 450.0) * tail
         assert v1 == pytest.approx(target, rel=1e-12)
         assert v1 == build_coefficient_table(entropy(), params).weights(1)
         for line in lines[1:]:

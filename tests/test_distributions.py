@@ -85,18 +85,28 @@ class TestMakeDistribution:
 
 class TestHistogram:
     def test_zero_counts_dropped(self):
-        h = Histogram({"a": 2, "b": 0})
-        assert h.counts == {"a": 2}
+        h = Histogram(np.array([2, 0]))
+        assert h.counts == {0: 2}
         assert h.total == 2
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            Histogram({"a": -1})
+            Histogram(np.array([0, -1]))
+
+    @pytest.mark.parametrize("bad", [[1.5, 2.0], [[1, 2]], [np.nan]])
+    def test_non_vector_or_non_integer_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Histogram(np.array(bad))
 
     def test_from_array(self):
-        h = Histogram.from_array(np.array([0, 3, 0, 1]))
+        given = np.array([0, 3, 0, 1])
+        h = Histogram.from_array(given)
         assert h.counts == {1: 3, 3: 1}
         assert h.total == 4
+        assert h.array.dtype == np.int64
+        with pytest.raises(ValueError):
+            h.array[0] = 1
+        assert given.flags.writeable
 
 
 class TestSampling:
@@ -123,7 +133,7 @@ class TestSampling:
         rng = np.random.default_rng(5)
         h = sample_histogram(d, 10**6, rng=rng)
         for sym in (0, 1):
-            assert abs(h.get(sym) / h.total - 0.5) < 0.002
+            assert abs(h.array[sym] / h.total - 0.5) < 0.002
 
     def test_per_symbol_means(self):
         d = make_distribution("zipf", 10)
@@ -132,8 +142,7 @@ class TestSampling:
         sums = np.zeros(10)
         for _ in range(trials):
             h = sample_histogram(d, n, rng=rng)
-            for sym, c in h.counts.items():
-                sums[sym] += c
+            sums += h.array
         means = sums / trials
         target = n * d.probs
         se = np.sqrt(target / trials)
@@ -147,10 +156,7 @@ class TestSplitSample:
         s = split_sample(d, 1000, mode="thinned", rng=rng)
         assert s.rate == 500.0
         # streams partition the parent draw symbol by symbol, so totals add
-        merged = set(s.first.counts) | set(s.second.counts)
-        assert s.first.total + s.second.total == sum(
-            s.first.get(x) + s.second.get(x) for x in merged
-        )
+        assert s.first.total + s.second.total == int((s.first.array + s.second.array).sum())
 
     def test_thinned_marginal_rate(self):
         d = make_distribution("uniform", 4)
@@ -159,8 +165,7 @@ class TestSplitSample:
         tot = np.zeros(4)
         for _ in range(trials):
             s = split_sample(d, budget, mode="thinned", rng=rng)
-            for sym, c in s.first.counts.items():
-                tot[sym] += c
+            tot += s.first.array
         target = budget / 2 * 0.25
         se = math.sqrt(target / trials)
         assert np.all(np.abs(tot / trials - target) < 4 * se)
@@ -180,9 +185,7 @@ class TestSplitSample:
         g = np.zeros((trials, 10))
         for t in range(trials):
             s = split_sample(d, budget, mode="two_stream", rng=rng)
-            for sym in range(10):
-                f[t, sym] = s.first.get(sym)
-                g[t, sym] = s.second.get(sym)
+            f[t], g[t] = s.first.array, s.second.array
         for sym in range(10):
             corr = np.corrcoef(f[:, sym], g[:, sym])[0, 1]
             assert abs(corr) < 0.02 + 3.0 / math.sqrt(trials)

@@ -13,7 +13,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from propest import estimators
+from propest import cli, estimators
 from propest.benchmark import trial_seed
 from propest.distributions import Histogram, SplitSample, make_distribution, split_sample
 from propest.estimators import (
@@ -28,7 +28,7 @@ from propest.estimators import (
     modified_empirical,
     smoothed_h_hat,
 )
-from propest.numerics import poisson_tail
+from propest.numerics import log_poisson_tail
 from propest.properties import (
     distance_to_uniformity,
     entropy,
@@ -38,6 +38,10 @@ from propest.properties import (
     support_coverage,
     support_size,
 )
+
+
+def hist(*counts):
+    return Histogram(np.array(counts, dtype=np.int64))
 
 
 def small_params(t_decay=False, rate=150.0, t=3.0, s0=1):
@@ -78,38 +82,38 @@ def mp_entropy_coefficient(v, params):
 class TestEmpirical:
     def test_entropy_two_symbols(self):
         oracle = 0.75 * math.log(4 / 3) + 0.25 * math.log(4)
-        h = Histogram({"a": 3, "b": 1})
+        h = hist(3, 1)
         assert empirical(h, entropy()) == pytest.approx(oracle, rel=1e-12)
         assert oracle == pytest.approx(0.5623351, abs=5e-8)
 
     def test_support_size_single_symbol(self):
-        h = Histogram({"a": 5})
+        h = hist(5)
         assert empirical(h, support_size(10)) == pytest.approx(0.1)
 
     def test_empty_reports_offset(self):
-        assert empirical(Histogram({}), entropy()) == 0.0
-        assert empirical(Histogram({}), distance_to_uniformity(4)) == 1.0
+        assert empirical(hist(), entropy()) == 0.0
+        assert empirical(hist(), distance_to_uniformity(4)) == 1.0
 
 
 class TestModifiedEmpirical:
     def test_matches_empirical_when_rate_equals_total(self):
-        h = Histogram({"a": 3, "b": 1})
+        h = hist(3, 1)
         assert modified_empirical(h, 4.0, entropy()) == pytest.approx(
             empirical(h, entropy()), rel=1e-14
         )
 
     def test_clamps_ratios_above_one(self):
-        h = Histogram({"a": 8})
+        h = hist(8)
         assert modified_empirical(h, 4.0, entropy()) == 0.0
 
     def test_direct_value(self):
-        h = Histogram({"a": 2, "b": 2})
+        h = hist(2, 2)
         oracle = 2 * 0.25 * math.log(4)
         assert modified_empirical(h, 8.0, entropy()) == pytest.approx(oracle, rel=1e-12)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            modified_empirical(Histogram({"a": 1}), 0.0, entropy())
+            modified_empirical(hist(1), 0.0, entropy())
 
 
 class TestDeriveParams:
@@ -170,14 +174,16 @@ class TestDeriveParams:
 class TestCoefficient:
     def test_v1_closed_form(self):
         params = small_params()
-        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * poisson_tail(params.r, 2)
+        tail = math.exp(log_poisson_tail(params.r, 2))
+        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
         assert value == pytest.approx(target, rel=1e-12)
 
     def test_v1_closed_form_under_decay(self):
         # decay leaves v = 1 untouched
         params = small_params(t_decay=True)
-        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * poisson_tail(params.r, 2)
+        tail = math.exp(log_poisson_tail(params.r, 2))
+        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
         assert value == pytest.approx(target, rel=1e-12)
 
@@ -283,11 +289,8 @@ class TestLazyTable:
         params = derive_params(n, spec)
         tables = build_coefficient_tables(spec, params)
         amplified_estimate_detailed(sample, spec, params, tables)
-        read = {
-            n1
-            for sym, n1 in sample.first.counts.items()
-            if sample.second.get(sym) <= params.s0 and n1 <= params.v_max
-        }
+        n1, n2 = sample.first.array, sample.second.array
+        read = set(n1[(n1 >= 1) & (n2 <= params.s0) & (n1 <= params.v_max)].tolist())
         (table,) = tables.tables
         assert set(table.computed.tolist()) == read
         assert len(read) <= 100
@@ -329,12 +332,12 @@ class TestLazyTable:
 
 class TestAmplified:
     def test_empty_sample(self):
-        sample = SplitSample(Histogram({}), Histogram({}), rate=150.0)
+        sample = SplitSample(hist(), hist(), rate=150.0)
         assert amplified_estimate(sample, entropy(), small_params()) == 0.0
 
     def test_single_rare_symbol_uses_table_weight(self):
         params = small_params()
-        sample = SplitSample(Histogram({"x": 1}), Histogram({}), rate=150.0)
+        sample = SplitSample(hist(1), hist(), rate=150.0)
         target = build_coefficient_table(entropy(), params).weights(1)
         assert amplified_estimate(sample, entropy(), params) == pytest.approx(
             target, rel=1e-12
@@ -342,8 +345,8 @@ class TestAmplified:
 
     def test_all_frequent_equals_modified_empirical(self):
         params = small_params()
-        first = Histogram({"a": 30, "b": 10})
-        second = Histogram({"a": params.s0 + 1, "b": params.s0 + 1})
+        first = hist(30, 10)
+        second = hist(params.s0 + 1, params.s0 + 1)
         sample = SplitSample(first, second, rate=150.0)
         assert amplified_estimate(sample, entropy(), params) == pytest.approx(
             modified_empirical(first, 150.0, entropy()), rel=1e-12
@@ -352,8 +355,8 @@ class TestAmplified:
     def test_all_rare_uses_only_the_table(self):
         params = small_params()
         table = build_coefficient_table(entropy(), params)
-        first = Histogram({"a": 2, "b": 5})
-        sample = SplitSample(first, Histogram({}), rate=150.0)
+        first = hist(2, 5)
+        sample = SplitSample(first, hist(), rate=150.0)
         target = table.values[2] + table.values[5]
         detail = amplified_estimate_detailed(sample, entropy(), params)
         assert detail.value == pytest.approx(target, rel=1e-12)
@@ -361,8 +364,9 @@ class TestAmplified:
 
     def test_branch_partition(self):
         params = small_params()
-        first = Histogram({"a": 1, "b": 40, "c": 2})
-        second = Histogram({"b": 5, "c": 1, "d": 9})
+        # ids a=0, b=1, c=2, d=3; the streams' vectors differ in length
+        first = hist(1, 40, 2)
+        second = hist(0, 5, 1, 9)
         sample = SplitSample(first, second, rate=150.0)
         detail = amplified_estimate_detailed(sample, entropy(), params)
         # s0 = 1: a (n2=0) and c (n2=1) are small; b and d are large
@@ -376,12 +380,12 @@ class TestAmplified:
 
     def test_symbols_absent_from_first_contribute_zero(self):
         params = small_params()
-        sample = SplitSample(Histogram({}), Histogram({"z": 1}), rate=150.0)
+        sample = SplitSample(hist(), hist(1), rate=150.0)
         assert amplified_estimate(sample, entropy(), params) == 0.0
 
     def test_overflow_counts_beyond_table(self):
         params = EstimatorParams(150.0, 3.0, 1, v_max=2, t_decay=False)
-        sample = SplitSample(Histogram({"a": 3}), Histogram({}), rate=150.0)
+        sample = SplitSample(hist(3), hist(), rate=150.0)
         detail = amplified_estimate_detailed(sample, entropy(), params)
         assert detail.n_overflow == 1
         assert detail.small_sum == 0.0
@@ -393,25 +397,25 @@ class TestAmplified:
         clamped, clean = 212, 17
         assert table.clamped[clamped] and not table.clamped[clean]
         reads_both = SplitSample(
-            Histogram({"a": clamped, "b": clean}), Histogram({}), rate=500.0
+            hist(clamped, clean), hist(), rate=500.0
         )
         detail = amplified_estimate_detailed(reads_both, entropy(), params)
         assert (detail.n_clamped, detail.n_cancelled) == (1, 0)
         reads_clean = SplitSample(
-            Histogram({"b": clean, "c": 2}), Histogram({"c": params.s0 + 1}), rate=500.0
+            hist(clean, 2), hist(0, params.s0 + 1), rate=500.0
         )
         detail = amplified_estimate_detailed(reads_clean, entropy(), params)
         assert (detail.n_clamped, detail.n_cancelled) == (0, 0)
 
     def test_rate_mismatch_rejected(self):
-        sample = SplitSample(Histogram({"a": 1}), Histogram({}), rate=100.0)
+        sample = SplitSample(hist(1), hist(), rate=100.0)
         with pytest.raises(ValueError):
             amplified_estimate(sample, entropy(), small_params())
 
     def test_offset_added_once(self):
         spec = distance_to_uniformity(10)
         params = small_params()
-        sample = SplitSample(Histogram({}), Histogram({}), rate=150.0)
+        sample = SplitSample(hist(), hist(), rate=150.0)
         assert amplified_estimate(sample, spec, params) == 1.0
 
     def test_reference_property_grouped_lookup(self):
@@ -419,7 +423,7 @@ class TestAmplified:
         spec = l1_distance(q)
         params = small_params()
         tables = build_coefficient_tables(spec, params)
-        sample = SplitSample(Histogram({0: 1, 1: 2, 2: 1}), Histogram({}), rate=150.0)
+        sample = SplitSample(hist(1, 2, 1), hist(), rate=150.0)
         detail = amplified_estimate_detailed(sample, spec, params, tables)
         target = (
             build_coefficient_table(spec, params, q_x=0.5).weights(1)
@@ -430,7 +434,7 @@ class TestAmplified:
 
     def test_deterministic(self):
         params = small_params()
-        sample = SplitSample(Histogram({"a": 2, "b": 7}), Histogram({"b": 3}), rate=150.0)
+        sample = SplitSample(hist(2, 7), hist(0, 3), rate=150.0)
         a = amplified_estimate(sample, entropy(), params)
         b = amplified_estimate(sample, entropy(), params)
         assert a == b
@@ -439,14 +443,29 @@ class TestAmplified:
 class TestSymbolIds:
     @pytest.mark.parametrize("make_spec", [l1_distance, kl_divergence])
     @pytest.mark.parametrize("bad_id", [-1, 5])
-    def test_ids_outside_q_rejected(self, make_spec, bad_id):
-        # -1 used to read q[-1] in the small branch: the same estimate as id 4
+    def test_ids_outside_q_rejected(self, make_spec, bad_id, tmp_path, capsys):
+        # -1 used to read q[-1] in the small branch: the same estimate as id 4.
+        # A count vector cannot hold it, so ids are checked where files are read.
+        path = tmp_path / "counts.csv"
+        path.write_text(f"{bad_id},1\n0,2\n", encoding="utf-8")
+        prop = {l1_distance: "l1", kl_divergence: "kl"}[make_spec]
+        for estimator in ("empirical", "amplified"):
+            argv = ["estimate", "--property", prop, "--q", "uniform", "--k", "5",
+                    "--counts", str(path), "--estimator", estimator,
+                    "--rate", "150", "--t", "3", "--s0", "1"]
+            assert cli.main(argv) == 1
+            assert "symbol ids must lie in 0..4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make_spec", [l1_distance, kl_divergence])
+    def test_count_vector_longer_than_q_rejected(self, make_spec):
         spec = make_spec(np.full(5, 0.2))
-        first, second = Histogram({bad_id: 1}), Histogram({0: 2})
+        first, second = hist(0, 0, 0, 0, 0, 1), hist(2)
         with pytest.raises(ValueError, match="symbol ids"):
             empirical(first, spec)
         with pytest.raises(ValueError, match="symbol ids"):
             amplified_estimate(SplitSample(first, second, 150.0), spec, small_params())
+        # zero counts past the end of q are no symbols
+        assert empirical(hist(0, 2, 0, 0, 0, 0), spec) == empirical(hist(0, 2), spec)
 
 
 class TestSmoothedHHat:

@@ -10,13 +10,23 @@ Subcommands:
 Exit codes: 0 success, 1 usage error or invalid input (any ``ValueError``,
 reported as one ``error:`` line), 2 runtime or check failure.  All
 randomness flows from ``--seed`` (default 1729), so reruns are byte-identical.
+
+Count files (``estimate --counts/--counts2``) hold one ``symbol,count`` pair
+a line, with exactly one comma.  Blank lines, an optional ``symbol,count``
+header and spaces around either field are ignored.  Counts are integers in
+1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1.  A file is checked
+one rule at a time (commas, integer counts, count range, symbol ids,
+duplicates); the first rule that fails is reported at its first offending
+line, numbered as in the file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -130,57 +140,77 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
     return grid
 
 
-def _symbol_id(sym: str, spec: PropertySpec, ids: dict) -> int:
-    if spec.q is None:
-        return ids.setdefault(sym, len(ids))
+def _is_int(text: str) -> bool:
     try:
-        x = int(sym)
+        int(text)
     except ValueError:
-        raise UsageError(f"{spec.kind} requires integer symbol ids indexing q") from None
-    if not 0 <= x < len(spec.q):
-        raise UsageError(
-            f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
-        )
-    return x
+        return False
+    return True
 
 
-def _read_counts(path: str, spec: PropertySpec, ids: dict) -> dict:
-    """Parse a ``symbol,count`` file (optional ``symbol,count`` header) to ``{id: count}``.
+def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a count file (format in the module docstring) to int64 ``(ids, counts)``.
 
     l1/kl symbols are integer ids indexing q, so ``5``, ``05`` and ``+5``
     are one symbol.  Other labels are opaque: each new one gets the next id
     in ``ids``, which both streams share.
     """
-    counts: dict = {}
     try:
         with open(path, encoding="utf-8") as f:
-            lines = [line.strip() for line in f]
+            lines = list(map(str.strip, f.read().split("\n")))
     except OSError as exc:
         raise UsageError(f"cannot read counts file: {exc}") from exc
-    body = [line for line in lines if line]
+    body = list(filter(None, lines))
     if body and body[0].lower().replace(" ", "") == "symbol,count":
-        body = body[1:]
-    for i, line in enumerate(body, start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"{path}: line {i}: expected 'symbol,count'")
-        sym, count_s = parts[0].strip(), parts[1].strip()
+        del body[0]
+    if not body:
+        return (np.zeros(0, dtype=np.int64),) * 2
+
+    def fail(flags, message) -> NoReturn:
+        k = next(i for i, bad in enumerate(flags) if bad)
+        line = [i for i, stripped in enumerate(lines, start=1) if stripped][k - len(body)]
+        raise UsageError(f"{path}: line {line}: {message(k)}")
+
+    text = "\n".join(body)
+    # One comma a line: the commas and line breaks of the body must alternate.
+    seps = np.frombuffer(text.encode(), dtype=np.uint8)
+    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
+    if len(seps) != 2 * len(body) - 1 or (seps[1::2] != ord("\n")).any():
+        fail((line.count(",") != 1 for line in body), lambda k: "expected 'symbol,count'")
+    fields = list(map(str.strip, text.replace("\n", ",").split(",")))
+    syms, count_s = fields[0::2], fields[1::2]
+
+    def parse(texts, lo, hi, not_int, out_of_range) -> np.ndarray:
+        """Integer literals as int64, failing at the first not in ``lo..hi``."""
         try:
-            count = int(count_s)
-        except ValueError as exc:
-            raise UsageError(f"{path}: line {i}: count {count_s!r} not an integer") from exc
-        if count <= 0:
-            raise UsageError(f"{path}: line {i}: counts must be positive")
-        x = _symbol_id(sym, spec, ids)
-        if x in counts:
-            raise UsageError(f"{path}: duplicate symbol {sym!r}")
-        counts[x] = count
-    return counts
+            values = np.array(list(map(int, texts)), dtype=np.int64)
+            if values.min() >= lo and values.max() <= hi:
+                return values
+        except ValueError:
+            fail((not _is_int(s) for s in texts), not_int)
+        except OverflowError:  # beyond int64, so beyond hi
+            pass
+        fail((not lo <= int(s) <= hi for s in texts), out_of_range)
+
+    counts = parse(count_s, 1, 2**63 - 1, lambda k: f"count {count_s[k]!r} not an integer",
+                   lambda k: f"count {count_s[k]!r} outside 1..2^63-1")
+    if spec.q is None:
+        x = np.array([ids.setdefault(s, len(ids)) for s in syms], dtype=np.int64)
+    else:
+        x = parse(syms, 0, len(spec.q) - 1,
+                  lambda k: f"{spec.kind} requires integer symbol ids indexing q",
+                  lambda k: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q")
+    if np.bincount(x).max() > 1:
+        repeated = np.ones(len(x), dtype=bool)
+        repeated[np.unique(x, return_index=True)[1]] = False
+        fail(repeated, lambda k: f"duplicate symbol {syms[k]!r}")
+    return x, counts
 
 
-def _histogram(counts: dict, spec: PropertySpec, ids: dict) -> Histogram:
+def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dict) -> Histogram:
+    x, counts = read
     array = np.zeros(len(ids) if spec.q is None else len(spec.q), dtype=np.int64)
-    array[list(counts)] = list(counts.values())
+    array[x] = counts
     return Histogram(array)
 
 
@@ -414,7 +444,9 @@ def _add_amplified_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``propest`` parser, built on first use and shared by every :func:`main` call."""
     parser = _Parser(prog="propest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -472,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

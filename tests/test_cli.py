@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import propest.numerics
+from propest import cli
 from propest.cli import main
 from propest.estimators import EstimatorParams, build_coefficient_table
 from propest.numerics import log_poisson_tail
-from propest.properties import entropy, eval_fx
+from propest.properties import PropertySpec, entropy, eval_fx
 
 
 def run_cli(*argv):
@@ -295,6 +301,10 @@ MALFORMED = {
         "--estimator", "modified_empirical", "--rate", "-1",
     ),
     "kl_symbol_not_an_id": ("estimate", *KL_MANUAL, "--counts", "{counts}", "--rate", "1000"),
+    "count_above_int64": (
+        "estimate", "--property", "entropy", "--counts", "{huge}", "--estimator", "empirical",
+    ),
+    "kl_id_above_int64": ("estimate", *KL_MANUAL, "--counts", "{huge_id}", "--rate", "1000"),
     "q_file_shorter_than_ids": (
         "estimate", "--property", "kl", "--q-file", "{q2}", "--alpha", "0.5",
         "--s0-mult", "2", "--counts", "{ids}", "--rate", "1000",
@@ -317,7 +327,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_1_with_one_error_line(self, case, counts_file, tmp_path, capsys):
         files = {"counts": counts_file, "out": str(tmp_path / "out.csv")}
-        for name, text in (("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n")):
+        for name, text in (
+            ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"),
+            ("huge", "a,99999999999999999999\n"), ("huge_id", "0,3\n99999999999999999999,1\n"),
+        ):
             files[name] = str(tmp_path / f"{name}.txt")
             (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
         argv = [arg.format(**files) for arg in MALFORMED[case]]
@@ -357,13 +370,10 @@ class TestSelfcheck:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
-        import subprocess
-        import sys
-
+    def test_module_invocation(self, subprocess_env):
         proc = subprocess.run(
             [sys.executable, "-m", "propest", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env,
         )
         assert proc.returncode == 0
         for command in ("simulate", "estimate", "coeffs", "selfcheck"):
@@ -386,3 +396,229 @@ class TestHelp:
                      "--estimators", "--split-mode", "--out", "--threads",
                      "--alpha", "--s0-mult", "--t-decay", "--strict"):
             assert flag in out
+
+
+# ---------------------------------------------------------------------------
+# count files
+# ---------------------------------------------------------------------------
+
+KL_EMPIRICAL = ("--property", "kl", "--q", "uniform", "--k", "8", "--estimator", "empirical")
+ENTROPY_EMPIRICAL = ("--property", "entropy", "--estimator", "empirical")
+
+# One fault on line 7 of a file with a header and blank lines.
+COUNT_FILE_FAULTS = {
+    "comma_count": (ENTROPY_EMPIRICAL, "b,1,2", "expected 'symbol,count'"),
+    "no_comma": (ENTROPY_EMPIRICAL, "b 1", "expected 'symbol,count'"),
+    "count_not_integer": (ENTROPY_EMPIRICAL, "b, x", "count 'x' not an integer"),
+    "count_not_positive": (ENTROPY_EMPIRICAL, "b,0", "count '0' outside 1..2^63-1"),
+    "count_above_int64": (
+        ENTROPY_EMPIRICAL, "b,9223372036854775808", "count '9223372036854775808' outside 1..2^63-1",
+    ),
+    "duplicate_symbol": (KL_EMPIRICAL, "05,2", "duplicate symbol '05'"),
+    "id_not_integer": (KL_EMPIRICAL, "b,2", "kl_divergence requires integer symbol ids indexing q"),
+    "id_out_of_range": (
+        KL_EMPIRICAL, "8,2", "kl_divergence symbol ids must lie in 0..7, the indices of q",
+    ),
+    "id_above_int64": (
+        KL_EMPIRICAL, "99999999999999999999,2",
+        "kl_divergence symbol ids must lie in 0..7, the indices of q",
+    ),
+}
+
+
+class TestCountFileErrors:
+    @pytest.mark.parametrize("case", sorted(COUNT_FILE_FAULTS))
+    def test_message_names_the_line_in_the_file(self, case, tmp_path, capsys):
+        flags, fault, message = COUNT_FILE_FAULTS[case]
+        path = tmp_path / "counts.csv"
+        path.write_text(f"symbol,count\n\n5,3\n  \n0,1\n\n{fault}\n3,4\n", encoding="utf-8")
+        assert run_cli("estimate", *flags, "--counts", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 7: {message}\n"
+
+    def test_blank_lines_and_header_counted(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("symbol,count\n\na,3\nb,x\n", encoding="utf-8")
+        assert run_cli("estimate", *ENTROPY_EMPIRICAL, "--counts", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 4: count 'x' not an integer\n"
+
+    def test_first_failing_rule_reported(self, tmp_path, capsys):
+        path = tmp_path / "counts.csv"
+        path.write_text("a,1\n\nb,x\nc,1,2\n", encoding="utf-8")
+        assert run_cli("estimate", *ENTROPY_EMPIRICAL, "--counts", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: line 4: expected 'symbol,count'\n"
+
+
+def old_symbol_id(sym, spec, ids):
+    if spec.q is None:
+        return ids.setdefault(sym, len(ids))
+    try:
+        x = int(sym)
+    except ValueError:
+        raise cli.UsageError(f"{spec.kind} requires integer symbol ids indexing q") from None
+    if not 0 <= x < len(spec.q):
+        raise cli.UsageError(
+            f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
+        )
+    return x
+
+
+def old_read_counts(path, spec, ids):
+    """The line-by-line reader the bulk reader replaced, kept as its reference."""
+    counts = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [line.strip() for line in f]
+    except OSError as exc:
+        raise cli.UsageError(f"cannot read counts file: {exc}") from exc
+    body = [line for line in lines if line]
+    if body and body[0].lower().replace(" ", "") == "symbol,count":
+        body = body[1:]
+    for i, line in enumerate(body, start=1):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise cli.UsageError(f"{path}: line {i}: expected 'symbol,count'")
+        sym, count_s = parts[0].strip(), parts[1].strip()
+        try:
+            count = int(count_s)
+        except ValueError as exc:
+            raise cli.UsageError(f"{path}: line {i}: count {count_s!r} not an integer") from exc
+        if count <= 0:
+            raise cli.UsageError(f"{path}: line {i}: counts must be positive")
+        x = old_symbol_id(sym, spec, ids)
+        if x in counts:
+            raise cli.UsageError(f"{path}: duplicate symbol {sym!r}")
+        counts[x] = count
+    return counts
+
+
+def old_histogram(counts, spec, ids):
+    array = np.zeros(len(ids) if spec.q is None else len(spec.q), dtype=np.int64)
+    array[list(counts)] = list(counts.values())
+    return array
+
+
+def read_streams(read, histogram, paths, spec, rejections=(cli.UsageError,)):
+    """Both streams as ``cmd_estimate`` reads them: ``(vectors, ids)``, or None if rejected."""
+    ids = {}
+    try:
+        reads = [read(path, spec, ids) for path in paths]
+        vectors = [histogram(r, spec, ids) for r in reads]
+    except rejections:
+        return None
+    return [np.asarray(getattr(v, "array", v)) for v in vectors], list(ids.items())
+
+
+Q_LEN = 6
+pads = st.sampled_from(["", " ", "\t", "\x1c", "\u2028"])
+kl_ids = st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(0, Q_LEN - 1))
+# A small alphabet, so that the two streams share labels.
+labels = st.sampled_from(["a", "b", "c d", "", "5", "05", "+5"])
+good_counts = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(1, 50)),
+    st.sampled_from(["1_000", str(2**63 - 1)]),
+)
+bad_lines = st.sampled_from(["a", "a,1,2", ",", "a,,1", "symbol,count"])
+bad_counts = st.sampled_from(["x", "1.5", "", "0", "-2", str(2**63), str(-(2**63) - 1)])
+bad_ids = st.sampled_from(["x", "1.5", "", "-1", str(Q_LEN), str(2**64)])
+
+
+@st.composite
+def count_files(draw, kl):
+    """Text of a count file: mostly valid, at most one fault."""
+    entries = draw(st.lists(
+        st.tuples(kl_ids if kl else labels, good_counts), max_size=10,
+        unique_by=lambda entry: int(entry[0]) if kl else entry[0],
+    ))
+    fault = draw(st.sampled_from(["none", "none", "line", "count", "id", "duplicate"]))
+    if entries and fault in ("count", "id", "duplicate"):
+        j = draw(st.integers(0, len(entries) - 1))
+        sym, count = entries[j]
+        if fault == "count":
+            entries[j] = (sym, draw(bad_counts))
+        elif fault == "id" and kl:
+            entries[j] = (draw(bad_ids), count)
+        elif fault == "duplicate":
+            alias = draw(st.sampled_from(["0", "+"])) if kl else ""
+            entries.insert(draw(st.integers(0, len(entries))), (alias + sym, "1"))
+    lines = draw(st.sampled_from([[], ["symbol,count"], [" Symbol, Count "]]))
+    lines += [f"{draw(pads)}{sym}{draw(pads)},{draw(pads)}{count}{draw(pads)}"
+              for sym, count in entries]
+    if fault == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad_lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t "])))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines + [""] * draw(st.booleans()))
+
+
+@pytest.fixture(scope="module")
+def stream_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("streams")
+    return [folder / "c1.csv", folder / "c2.csv"]
+
+
+@given(
+    case=st.booleans().flatmap(lambda kl: st.tuples(st.just(kl), count_files(kl), count_files(kl))),
+    two_streams=st.booleans(),
+)
+@example(case=(True, "5,1\n05,2\n", ""), two_streams=False)
+@example(case=(False, "5\n6,1,2\n", ""), two_streams=False)
+@example(case=(False, "a,3\n", "b,1\na,99999999999999999999\n"), two_streams=True)
+@example(case=(False, " a ,\x1c3\r\n\r\nb,1", "c,2\na,1"), two_streams=True)
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_line_by_line_reference(stream_paths, case, two_streams):
+    kl, first, second = case
+    spec = PropertySpec("kl_divergence", q=np.full(Q_LEN, 1.0 / Q_LEN)) if kl else PropertySpec("entropy")
+    for path, text in zip(stream_paths, (first, second)):
+        path.write_text(text, encoding="utf-8", newline="")
+    paths = stream_paths if two_streams else stream_paths[:1]
+    # The old reader let counts above 2^63-1 through to an OverflowError.
+    want = read_streams(
+        old_read_counts, old_histogram, paths, spec, (cli.UsageError, OverflowError)
+    )
+    got = read_streams(cli._read_counts, cli._histogram, paths, spec)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[1] == want[1]
+        for g, w in zip(got[0], want[0]):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
+
+
+class TestParser:
+    def test_built_once_and_reused(self, tmp_path, counts_file, capsys):
+        calls = [
+            ["estimate", "--property", "entropy", "--counts", counts_file,
+             "--rate", "150", "--t", "3", "--s0", "1"],
+            ["estimate", "--property", "entropy", "--counts", counts_file, "--rate", "1000"],
+            ["simulate", "--property", "entropy", "--dist", "zipf", "--k", "50",
+             "--n-grid", "300", "--trials", "2", "--estimators", "amplified,empirical",
+             "--out", str(tmp_path / "sim.csv")],
+            ["coeffs", "--property", "entropy", "--rate", "150", "--t", "3", "--s0", "1",
+             "--v-max", "20", "--out", str(tmp_path / "coeffs.csv")],
+        ]
+
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            return code, captured.out, captured.err, out and Path(out).read_bytes()
+
+        first = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            first.append(run(argv))
+        cli.build_parser.cache_clear()
+        assert [run(argv) for argv in calls] == first
+        assert cli.build_parser.cache_info().misses == 1
+        assert all(code == 0 for code, *_ in first)
+
+    def test_not_built_at_import(self, subprocess_env):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import propest.cli as c; print(c.build_parser.cache_info().misses)"],
+            capture_output=True, text=True, env=subprocess_env,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "0\n"

@@ -64,7 +64,7 @@ def test_exports_are_defined(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def test_import_leaves_scipy_stats_unloaded(subprocess_env):
     # scipy.stats costs most of a cold import and the package needs none of
     # it; scipy.integrate is needed only by the quadrature self-checks
     code = (
@@ -72,7 +72,8 @@ def test_import_leaves_scipy_stats_unloaded():
         "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=subprocess_env,
     )
     assert proc.stdout.strip() == "[]"
 

@@ -72,6 +72,9 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefixes: `--s0` must not mean `--s0-mult`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse default exits 2; usage errors are 1
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -229,25 +232,21 @@ def _dist_params_from_args(args) -> dict:
     return params
 
 
-def _amplified_params_from_args(args, total_n: float, spec: PropertySpec, split_mode: str) -> EstimatorParams:
-    if args.preset and args.alpha is not None:
-        raise UsageError("--preset and --alpha are mutually exclusive")
+def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> EstimatorParams:
+    if (args.alpha is None) != (args.s0_mult is None):
+        raise UsageError("--alpha and --s0-mult must be given together")
     if args.t is not None or args.s0 is not None:
         if args.t is None or args.s0 is None:
             raise UsageError("--t and --s0 must be given together")
         if args.alpha is not None:
             raise UsageError("--t/--s0 and --alpha are mutually exclusive")
-        rate = total_n / 2.0 if split_mode == "thinned" else float(total_n)
-        return EstimatorParams(
-            rate, args.t, args.s0, t_decay=args.t_decay, v_max=args.v_max
-        )
+        return EstimatorParams(total_n, args.t, args.s0, t_decay=args.t_decay, v_max=args.v_max)
     return derive_params(
         total_n,
         spec,
         preset=args.alpha is None,
         alpha=args.alpha,
         s0_mult=args.s0_mult,
-        split_mode=split_mode,
         t_decay=args.t_decay,
         v_max=args.v_max,
     )
@@ -273,8 +272,6 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
     if (args.alpha is None) != (args.s0_mult is None):
         raise UsageError("--alpha and --s0-mult must be given together")
-    if args.preset and args.alpha is not None:
-        raise UsageError("--preset and --alpha are mutually exclusive")
 
     cfg = ExperimentConfig(
         spec=spec,
@@ -351,7 +348,7 @@ def cmd_estimate(args) -> int:
             )
             first = second = _histogram(counts, spec, ids)
             split_mode = "shared"
-        params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
+        params = _amplified_params_from_args(args, args.rate, spec)
         sample = SplitSample(first=first, second=second, rate=float(args.rate))
         detail = amplified_estimate_detailed(sample, spec, params)
         value = detail.value
@@ -382,7 +379,7 @@ def cmd_coeffs(args) -> int:
     spec = _spec_from_args(args)
     if spec.q is not None and args.q_x is None:
         raise UsageError(f"{spec.kind} tables depend on --q-x (the reference mass)")
-    params = _amplified_params_from_args(args, args.rate, spec, "two_stream")
+    params = _amplified_params_from_args(args, args.rate, spec)
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.
     values, clamped = table.values, table.clamped
@@ -429,19 +426,21 @@ def _add_property_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", choices=["uniform"], help="reference shorthand (needs --k)")
 
 
-def _add_amplified_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", action="store_true", help="use per-property preset tuning (default)")
+def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, help="manual tuning: t = log(n)^(1-alpha) + 1")
     p.add_argument("--s0-mult", type=float, help="manual tuning: s0 = round(s0_mult * log(n)^0.2)")
-    p.add_argument("--t", type=float, help="explicit amplification parameter")
-    p.add_argument("--s0", type=int, help="explicit small/large threshold")
-    p.add_argument("--v-max", type=int, help="coefficient table size (default max(4r, 200))")
     p.add_argument(
         "--t-decay",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="decay the amplification per count when building coefficients",
     )
+
+
+def _add_explicit_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--t", type=float, help="explicit amplification parameter")
+    p.add_argument("--s0", type=int, help="explicit small/large threshold")
+    p.add_argument("--v-max", type=int, help="coefficient table size (default max(4r, 200))")
 
 
 @functools.cache
@@ -472,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--geom-prob", type=float, help="geometric success probability (default 0.99)")
     sim.add_argument("--poisson-mean", type=float, help="poisson mean (default 3000)")
     sim.add_argument("--dirichlet-conc", type=float, help="dirichlet concentration (default 2)")
-    _add_amplified_flags(sim)
-    sim.set_defaults(func=cmd_simulate, t=None, s0=None)
+    _add_tuning_flags(sim)
+    sim.set_defaults(func=cmd_simulate)
 
     est = sub.add_parser("estimate", help="estimate a property from count files")
     _add_property_flags(est)
@@ -485,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="amplified",
         choices=["empirical", "modified_empirical", "amplified"],
     )
-    _add_amplified_flags(est)
+    _add_tuning_flags(est)
+    _add_explicit_flags(est)
     est.set_defaults(func=cmd_estimate)
 
     coe = sub.add_parser("coeffs", help="dump a coefficient table as CSV")
@@ -493,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     coe.add_argument("--rate", type=float, required=True, help="Poisson rate n")
     coe.add_argument("--q-x", type=float, help="reference mass for l1/kl tables")
     coe.add_argument("--out", required=True, help="output CSV path")
-    _add_amplified_flags(coe)
+    _add_tuning_flags(coe)
+    _add_explicit_flags(coe)
     coe.set_defaults(func=cmd_coeffs)
 
     chk = sub.add_parser("selfcheck", help="run the numerical validation suite")

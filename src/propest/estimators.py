@@ -471,7 +471,7 @@ def amplified_estimate_detailed(
     sample: SplitSample,
     spec: PropertySpec,
     params: EstimatorParams,
-    tables: CoefficientTables | CoefficientTable | None = None,
+    tables: CoefficientTables | None = None,
 ) -> AmplifiedEstimate:
     """Amplified estimate of ``f(p)`` from a split sample, with diagnostics.
 
@@ -486,10 +486,6 @@ def amplified_estimate_detailed(
         )
     if tables is None:
         tables = build_coefficient_tables(spec, params)
-    if isinstance(tables, CoefficientTable):
-        if spec.q is not None:
-            raise ValueError("non-symmetric properties need the full table set")
-        tables = CoefficientTables(spec=spec, params=params, tables=(tables,))
 
     c1, c2 = sample.first.array, sample.second.array
     if len(c1) != len(c2):
@@ -545,7 +541,7 @@ def amplified_estimate(
     sample: SplitSample,
     spec: PropertySpec,
     params: EstimatorParams,
-    tables: CoefficientTables | CoefficientTable | None = None,
+    tables: CoefficientTables | None = None,
 ) -> float:
     """Amplified estimate of ``f(p)`` from a split sample."""
     return amplified_estimate_detailed(sample, spec, params, tables).value

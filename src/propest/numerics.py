@@ -3,7 +3,7 @@
 Factorials, Poisson tail probabilities, and series terms routinely leave the
 range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
-moment.  The Bessel-series evaluator and the adaptive quadrature exist to
+moment.  The Bessel factor and the adaptive quadrature over it exist to
 cross-validate the coefficient machinery in :mod:`propest.estimators`; the
 estimators themselves never integrate anything, so ``scipy.integrate`` (a
 large share of a cold import) is imported only when a quadrature runs.
@@ -20,7 +20,6 @@ from scipy import special as _special
 __all__ = [
     "ConvergenceError",
     "bessel_f",
-    "integrate_exp_poly_bessel",
     "integrate_poisson_kernel_bessel",
     "log_poisson_tail",
     "log_poisson_tail_table",
@@ -30,12 +29,6 @@ __all__ = [
 #: An alternating sum whose result is below this fraction of its largest term
 #: has lost essentially all significance.
 CANCELLATION_RTOL = 1e-10
-
-# Above this argument the ascending series for J_{2u}(2*sqrt(y)) cancels away
-# more digits than a double holds (largest term grows like exp(4*sqrt(y))),
-# so we switch to scipy's Bessel evaluation.
-_BESSEL_SERIES_MAX_Y = 50.0
-_BESSEL_MAX_TERMS = 500
 
 _QUAD_ABS_TOL = 1e-9
 
@@ -92,91 +85,21 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
 
 
 def bessel_f(u: int, y: float) -> float:
-    """Bessel function of the first kind ``J_{2u}(2*sqrt(y))``.
-
-    Uses the ascending series ``sum_i (-1)^i y^(i+u) / (i! (i+2u)!)`` while
-    it is numerically trustworthy and scipy's evaluation beyond that.
-    """
+    """Bessel function of the first kind ``J_{2u}(2*sqrt(y))``, from scipy."""
     if u < 1 or u != int(u):
         raise ValueError(f"u must be a positive integer, got {u!r}")
     if y < 0:
         raise ValueError(f"y must be nonnegative, got {y!r}")
-    if y == 0.0:
-        return 0.0
-    if y > _BESSEL_SERIES_MAX_Y:
-        return float(_special.jv(2 * u, 2.0 * math.sqrt(y)))
-    log_t0 = u * math.log(y) - math.lgamma(2 * u + 1.0)
-    if log_t0 < -745.0:
-        # Leading term already underflows and the terms only shrink from
-        # there for y in the series regime.
-        return 0.0
-    term = math.exp(log_t0)
-    total = term
-    largest = abs(term)
-    for i in range(1, _BESSEL_MAX_TERMS):
-        term *= -y / (i * (i + 2 * u))
-        total += term
-        largest = max(largest, abs(term))
-        if abs(term) < 1e-16 * largest:
-            break
-    return total
-
-
-def _exp_poly(u: int, a: float) -> float:
-    # e^{-a} a^u without overflowing a**u first.
-    if a <= 0.0:
-        return 0.0
-    return math.exp(u * math.log(a) - a)
-
-
-def integrate_exp_poly_bessel(u: int, y: float, upper: float = math.inf) -> float:
-    """Integral of ``e^(-a) a^u J_{2u}(2*sqrt(a*y))`` over ``[0, upper]``.
-
-    With ``upper = inf`` the integrand is cut at ``u + y + 50`` and the
-    remainder is bounded analytically by the incomplete-gamma tail (the
-    Bessel factor has magnitude at most 1).  Raises
-    :class:`ConvergenceError` when the error estimate exceeds
-    ``1e-9 * max(1, |value|)``: the integral reaches ``u!``, so the bound is
-    relative to its magnitude once that exceeds 1.
-    """
-    if u < 1 or u != int(u):
-        raise ValueError(f"u must be a positive integer, got {u!r}")
-    if y < 0:
-        raise ValueError(f"y must be nonnegative, got {y!r}")
-    if not upper > 0:
-        raise ValueError(f"upper must be positive, got {upper!r}")
-
-    cut = u + y + 50.0 if math.isinf(upper) else float(upper)
-
-    def integrand(a: float) -> float:
-        return _exp_poly(u, a) * bessel_f(u, a * y)
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            integrand, 0.0, cut, epsabs=_QUAD_ABS_TOL / 100.0, epsrel=1e-11, limit=400
-        )
-    if math.isinf(upper):
-        err += math.exp(
-            math.lgamma(u + 1.0) + math.log(float(_special.gammaincc(u + 1.0, cut)))
-        )
-    bound = _QUAD_ABS_TOL * max(1.0, abs(value))
-    if not err <= bound:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds {bound:.1e} "
-            f"for u={u}, y={y}, upper={upper}"
-        )
-    return value
+    return float(_special.jv(2 * u, 2.0 * math.sqrt(y)))
 
 
 def integrate_poisson_kernel_bessel(u: int, y: float, upper: float) -> float:
-    """Same integral as :func:`integrate_exp_poly_bessel` scaled by ``1/u!``.
+    """Integral of ``e^(-a) a^u / u! * J_{2u}(2*sqrt(a*y))`` over ``[0, upper]``.
 
-    The scaled integrand ``e^(-a) a^u / u! * J_{2u}(2*sqrt(a*y))`` never
-    exceeds 1 in magnitude, so an absolute tolerance stays meaningful at
-    orders ``u`` where the unscaled integral reaches ``u!``.
+    Over ``[0, inf)`` the integral is ``e^(-y) y^u / u!``.  The integrand
+    never exceeds 1 in magnitude, so an absolute tolerance stays meaningful
+    at orders ``u`` where the integral without the ``1/u!`` reaches ``u!``.
+    Raises :class:`ConvergenceError` when the error estimate exceeds 1e-9.
     """
     if u < 1 or u != int(u):
         raise ValueError(f"u must be a positive integer, got {u!r}")

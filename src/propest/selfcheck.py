@@ -1,10 +1,11 @@
 """Built-in numerical validation of the coefficient pipeline.
 
 Each check pits an implementation path against an independent route to the
-same quantity: closed forms for the Bessel-weighted integrals, quadrature
-against the coefficient power series, the term-by-term unbiasedness identity,
-and the analytic envelope on the coefficient magnitudes.  A corrupted build
-fails loudly here before it can corrupt benchmark numbers.
+same quantity: the closed form of the Bessel-weighted integral, quadrature
+against the coefficient power series (the Poisson-weighted sum of the table
+entries, so a corrupted weight fails it), and the analytic envelope on the
+coefficient magnitudes.  A corrupted build fails loudly here before it can
+corrupt benchmark numbers.
 """
 
 from __future__ import annotations
@@ -38,15 +39,20 @@ def _small_params(rate: float = 150.0, t: float = 3.0, s0: int = 1) -> Estimator
 
 
 def check_quadrature_identity(deep: bool = False) -> CheckResult:
-    """Integral of e^(-a) a^u J_{2u}(2 sqrt(a y)) over [0, inf) equals e^(-y) y^u."""
+    """Integral of e^(-a) a^u / u! J_{2u}(2 sqrt(a y)) over [0, inf) equals e^(-y) y^u / u!.
+
+    Deviations are relative to ``max(1/u!, target)``.  The quadrature stops
+    at ``u + y + 50``: the rest is under 1e-11 of that scale on these grids.
+    """
     us = range(1, 9) if deep else range(1, 6)
     ys = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0) if deep else (0.1, 1.0, 5.0, 20.0)
     worst = 0.0
     for u in us:
+        inv_fact = 1.0 / math.factorial(u)
         for y in ys:
-            target = math.exp(-y) * y**u
-            value = numerics.integrate_exp_poly_bessel(u, y)
-            worst = max(worst, abs(value - target) / max(1.0, target))
+            target = math.exp(-y) * y**u * inv_fact
+            value = numerics.integrate_poisson_kernel_bessel(u, y, upper=u + y + 50.0)
+            worst = max(worst, abs(value - target) / max(inv_fact, target))
     return CheckResult(
         name="quadrature_identity",
         passed=worst < 1e-6,
@@ -69,32 +75,6 @@ def check_series_quadrature(deep: bool = False) -> CheckResult:
         name="series_quadrature_consistency",
         passed=worst < 1e-5,
         detail=f"worst |series - quadrature| {worst:.3e} (tolerance 1e-5)",
-    )
-
-
-def check_unbiasedness(deep: bool = False) -> CheckResult:
-    """Poisson-weighted table sums reproduce the truncated series exactly."""
-    lams = (0.1, 0.5, 1.0, 2.0)
-    spec, params = entropy(), _small_params()
-    table = build_coefficient_table(spec, params)
-    v_stop = 170  # factorials stay exactly representable below this
-    worst = 0.0
-    for lam in lams:
-        pmf_weighted = 0.0
-        series = 0.0
-        lam_pow = 1.0
-        for v in range(1, v_stop + 1):
-            pmf = math.exp(v * math.log(lam) - lam - math.lgamma(v + 1.0))
-            pmf_weighted += table.values[v] * pmf
-            lam_pow *= lam
-            series += table.values[v] / math.factorial(v) * lam_pow
-        series *= math.exp(-lam)
-        denom = max(abs(series), 1e-300)
-        worst = max(worst, abs(pmf_weighted - series) / denom)
-    return CheckResult(
-        name="unbiasedness_identity",
-        passed=worst < 1e-10,
-        detail=f"worst relative gap {worst:.3e} (tolerance 1e-10)",
     )
 
 
@@ -124,7 +104,6 @@ def check_coefficient_bound(deep: bool = False) -> CheckResult:
 _CHECKS = (
     ("quadrature_identity", check_quadrature_identity),
     ("series_quadrature_consistency", check_series_quadrature),
-    ("unbiasedness_identity", check_unbiasedness),
     ("coefficient_bound", check_coefficient_bound),
 )
 

@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Criteria 1-4 are identity and oracle checks at small parameter settings
-(with 256-bit reference arithmetic where stated).  Criteria 5-7 are
-statistical reproductions at desk scale with fixed seeds; their tolerances
-absorb Monte-Carlo noise.  Criterion 8 re-runs 5-7 and compares CSV bytes
+Criteria 1-3 are identity and oracle checks at small parameter settings
+(with 256-bit reference arithmetic where stated); criterion 4 shows that the
+series/quadrature check of criterion 2 fails on a corrupted weight.
+Criteria 5-7 are statistical reproductions at desk scale with fixed seeds;
+their tolerances absorb Monte-Carlo noise.  Criterion 8 re-runs 5-7 and compares CSV bytes
 across parallelism levels.
 
 Run with ``pytest tests/test_acceptance.py -v`` for the per-criterion lines.
@@ -30,8 +31,10 @@ from propest.estimators import (
     empirical,
     smoothed_h_hat,
 )
-from propest.numerics import integrate_exp_poly_bessel
+from propest import estimators
+from propest.numerics import integrate_poisson_kernel_bessel
 from propest.properties import entropy, support_size
+from propest.selfcheck import check_series_quadrature
 
 SEED = 29
 
@@ -68,10 +71,11 @@ def test_criterion_1_integral_identity():
     start = time.time()
     worst = 0.0
     for u in range(1, 6):
+        inv_fact = 1.0 / math.factorial(u)
         for y in (0.1, 1.0, 5.0, 20.0):
-            target = math.exp(-y) * y**u
-            value = integrate_exp_poly_bessel(u, y)
-            dev = abs(value - target) / max(1.0, target)
+            target = math.exp(-y) * y**u * inv_fact
+            value = integrate_poisson_kernel_bessel(u, y, upper=u + y + 50.0)
+            dev = abs(value - target) / max(inv_fact, target)
             worst = max(worst, dev)
             assert dev < 1e-6, f"u={u} y={y}: deviation {dev:.3e}"
     elapsed = time.time() - start
@@ -114,28 +118,27 @@ def test_criterion_3_coefficient_correctness():
     print(f"criterion 3 coefficients vs 256-bit: PASS (worst rel {worst:.2e}, {elapsed:.2f}s)")
 
 
-def test_criterion_4_unbiasedness_identity():
+def test_criterion_4_corrupted_weight_fails_series_quadrature(monkeypatch):
     start = time.time()
-    params = small_params()
-    table = build_coefficient_table(entropy(), params)
-    worst = 0.0
-    for lam in (0.1, 0.5, 1.0, 2.0):
-        weighted = 0.0
-        series = 0.0
-        lam_pow = 1.0
-        for v in range(1, 150):
-            pmf = math.exp(v * math.log(lam) - lam - math.lgamma(v + 1.0))
-            weighted += pmf * table.values[v]
-            if v < 170:
-                lam_pow *= lam
-                series += table.values[v] / math.factorial(v) * lam_pow
-        series *= math.exp(-lam)
-        rel = abs(weighted - series) / abs(series)
-        worst = max(worst, rel)
-        assert rel < 1e-10, f"lam={lam}: relative gap {rel:.3e}"
+    assert check_series_quadrature().passed
+    real = estimators._coefficient_signed_log
+    gaps = {}
+    for bad_v in (1, 3, 8, 16):
+        def corrupted(spec, v, *args, bad_v=bad_v):
+            sign, log_mag, cancelled = real(spec, v, *args)
+            # one entry off by a relative 1e-2
+            return sign, log_mag + (math.log1p(1e-2) if v == bad_v else 0.0), cancelled
+
+        monkeypatch.setattr(estimators, "_coefficient_signed_log", corrupted)
+        result = check_series_quadrature()
+        assert not result.passed, f"v={bad_v} corrupted, check passed: {result.detail}"
+        gaps[bad_v] = result.detail.split()[4]  # "worst |series - quadrature| GAP (...)"
     elapsed = time.time() - start
     assert elapsed < 5.0
-    print(f"criterion 4 unbiasedness: PASS (worst rel {worst:.2e}, {elapsed:.2f}s)")
+    print(
+        "criterion 4 corrupted weight fails series/quadrature: PASS "
+        f"(gaps {', '.join(f'v={v} {g}' for v, g in gaps.items())}, {elapsed:.2f}s)"
+    )
 
 
 # --- statistical criteria -------------------------------------------------

@@ -238,21 +238,6 @@ class TestCoefficient:
         assert len(tables.tables) == 2
         np.testing.assert_allclose(tables.unique_q, [0.25, 0.5])
 
-    def test_unbiasedness_identity(self):
-        params = small_params()
-        table = build_coefficient_table(entropy(), params)
-        for lam in (0.1, 0.5, 1.0, 2.0):
-            series = 0.0
-            weighted = 0.0
-            lam_pow = 1.0
-            for v in range(1, 140):
-                pmf = math.exp(v * math.log(lam) - lam - math.lgamma(v + 1))
-                weighted += pmf * table.values[v]
-                lam_pow *= lam
-                series += table.values[v] / math.factorial(v) * lam_pow if v < 170 else 0.0
-            series *= math.exp(-lam)
-            assert weighted == pytest.approx(series, rel=1e-10)
-
 
 class TestLazyTable:
     @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from propest.numerics import (
     ConvergenceError,
     bessel_f,
-    integrate_exp_poly_bessel,
+    integrate_poisson_kernel_bessel,
     log_poisson_tail,
     log_poisson_tail_table,
     signed_log_sum_arrays,
@@ -114,8 +114,12 @@ class TestBessel:
             for y in (0.0, 0.1, 1.0, 5.0, 20.0, 49.0, 100.0, 400.0, 2000.0):
                 assert abs(bessel_f(u, y)) <= min(1.0, y / (u + 1)) + 1e-12
 
-    def test_matches_mpmath_across_cutoff(self):
-        # the implementation switches from its own series to scipy at y = 50
+    def test_rejects_bad_arguments(self):
+        for u, y in ((0, 1.0), (1.5, 1.0), (1, -1.0)):
+            with pytest.raises(ValueError):
+                bessel_f(u, y)
+
+    def test_matches_mpmath(self):
         for u in (1, 2, 5):
             for y in (0.3, 4.0, 30.0, 49.5, 50.5, 80.0, 400.0, 1500.0):
                 with mp.workprec(256):
@@ -124,31 +128,39 @@ class TestBessel:
 
 
 class TestIntegrateExpPolyBessel:
+    """``integrate_poisson_kernel_bessel``: e^(-a) a^u / u! J_{2u}(2 sqrt(a y)) over [0, upper]."""
+
+    @staticmethod
+    def integral(u, y, upper=None):
+        # past u + y + 50 the integrand holds a negligible share of the integral
+        return integrate_poisson_kernel_bessel(u, y, u + y + 50.0 if upper is None else upper)
+
     def test_zero_y(self):
-        assert integrate_exp_poly_bessel(1, 0.0) == 0.0
+        assert self.integral(1, 0.0) == 0.0
 
     def test_closed_form_value(self):
-        target = math.exp(-1.5) * 1.5**2
-        value = integrate_exp_poly_bessel(2, 1.5)
-        assert value == pytest.approx(target, abs=1e-6 * max(1.0, target))
+        target = math.exp(-1.5) * 1.5**2 / 2
+        value = self.integral(2, 1.5)
+        assert value == pytest.approx(target, abs=1e-6 * max(0.5, target))
 
     def test_closed_form_grid(self):
         for u in range(1, 6):
+            inv_fact = 1.0 / math.factorial(u)
             for y in (0.1, 1.0, 5.0, 20.0):
-                target = math.exp(-y) * y**u
-                value = integrate_exp_poly_bessel(u, y)
-                assert abs(value - target) < 1e-6 * max(1.0, target)
+                target = math.exp(-y) * y**u * inv_fact
+                value = self.integral(u, y)
+                assert abs(value - target) < 1e-6 * max(inv_fact, target)
 
     def test_error_bound_relative_to_large_values(self):
-        # e^-5 5^8 ~ 2632: quad's error estimate (~2e-8) is below 1e-9 of
-        # the value but above 1e-9 in absolute terms.
-        target = math.exp(-5.0) * 5.0**8
-        assert integrate_exp_poly_bessel(8, 5.0) == pytest.approx(target, rel=1e-12)
+        # Unscaled, the integral is e^-5 5^8 ~ 2632; scaled by 1/8! it stays
+        # below 1, where the kernel's absolute error bound is tight.
+        target = math.exp(-5.0) * 5.0**8 / math.factorial(8)
+        assert self.integral(8, 5.0) == pytest.approx(target, rel=1e-12)
 
     def test_large_error_estimate_raises(self, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (2632.0, 1e-3))
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.065, 1e-3))
         with pytest.raises(ConvergenceError):
-            integrate_exp_poly_bessel(8, 5.0, upper=40.0)
+            self.integral(8, 5.0, upper=40.0)
 
     def test_finite_upper_against_mpmath(self):
         with mp.workprec(128):
@@ -158,17 +170,15 @@ class TestIntegrateExpPolyBessel:
                     [0, 8],
                 )
             )
-        assert integrate_exp_poly_bessel(1, 2.0, upper=8.0) == pytest.approx(
-            oracle, abs=1e-9
-        )
+        assert self.integral(1, 2.0, upper=8.0) == pytest.approx(oracle, abs=1e-9)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            integrate_exp_poly_bessel(0, 1.0)
+            self.integral(0, 1.0)
         with pytest.raises(ValueError):
-            integrate_exp_poly_bessel(1, -1.0)
+            self.integral(1, -1.0)
         with pytest.raises(ValueError):
-            integrate_exp_poly_bessel(1, 1.0, upper=0.0)
+            self.integral(1, 1.0, upper=0.0)
 
 
 class TestAlternatingSum:

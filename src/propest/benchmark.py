@@ -101,10 +101,10 @@ def mse(estimates: Sequence[float], truth: float) -> float:
 class ExperimentConfig:
     """One benchmark sweep: a property, a distribution, and an n-grid.
 
-    ``alpha``/``s0_mult`` switch the amplified estimator to manual tuning
-    (both None means preset tuning).  ``poissonized`` governs the plug-in
-    family's draws; the amplified estimator's split sample is Poissonized by
-    construction.
+    ``alpha`` and ``s0_mult``, given together, switch the amplified
+    estimator to manual tuning (both None means preset tuning).
+    ``poissonized`` governs the plug-in family's draws; the amplified
+    estimator's split sample is Poissonized by construction.
     """
 
     spec: PropertySpec
@@ -136,6 +136,8 @@ class ExperimentConfig:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.split_mode!r}")
+        if (self.alpha is None) != (self.s0_mult is None):
+            raise ValueError("alpha and s0_mult must be given together")
 
 
 @dataclass(frozen=True)

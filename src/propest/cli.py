@@ -335,6 +335,7 @@ def cmd_estimate(args) -> int:
     else:  # amplified
         if args.rate is None:
             raise UsageError("amplified requires --rate")
+        params = _amplified_params_from_args(args, args.rate, spec)
         if args.counts2 is not None:
             counts2 = _read_counts(args.counts2, spec, ids)
             first = _histogram(counts, spec, ids)
@@ -348,7 +349,6 @@ def cmd_estimate(args) -> int:
             )
             first = second = _histogram(counts, spec, ids)
             split_mode = "shared"
-        params = _amplified_params_from_args(args, args.rate, spec)
         sample = SplitSample(first=first, second=second, rate=float(args.rate))
         detail = amplified_estimate_detailed(sample, spec, params)
         value = detail.value

@@ -137,11 +137,11 @@ def derive_params(
 ) -> EstimatorParams:
     """Tune the amplified estimator for a total sampling budget ``total_n``.
 
-    Preset mode looks up the per-property tuning in :data:`PRESETS`; manual
-    mode (``preset=False``) uses ``t = log(n)^(1-alpha) + 1`` and
-    ``s0 = round(s0_mult * log(n)^0.2)``.  The per-stream rate follows the
-    split mode: ``total_n`` for two_stream and shared, ``total_n / 2`` for
-    thinned.
+    Preset mode looks up the per-property tuning in :data:`PRESETS` and
+    takes no ``alpha`` or ``s0_mult``; manual mode (``preset=False``) uses
+    ``t = log(n)^(1-alpha) + 1`` and ``s0 = round(s0_mult * log(n)^0.2)``.
+    The per-stream rate follows the split mode: ``total_n`` for two_stream
+    and shared, ``total_n / 2`` for thinned.
     """
     if not total_n >= MIN_TOTAL_N:
         raise ParameterError(f"need total_n >= {MIN_TOTAL_N:g}, got {total_n!r}")
@@ -149,6 +149,8 @@ def derive_params(
         raise ParameterError(f"unknown split mode {split_mode!r}")
     log_n = math.log(total_n)
     if preset:
+        if alpha is not None or s0_mult is not None:
+            raise ParameterError("alpha and s0_mult apply only with preset=False")
         if spec.kind not in PRESETS:
             raise ParameterError(
                 f"no preset tuning for {spec.kind}; pass preset=False with "
@@ -277,10 +279,11 @@ class CoefficientTable:
 
         Computes only the entries of ``v`` not computed yet, and keeps them.
         """
+        v = np.asarray(v)
         with self._lock:
-            need = np.zeros(self.v_max + 1, dtype=bool)
-            need[v] = True
-            self._compute(np.flatnonzero(need & ~self._computed))
+            missing = v[~self._computed[v]]
+            if missing.size:
+                self._compute(np.unique(missing))
             return self._values[v]
 
     def _compute(self, vs: np.ndarray) -> None:
@@ -386,7 +389,10 @@ class CoefficientTables:
     unique_q: np.ndarray | None = None
 
     def table_for_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Index of the table owning each symbol."""
+        """Index of the table owning each symbol.
+
+        For l1/kl ``symbols`` may also be a boolean mask over ``q``.
+        """
         if self.unique_q is None:
             return np.zeros(len(symbols), dtype=np.int64)
         return np.searchsorted(self.unique_q, self.spec.q[symbols])
@@ -414,20 +420,30 @@ def build_coefficient_tables(
 # ---------------------------------------------------------------------------
 
 
-def _symbol_indices(spec: PropertySpec, ids: np.ndarray) -> np.ndarray:
-    """The nonzero-count ``ids`` themselves, range-checked against ``q`` for l1/kl."""
-    if spec.q is not None and ids.size and ids.max() >= len(spec.q):
-        raise ValueError(
-            f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"
-        )
-    return ids
+def _count_vectors(spec: PropertySpec, *hists: Histogram) -> list[np.ndarray]:
+    """The count vectors of ``hists``, zero-padded to one length.
+
+    For l1/kl that length is ``len(q)``, so that a boolean mask over a vector
+    also selects the symbols' reference masses from ``q``.
+    """
+    vectors = [hist.array for hist in hists]
+    size = max(len(c) for c in vectors)
+    if spec.q is not None:
+        size = len(spec.q)
+        if any(c[size:].any() for c in vectors):
+            raise ValueError(
+                f"{spec.kind} symbol ids must lie in 0..{size - 1}, the indices of q"
+            )
+        vectors = [c[:size] for c in vectors]
+    return [c if len(c) == size else np.pad(c, (0, size - len(c))) for c in vectors]
 
 
 def _plug_in(hist: Histogram, scale: float, spec: PropertySpec) -> float:
     if hist.total == 0:
         return spec.report_offset
-    idx = _symbol_indices(spec, np.flatnonzero(hist.array))
-    values = eval_fx_many(spec, idx, hist.array[idx] / scale)
+    (counts,) = _count_vectors(spec, hist)
+    seen = counts > 0
+    values = eval_fx_many(spec, seen, np.compress(seen, counts) / scale)
     return float(values.sum()) + spec.report_offset
 
 
@@ -479,6 +495,10 @@ def amplified_estimate_detailed(
     table weight at the first-stream count (zero for unseen symbols, and
     zero with an overflow tick for counts beyond the table).  The remaining
     symbols contribute the plug-in value ``f_x(N_x / rate)``.
+
+    Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
+    the order of its terms: the symbols seen in the first stream, ascending,
+    then one exact zero per symbol seen only in the second stream.
     """
     if abs(params.rate - sample.rate) > 1e-9 * max(1.0, params.rate):
         raise ValueError(
@@ -487,50 +507,53 @@ def amplified_estimate_detailed(
     if tables is None:
         tables = build_coefficient_tables(spec, params)
 
-    c1, c2 = sample.first.array, sample.second.array
-    if len(c1) != len(c2):
-        size = max(len(c1), len(c2))
-        c1, c2 = (np.pad(c, (0, size - len(c))) for c in (c1, c2))
-    # The symbols seen in the first stream, then those seen only in the
-    # second, each ascending: the order fixes the bits of the pairwise sums.
-    idx = np.flatnonzero(c1)
-    if sample.second is not sample.first:
-        only2 = np.flatnonzero(c2)
-        idx = np.concatenate([idx, only2[c1[only2] == 0]])
-    idx = _symbol_indices(spec, idx)
-    n1, n2 = c1[idx], c2[idx]
+    c1, c2 = _count_vectors(spec, sample.first, sample.second)
+    seen1 = c1 > 0
+    large2 = c2 > params.s0
+    small, large = seen1 & ~large2, seen1 & large2
+    # A symbol seen only in the second stream adds an exact +0.0 to its
+    # branch, so only their number is kept; see the docstring on order.
+    if sample.second is sample.first:
+        only2_small = only2_large = 0
+    else:
+        only2 = ~seen1 & (c2 > 0)
+        only2_large = int(np.count_nonzero(only2 & large2))
+        only2_small = int(np.count_nonzero(only2)) - only2_large
 
-    small = n2 <= params.s0
-    v_small = n1[small]
+    # np.compress gathers through a dense, irregular mask several times
+    # faster than boolean indexing does.
+    v_small = np.compress(small, c1)
     v_max = tables.tables[0].v_max
-    in_range = (v_small >= 1) & (v_small <= v_max)
     overflow = int(np.count_nonzero(v_small > v_max))
-
-    weights = np.zeros(len(v_small))
+    weights = np.zeros(len(v_small) + only2_small)
+    seen_weights = weights[: len(v_small)]
+    if len(tables.tables) == 1:
+        picks = [v_small <= v_max if overflow else slice(None)]
+    else:
+        in_range = v_small <= v_max
+        owner = tables.table_for_symbols(small)
+        picks = [in_range & (owner == j) for j in range(len(tables.tables))]
     n_clamped = n_cancelled = 0
-    owner = tables.table_for_symbols(idx[small])
-    for j, table in enumerate(tables.tables):
-        pick = in_range & (owner == j)
+    for table, pick in zip(tables.tables, picks):
         v = v_small[pick]
-        weights[pick] = table.weights(v)
+        seen_weights[pick] = table.weights(v)
         # weights() has computed every entry at v, so its flags are final.
         n_clamped += int(np.count_nonzero(table._clamped[v]))
         n_cancelled += int(np.count_nonzero(table._cancelled[v]))
     small_sum = float(weights.sum())
 
-    large_idx = idx[~small]
-    large_counts = n1[~small]
-    large_sum = float(
-        eval_fx_many(spec, large_idx, large_counts / params.rate).sum()
-    )
+    large_values = eval_fx_many(spec, large, np.compress(large, c1) / params.rate)
+    if only2_large:
+        large_values = np.concatenate((large_values, np.zeros(only2_large)))
+    large_sum = float(large_values.sum())
 
     return AmplifiedEstimate(
         value=small_sum + large_sum + spec.report_offset,
         small_sum=small_sum,
         large_sum=large_sum,
         report_offset=spec.report_offset,
-        n_small=int(np.count_nonzero(small)),
-        n_large=int(np.count_nonzero(~small)),
+        n_small=len(weights),
+        n_large=len(large_values),
         n_overflow=overflow,
         n_clamped=n_clamped,
         n_cancelled=n_cancelled,

@@ -186,8 +186,9 @@ def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx: float | None = None) -> 
 def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``f_x(p_x)`` over aligned arrays of symbol indices and probabilities.
 
-    For l1/kl the symbols index ``q`` and must lie in ``0..len(q)-1``; the
-    estimators check their ids before they get here.
+    For l1/kl the symbols index ``q`` and must lie in ``0..len(q)-1``, or
+    are given as a boolean mask over ``q``; the estimators check their ids
+    before they get here.
     """
     if spec.q is None:
         return _fx_values(spec, p, 0.0)

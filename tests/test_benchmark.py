@@ -82,6 +82,14 @@ class TestConfigValidation:
                 trials=2, seed=0, estimators=("bogus",),
             )
 
+    @pytest.mark.parametrize("manual", [dict(alpha=0.5), dict(s0_mult=4.0)])
+    def test_alpha_and_s0_mult_together(self, manual):
+        with pytest.raises(ValueError, match="together"):
+            ExperimentConfig(
+                spec=entropy(), family="uniform", k=4, n_grid=(100,),
+                trials=2, seed=0, **manual,
+            )
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(

@@ -187,6 +187,16 @@ class TestEstimate:
         kv = _parse_kv(capsys.readouterr().out)
         assert kv["split_mode"] == "two_stream"
 
+    @pytest.mark.parametrize("counts2", [(), ("--counts2", "missing.csv")])
+    def test_tuning_flags_checked_before_the_streams(self, counts2, counts_file, capsys):
+        code = run_cli(
+            "estimate", "--property", "entropy", "--counts", counts_file, *counts2,
+            "--rate", "1000", "--s0-mult", "2",
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --alpha and --s0-mult must be given together"]
+
     def test_missing_rate_is_usage_error(self, counts_file):
         assert run_cli(
             "estimate", "--property", "entropy", "--counts", counts_file,

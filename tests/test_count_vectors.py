@@ -1,7 +1,10 @@
 """Count vectors end to end: pinned outputs, no dict on the path, a dict reference.
 
 The pinned CSV text and ``estimate`` replies were produced by the dict-based
-histograms this package used before it carried count vectors.  They fix the
+histograms this package used before it carried count vectors; the
+``dense_uniform`` pin, the one sweep whose count vectors are mostly nonzero,
+by the count-vector estimator that still gathered symbol-index lists, before
+it switched to boolean masks.  They fix the
 order in which per-symbol values are summed: numpy's pairwise ``sum`` rounds
 differently under any other order, so a reordering changes the last digits.
 """
@@ -67,6 +70,11 @@ SWEEPS = {
         k=300, n_grid=(1000,), trials=20, seed=23, estimators=("amplified", "empirical"),
         split_mode="thinned", alpha=0.5, s0_mult=4.0,
     ),
+    # Dense: about 63% of the 50000 symbols are seen in each stream.
+    "dense_uniform": dict(
+        spec=PropertySpec("entropy"), family="uniform", k=50000, n_grid=(50000,),
+        trials=5, seed=29, estimators=("amplified", "empirical"),
+    ),
 }
 
 HEADER = "property,distribution,k,n,estimator,trials,mse,mean_estimate,true_value,seed\n"
@@ -111,6 +119,10 @@ PINNED_CSV = {
     "l1_dirichlet": (
         "l1_distance,dirichlet,300,1000,amplified,20,0.0073588454798847111,0.93342244855094536,0.85576488905726222,23\n"
         "l1_distance,dirichlet,300,1000,empirical,20,0.0080981279841168645,0.94101202223889646,0.85576488905726222,23\n"
+    ),
+    "dense_uniform": (
+        "entropy,uniform,50000,50000,amplified,5,0.0038373924250292555,10.761011067561109,10.819778284410287,29\n"
+        "entropy,uniform,50000,50000,empirical,5,0.32902196803653727,10.246180823563529,10.819778284410287,29\n"
     ),
 }
 
@@ -240,12 +252,14 @@ def bits(result):
 
 
 L1_Q = dirichlet_q(40, 1)
+KL_Q = dirichlet_q(40, 2)
 # Entries from v=212 on are clamped and v_max is 400; with t_decay on the
-# second setting flags v=2 of support_size as cancelled and has v_max 200.
+# other settings flag v=2 of support_size as cancelled and have v_max 200.
 CASES = [
     (PropertySpec("entropy"), EstimatorParams(500.0, 4.0, 2, t_decay=False)),
     (PropertySpec("support_size", k=50), EstimatorParams(150.0, 3.0, 1)),
     (PropertySpec("l1_distance", q=L1_Q), EstimatorParams(150.0, 3.0, 1)),
+    (PropertySpec("kl_divergence", q=KL_Q), EstimatorParams(150.0, 3.0, 1)),
 ]
 TABLES = [build_coefficient_tables(spec, params) for spec, params in CASES]
 
@@ -259,6 +273,13 @@ vectors = st.lists(counts, max_size=len(L1_Q))
        shared=st.booleans())
 @example(case=0, first=[220, 405, 2], second=[0, 0, 0, 9], shared=False)
 @example(case=1, first=[2, 0, 3], second=[], shared=True)
+# Symbols seen only in the second stream on both sides of s0.
+@example(case=0, first=[5, 0, 0, 0, 220], second=[0, 1, 9, 2, 0], shared=False)
+@example(case=3, first=[2, 0, 0, 405], second=[0, 1, 5, 0], shared=False)
+# Second vector longer than the first, and the reverse.
+@example(case=1, first=[3, 1], second=[0, 2, 0, 7, 1], shared=False)
+@example(case=2, first=[3], second=[0, 0, 5, 1, 2], shared=False)
+@example(case=3, first=[1, 0, 4, 2, 6], second=[2], shared=False)
 @settings(max_examples=300, deadline=None)
 def test_matches_dict_reference(case, first, second, shared):
     spec, params = CASES[case]

@@ -149,6 +149,13 @@ class TestDeriveParams:
         with pytest.raises(ParameterError):
             derive_params(1000, entropy(), preset=False, alpha=1.0, s0_mult=4.0)
 
+    @pytest.mark.parametrize(
+        "manual", [dict(alpha=0.5), dict(s0_mult=100.0), dict(alpha=0.5, s0_mult=4.0)]
+    )
+    def test_preset_rejects_manual_tuning(self, manual):
+        with pytest.raises(ParameterError, match="preset=False"):
+            derive_params(1000, entropy(), **manual)
+
     def test_no_preset_for_reference_properties(self):
         with pytest.raises(ParameterError):
             derive_params(1000, l1_distance(np.full(4, 0.25)))

@@ -19,6 +19,7 @@ import numpy as np
 
 from .distributions import (
     SPLIT_MODES,
+    Distribution,
     make_distribution,
     sample_histogram,
     split_sample,
@@ -39,6 +40,7 @@ __all__ = [
     "ResultRow",
     "CSV_HEADER",
     "mse",
+    "realized_distribution",
     "results_to_csv",
     "run_experiment",
     "trial_seed",
@@ -198,16 +200,21 @@ def _make_trial_fn(cfg: ExperimentConfig, dist, n: int, estimator: str) -> Calla
     return run
 
 
+def realized_distribution(cfg: ExperimentConfig) -> Distribution:
+    """The distribution a sweep of ``cfg`` samples from, fixed by its master seed."""
+    dist_rng = np.random.default_rng(trial_seed(cfg.seed, 0, "distribution", 0))
+    return make_distribution(cfg.family, cfg.k, cfg.dist_params, rng=dist_rng)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """Run the full sweep and aggregate one row per (n, estimator) cell.
 
     A cell whose parameters cannot be derived is marked failed (nan
-    aggregates, ``error`` set) instead of aborting the sweep.  The realized
-    distribution, including a Dirichlet draw, is fixed once per experiment
-    from the master seed.
+    aggregates, ``error`` set) instead of aborting the sweep.  The
+    distribution, including a Dirichlet draw, is
+    :func:`realized_distribution`, fixed once per experiment.
     """
-    dist_rng = np.random.default_rng(trial_seed(cfg.seed, 0, "distribution", 0))
-    dist = make_distribution(cfg.family, cfg.k, cfg.dist_params, rng=dist_rng)
+    dist = realized_distribution(cfg)
     truth = exact_value(cfg.spec, dist.probs)
 
     rows: list[ResultRow] = []

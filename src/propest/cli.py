@@ -33,6 +33,8 @@ import numpy as np
 from .benchmark import (
     ESTIMATORS,
     ExperimentConfig,
+    _fmt,
+    realized_distribution,
     results_to_csv,
     run_experiment,
 )
@@ -78,10 +80,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _spec_from_args(args) -> PropertySpec:
@@ -217,18 +215,30 @@ def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dic
     return Histogram(array)
 
 
+# simulate's family flags: the family each applies to and its key in its params.
+DIST_FLAGS = {
+    "zipf_power": ("zipf", "power"),
+    "binom_prob": ("binomial", "prob"),
+    "geom_prob": ("geometric", "prob"),
+    "poisson_mean": ("poisson", "mean"),
+    "dirichlet_conc": ("dirichlet", "concentration"),
+}
+
+# estimate flags that only the amplified estimator reads.
+AMPLIFIED_FLAGS = ("counts2", "alpha", "s0_mult", "t", "s0", "v_max")
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _dist_params_from_args(args) -> dict:
     params = {}
-    if args.zipf_power is not None:
-        params.setdefault("power", args.zipf_power)
-    if args.binom_prob is not None and args.dist == "binomial":
-        params["prob"] = args.binom_prob
-    if args.geom_prob is not None and args.dist == "geometric":
-        params["prob"] = args.geom_prob
-    if args.poisson_mean is not None:
-        params["mean"] = args.poisson_mean
-    if args.dirichlet_conc is not None:
-        params["concentration"] = args.dirichlet_conc
+    for name, (family, key) in DIST_FLAGS.items():
+        if (value := getattr(args, name)) is not None:
+            if family != args.dist:
+                raise UsageError(f"{_flag(name)} applies only to --dist {family}")
+            params[key] = value
     return params
 
 
@@ -292,13 +302,8 @@ def cmd_simulate(args) -> int:
     rows = run_experiment(cfg, threads=args.threads)
 
     if args.dump_dist:
-        from .benchmark import trial_seed
-        from .distributions import make_distribution
-
-        dist_rng = np.random.default_rng(trial_seed(cfg.seed, 0, "distribution", 0))
-        dist = make_distribution(cfg.family, cfg.k, cfg.dist_params, rng=dist_rng)
         with open(args.dump_dist, "w", encoding="utf-8", newline="") as f:
-            for p in dist.probs:
+            for p in realized_distribution(cfg).probs:
                 f.write(_fmt(p) + "\n")
 
     try:
@@ -321,6 +326,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     spec = _spec_from_args(args)
+    if args.estimator != "amplified":
+        unread = [name for name in AMPLIFIED_FLAGS if getattr(args, name) is not None]
+        if args.estimator == "empirical" and args.rate is not None:
+            unread.append("rate")
+        if unread:
+            flags = ", ".join(map(_flag, unread))
+            raise UsageError(f"--estimator {args.estimator} does not read {flags}")
     ids: dict = {}
     counts = _read_counts(args.counts, spec, ids)
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
@@ -379,6 +391,8 @@ def cmd_coeffs(args) -> int:
     spec = _spec_from_args(args)
     if spec.q is not None and args.q_x is None:
         raise UsageError(f"{spec.kind} tables depend on --q-x (the reference mass)")
+    if spec.q is None and args.q_x is not None:
+        raise UsageError(f"{spec.kind} tables have no reference mass; drop --q-x")
     params = _amplified_params_from_args(args, args.rate, spec)
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.

@@ -18,12 +18,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
 
-from .distributions import Histogram, SplitSample
+from .distributions import SPLIT_MODES, Histogram, SplitSample
 from .numerics import (
     integrate_poisson_kernel_bessel,
     log_poisson_tail,
@@ -145,7 +144,7 @@ def derive_params(
     """
     if not total_n >= MIN_TOTAL_N:
         raise ParameterError(f"need total_n >= {MIN_TOTAL_N:g}, got {total_n!r}")
-    if split_mode not in ("two_stream", "thinned", "shared"):
+    if split_mode not in SPLIT_MODES:
         raise ParameterError(f"unknown split mode {split_mode!r}")
     log_n = math.log(total_n)
     if preset:
@@ -181,20 +180,6 @@ def derive_params(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _cached_log_tail(r: int, j_max: int) -> np.ndarray:
-    table = log_poisson_tail_table(float(r), j_max)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=16)
-def _cached_log_factorials(j_max: int) -> np.ndarray:
-    table = gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0)
-    table.flags.writeable = False
-    return table
-
-
 def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
     """Log of the analytic weight envelope, capped at 1e100."""
     nt = params.rate * params.t
@@ -205,6 +190,17 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
         params.t - 1.0
     )
     return min(bound, _LOG_CLAMP_CEILING)
+
+
+def _shared_state(spec: PropertySpec, params: EstimatorParams) -> tuple:
+    """What every table of ``(spec, params)`` shares, whatever its ``q_x``.
+
+    The log weight envelope, the log Poisson tail at level ``r`` and the
+    log factorials, both up to ``params.v_max + params.u_max``.
+    """
+    j_max = params.v_max + params.u_max
+    log_fact = gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0)
+    return _log_clamp_bound(spec, params), log_poisson_tail_table(float(params.r), j_max), log_fact
 
 
 def _coefficient_signed_log(
@@ -238,12 +234,14 @@ class CoefficientTable:
     """Small-branch weights ``h_v * v!`` for counts ``1..v_max``, filled on first read.
 
     :meth:`weights` computes only the entries it is asked for and keeps them.
-    ``values``, ``clamped`` and ``cancelled`` (and the counts derived from
-    them) complete the table on first access, so their readers see every
-    entry.  ``values[0]`` is 0 (an unseen symbol contributes nothing).
-    ``clamped`` and ``cancelled`` mark counts whose weight hit the envelope or
-    lost all significance to cancellation.  Entries are computed under a
-    per-table lock, so concurrent estimates can share one table.
+    Only ``values`` completes the table: reading it computes every entry
+    still missing.  ``clamped`` and ``cancelled`` are read-only views of the
+    flags computed so far, marking counts whose weight hit the envelope or
+    lost all significance to cancellation; ``computed`` says which entries
+    those are, and every entry at ``v`` is final once ``weights(v)`` returns.
+    ``values[0]`` is 0 (an unseen symbol contributes nothing).  Entries are
+    computed under a per-table lock, so concurrent estimates can share one
+    table.  ``shared`` is :func:`_shared_state`, computed once per table set.
     """
 
     def __init__(
@@ -251,24 +249,19 @@ class CoefficientTable:
         spec: PropertySpec,
         params: EstimatorParams,
         v_max: int,
-        log_clamp_bound: float,
+        shared: tuple,
         q_x: float | None = None,
     ) -> None:
         self.spec = spec
         self.params = params
         self.q_x = q_x
-        self.log_clamp_bound = log_clamp_bound
+        self.log_clamp_bound, self._log_tail, self._log_fact = shared
         self._values = np.zeros(v_max + 1)
         self._clamped = np.zeros(v_max + 1, dtype=bool)
         self._cancelled = np.zeros(v_max + 1, dtype=bool)
         self._computed = np.zeros(v_max + 1, dtype=bool)
         self._computed[0] = True
         self._lock = threading.Lock()
-        # Looked up now, not on first read: a long-lived array allocated in
-        # the middle of an estimate kept the heap from shrinking after it
-        # (peak RSS +8 MiB on a million-symbol sweep).
-        self._log_tail = _cached_log_tail(params.r, params.v_max + params.u_max)
-        self._log_fact = _cached_log_factorials(params.v_max + params.u_max)
 
     @property
     def v_max(self) -> int:
@@ -300,13 +293,6 @@ class CoefficientTable:
             self._values[v] = sign * math.exp(log_mag)
         self._computed[vs] = True
 
-    def _complete(self, arr: np.ndarray) -> np.ndarray:
-        with self._lock:
-            self._compute(np.flatnonzero(~self._computed))
-        view = arr.view()
-        view.flags.writeable = False
-        return view
-
     @property
     def computed(self) -> np.ndarray:
         """The counts ``v >= 1`` whose entries have been computed so far."""
@@ -315,31 +301,24 @@ class CoefficientTable:
 
     @property
     def values(self) -> np.ndarray:
-        return self._complete(self._values)
+        """Every weight, read-only; the table is complete once this returns."""
+        with self._lock:
+            self._compute(np.flatnonzero(~self._computed))
+        return _read_only(self._values)
 
     @property
     def clamped(self) -> np.ndarray:
-        return self._complete(self._clamped)
+        return _read_only(self._clamped)
 
     @property
     def cancelled(self) -> np.ndarray:
-        return self._complete(self._cancelled)
+        return _read_only(self._cancelled)
 
-    @property
-    def clamp_bound(self) -> float:
-        if self.log_clamp_bound == -math.inf:
-            return 0.0
-        if self.log_clamp_bound > math.log(np.finfo(np.float64).max):
-            return math.inf
-        return math.exp(self.log_clamp_bound)
 
-    @property
-    def n_clamped(self) -> int:
-        return int(self.clamped.sum())
-
-    @property
-    def n_cancelled(self) -> int:
-        return int(self.cancelled.sum())
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
@@ -352,6 +331,14 @@ def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
     return float(q_x)
 
 
+def _table_size(params: EstimatorParams, v_max: int | None) -> int:
+    if v_max is None:
+        return params.v_max
+    if v_max < 1 or v_max > params.v_max:
+        raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
+    return v_max
+
+
 def build_coefficient_table(
     spec: PropertySpec,
     params: EstimatorParams,
@@ -362,17 +349,8 @@ def build_coefficient_table(
 
     No weight is computed here; each entry is computed when first read.
     """
-    if v_max is None:
-        v_max = params.v_max
-    if v_max < 1 or v_max > params.v_max:
-        raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    return CoefficientTable(
-        spec=spec,
-        params=params,
-        v_max=v_max,
-        log_clamp_bound=_log_clamp_bound(spec, params),
-        q_x=_resolve_context(spec, q_x),
-    )
+    size, shared = _table_size(params, v_max), _shared_state(spec, params)
+    return CoefficientTable(spec, params, size, shared, _resolve_context(spec, q_x))
 
 
 @dataclass(frozen=True)
@@ -401,18 +379,19 @@ class CoefficientTables:
 def build_coefficient_tables(
     spec: PropertySpec, params: EstimatorParams, v_max: int | None = None
 ) -> CoefficientTables:
-    """Build the full table set an amplified estimate needs."""
+    """Build the full table set an amplified estimate needs.
+
+    The tables share one envelope, log Poisson tail and log-factorial array.
+    """
+    size, shared = _table_size(params, v_max), _shared_state(spec, params)
     if spec.q is None:
-        return CoefficientTables(
-            spec=spec,
-            params=params,
-            tables=(build_coefficient_table(spec, params, v_max),),
-        )
+        return CoefficientTables(spec, params, (CoefficientTable(spec, params, size, shared),))
     unique_q = np.unique(spec.q)
     tables = tuple(
-        build_coefficient_table(spec, params, v_max, q_x=float(qx)) for qx in unique_q
+        CoefficientTable(spec, params, size, shared, _resolve_context(spec, float(qx)))
+        for qx in unique_q
     )
-    return CoefficientTables(spec=spec, params=params, tables=tables, unique_q=unique_q)
+    return CoefficientTables(spec, params, tables, unique_q)
 
 
 # ---------------------------------------------------------------------------
@@ -528,18 +507,22 @@ def amplified_estimate_detailed(
     weights = np.zeros(len(v_small) + only2_small)
     seen_weights = weights[: len(v_small)]
     if len(tables.tables) == 1:
-        picks = [v_small <= v_max if overflow else slice(None)]
+        picks = [(tables.tables[0], v_small <= v_max if overflow else slice(None))]
     else:
-        in_range = v_small <= v_max
-        owner = tables.table_for_symbols(small)
-        picks = [in_range & (owner == j) for j in range(len(tables.tables))]
+        # Group the symbols by owning table, so that only the tables owning
+        # one are visited, and each visit gathers its own symbols only.
+        idx = np.flatnonzero(v_small <= v_max)
+        owner = tables.table_for_symbols(small)[idx]
+        order = np.argsort(owner, kind="stable")
+        owners, starts = np.unique(owner[order], return_index=True)
+        picks = zip([tables.tables[j] for j in owners.tolist()], np.split(idx[order], starts[1:]))
     n_clamped = n_cancelled = 0
-    for table, pick in zip(tables.tables, picks):
+    for table, pick in picks:
         v = v_small[pick]
         seen_weights[pick] = table.weights(v)
         # weights() has computed every entry at v, so its flags are final.
-        n_clamped += int(np.count_nonzero(table._clamped[v]))
-        n_cancelled += int(np.count_nonzero(table._cancelled[v]))
+        n_clamped += int(np.count_nonzero(table.clamped[v]))
+        n_cancelled += int(np.count_nonzero(table.cancelled[v]))
     small_sum = float(weights.sum())
 
     large_values = eval_fx_many(spec, large, np.compress(large, c1) / params.rate)
@@ -604,9 +587,8 @@ def smoothed_h_hat(
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     if lam == 0.0:
         return 0.0, 0.0
-    qx = _resolve_context(spec, q_x)
-
-    log_bound = _log_clamp_bound(spec, params)
+    table = build_coefficient_table(spec, params, q_x=q_x)
+    qx, log_bound = table.q_x, table.log_clamp_bound
     v_stop = max(16, 4 * params.s0)
     while (
         log_bound + log_poisson_tail(lam, v_stop) >= math.log(_HHAT_TAIL_TOL)
@@ -618,10 +600,8 @@ def smoothed_h_hat(
             "params.v_max too small to truncate the series below the tail bound"
         )
 
-    table = build_coefficient_table(spec, params, q_x=qx)
     v = np.arange(1, v_stop + 1)
-    log_fact = _cached_log_factorials(params.v_max + params.u_max)
-    log_weight = v * math.log(lam) - lam - log_fact[v]
+    log_weight = v * math.log(lam) - lam - table._log_fact[v]
     series = float(np.sum(table.weights(v) * np.exp(log_weight)))
 
     t = params.t

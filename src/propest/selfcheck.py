@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .estimators import (
-    EstimatorParams,
-    _log_clamp_bound,
-    build_coefficient_table,
-    smoothed_h_hat,
-)
+from .estimators import EstimatorParams, build_coefficient_table, smoothed_h_hat
 from .properties import entropy, support_coverage
 
 __all__ = ["CheckResult", "run_selfcheck"]
@@ -87,10 +82,9 @@ def check_coefficient_bound(deep: bool = False) -> CheckResult:
     clamped = 0
     for spec, params in cases:
         table = build_coefficient_table(spec, params)
-        bound = math.exp(_log_clamp_bound(spec, params))
-        top = float(np.max(np.abs(table.values)))
-        worst_ratio = max(worst_ratio, top / bound)
-        clamped += table.n_clamped
+        top = float(np.max(np.abs(table.values)))  # completes the table and its flags
+        worst_ratio = max(worst_ratio, top / math.exp(table.log_clamp_bound))
+        clamped += int(table.clamped.sum())
     return CheckResult(
         name="coefficient_bound",
         passed=worst_ratio <= 1.0 and clamped == 0,

@@ -305,6 +305,9 @@ class TestCoeffs:
 KL_MANUAL = ("--property", "kl", "--q", "uniform", "--k", "4", "--alpha", "0.5", "--s0-mult", "2")
 SIM_EMPIRICAL = ("--n-grid", "1000", "--trials", "1", "--estimators", "empirical")
 COEFFS_KL_AT_QX = ("coeffs", *KL_MANUAL, "--rate", "1000", "--out", "{out}", "--q-x")
+ESTIMATE_EMPIRICAL = ("estimate", "--property", "entropy", "--counts", "{counts}", "--estimator", "empirical")
+SIM_ON = ("simulate", "--property", "entropy", "--k", "10", *SIM_EMPIRICAL, "--dist")
+SIM_OUT = ("--out", "{out}")
 
 MALFORMED = {
     "negative_rate": (
@@ -337,6 +340,23 @@ MALFORMED = {
     "kl_zero_reference_mass": (*COEFFS_KL_AT_QX, "0"),
     "negative_reference_mass": (*COEFFS_KL_AT_QX, "-0.5"),
     "reference_mass_above_one": (*COEFFS_KL_AT_QX, "1.5"),
+    # Flags that the chosen estimator, property or family never reads.
+    "empirical_counts2": (*ESTIMATE_EMPIRICAL, "--counts2", "{counts}"),
+    "empirical_alpha_s0_mult": (*ESTIMATE_EMPIRICAL, "--alpha", "0.5", "--s0-mult", "2"),
+    "empirical_v_max": (*ESTIMATE_EMPIRICAL, "--v-max", "20"),
+    "empirical_rate": (*ESTIMATE_EMPIRICAL, "--rate", "1000"),
+    "modified_empirical_t_s0": (
+        "estimate", "--property", "entropy", "--counts", "{counts}",
+        "--estimator", "modified_empirical", "--rate", "1000", "--t", "3", "--s0", "1",
+    ),
+    "coeffs_q_x_without_reference": (
+        "coeffs", "--property", "entropy", "--rate", "1000", "--q-x", "0.5", "--out", "{out}",
+    ),
+    "zipf_power_on_uniform": (*SIM_ON, "uniform", "--zipf-power", "2", *SIM_OUT),
+    "binom_prob_on_zipf": (*SIM_ON, "zipf", "--binom-prob", "0.5", *SIM_OUT),
+    "geom_prob_on_binomial": (*SIM_ON, "binomial", "--geom-prob", "0.5", *SIM_OUT),
+    "poisson_mean_on_geometric": (*SIM_ON, "geometric", "--poisson-mean", "5", *SIM_OUT),
+    "dirichlet_conc_on_poisson": (*SIM_ON, "poisson", "--dirichlet-conc", "1", *SIM_OUT),
 }
 
 

@@ -217,8 +217,8 @@ class TestCoefficient:
     def test_envelope_respected(self):
         params = small_params()
         table = build_coefficient_table(entropy(), params)
-        assert np.max(np.abs(table.values)) <= table.clamp_bound * (1 + 1e-12)
-        assert table.n_clamped == 0
+        assert np.max(np.abs(table.values)) <= math.exp(table.log_clamp_bound) * (1 + 1e-12)
+        assert not table.clamped.any()
 
     def test_reference_property_needs_mass(self):
         spec = l1_distance(np.full(4, 0.25))
@@ -259,8 +259,9 @@ class TestLazyTable:
         completed = build_coefficient_table(entropy(), params, v_max)
         fresh = build_coefficient_table(entropy(), params, v_max)
         vs = np.unique([1, 2, 17, 47, 200, flagged, completed.v_max])
+        values = completed.values
         assert getattr(completed, flag)[flagged]
-        assert fresh.weights(vs).tobytes() == completed.values[vs].tobytes()
+        assert fresh.weights(vs).tobytes() == values[vs].tobytes()
         np.testing.assert_array_equal(fresh.computed, vs)
         assert fresh.values.tobytes() == completed.values.tobytes()
         np.testing.assert_array_equal(fresh.clamped, completed.clamped)
@@ -320,6 +321,45 @@ class TestLazyTable:
         for v, w in zip(chunks, out):
             assert w.tobytes() == reference[v].tobytes()
         assert table.values.tobytes() == reference.tobytes()
+
+
+class TestTableSet:
+    def test_kl_set_computes_the_envelope_once(self, monkeypatch):
+        calls = []
+        envelope = estimators._log_clamp_bound
+        monkeypatch.setattr(
+            estimators, "_log_clamp_bound", lambda *args: calls.append(args) or envelope(*args)
+        )
+        spec = kl_divergence(make_distribution("zipf", 50).probs)
+        tables = build_coefficient_tables(spec, small_params())
+        assert len(tables.tables) == 50
+        assert len(calls) == 1
+
+    def test_estimate_visits_only_the_tables_it_reads(self, monkeypatch):
+        spec = kl_divergence(make_distribution("zipf", 50).probs)
+        params = small_params()
+        tables = build_coefficient_tables(spec, params)
+        visited = []
+        weights = estimators.CoefficientTable.weights
+        monkeypatch.setattr(
+            estimators.CoefficientTable, "weights",
+            lambda table, v: visited.append(table) or weights(table, v),
+        )
+        # Symbols 0 and 7 are small, symbol 3 large; all three masses differ.
+        sample = SplitSample(hist(2, 0, 0, 5, 0, 0, 0, 1), hist(0, 0, 0, 4), rate=150.0)
+        amplified_estimate_detailed(sample, spec, params, tables)
+        owners = tables.table_for_symbols(np.array([0, 7]))
+        assert visited == [tables.tables[j] for j in sorted(owners)]
+
+    def test_reading_flags_computes_nothing(self):
+        table = build_coefficient_table(entropy(), clamping_params())
+        table.weights([17, 212])
+        clamped, cancelled = table.clamped, table.cancelled
+        np.testing.assert_array_equal(table.computed, [17, 212])
+        assert np.flatnonzero(clamped).tolist() == [212]
+        assert not cancelled.any()
+        with pytest.raises(ValueError):
+            clamped[1] = True
 
 
 class TestAmplified:
@@ -385,7 +425,8 @@ class TestAmplified:
     def test_flag_counts_are_per_estimate(self):
         params = clamping_params()
         table = build_coefficient_table(entropy(), params)
-        assert table.n_clamped == 185
+        table.values
+        assert int(table.clamped.sum()) == 185
         clamped, clean = 212, 17
         assert table.clamped[clamped] and not table.clamped[clean]
         reads_both = SplitSample(
@@ -441,10 +482,9 @@ class TestSymbolIds:
         path = tmp_path / "counts.csv"
         path.write_text(f"{bad_id},1\n0,2\n", encoding="utf-8")
         prop = {l1_distance: "l1", kl_divergence: "kl"}[make_spec]
-        for estimator in ("empirical", "amplified"):
+        for flags in (("--estimator", "empirical"), ("--rate", "150", "--t", "3", "--s0", "1")):
             argv = ["estimate", "--property", prop, "--q", "uniform", "--k", "5",
-                    "--counts", str(path), "--estimator", estimator,
-                    "--rate", "150", "--t", "3", "--s0", "1"]
+                    "--counts", str(path), *flags]
             assert cli.main(argv) == 1
             assert "symbol ids must lie in 0..4" in capsys.readouterr().err
 

@@ -2,7 +2,7 @@
 
 ``perfbench/replay.py`` repeats a sweep call for call from outside the
 package and reads ``table_for_symbols``, ``Histogram.counts`` and the table
-flags on the way.  An estimator change that breaks any of these, or makes
+flags on the way, and reading the flags must not compute table entries.  An estimator change that breaks any of these, or makes
 the replay's CSV drift from the untraced sweep, fails here in about a second
 instead of in a benchmark run.
 """
@@ -10,6 +10,7 @@ instead of in a benchmark run.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import propest
@@ -44,3 +45,13 @@ def test_replay_csv_matches_run_experiment(workload, perfbench):
         threads=cfg["threads"],
     )
     assert replayed == results_to_csv(rows)
+
+
+def test_replay_computes_only_the_entries_it_reads(perfbench):
+    cfg = perfbench["workloads"].TINY["readme_sweep"]
+    replay = perfbench["replay"].SweepReplay(propest, cfg, perfbench["spans"].Tracer())
+    replay.run()
+    assert replay.table_uses
+    for use in replay.table_uses:
+        for table, read in zip(use.tables.tables, use.read_mask):
+            assert table.computed.tolist() == np.flatnonzero(read).tolist()

@@ -134,7 +134,9 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise ValueError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators repeated: {list(self.estimators)}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.split_mode!r}")
@@ -214,6 +216,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     distribution, including a Dirichlet draw, is
     :func:`realized_distribution`, fixed once per experiment.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads!r}")
     dist = realized_distribution(cfg)
     truth = exact_value(cfg.spec, dist.probs)
 

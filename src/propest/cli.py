@@ -82,33 +82,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _spec_from_args(args) -> PropertySpec:
-    kind = PROPERTY_ALIASES.get(args.property)
-    if kind is None:
-        raise UsageError(f"unknown property {args.property!r}")
-    if kind == "entropy":
-        return PropertySpec("entropy")
-    if kind == "support_size":
-        if args.k is None:
-            raise UsageError("support_size requires --k")
-        return PropertySpec("support_size", k=args.k)
-    if kind == "support_coverage":
-        m = args.m if args.m is not None else 5000.0
-        return PropertySpec("support_coverage", m=m)
-    if kind == "power_sum":
-        if args.a is None:
-            raise UsageError("power_sum requires --a (exponent > 1)")
-        return PropertySpec("power_sum", a=args.a)
-    if kind == "dist_to_uniform":
-        if args.k is None:
-            raise UsageError("uniformity requires --k")
-        return PropertySpec("dist_to_uniform", k=args.k)
-    q = _reference_from_args(args)
-    return PropertySpec(kind, q=q)
+def _spec_from_args(kind: str, args) -> PropertySpec:
+    if kind in ("l1_distance", "kl_divergence"):
+        return PropertySpec(kind, q=_reference_from_args(args))
+    k = args.k if kind in ("support_size", "dist_to_uniform") else None
+    m = 5000.0 if kind == "support_coverage" and args.m is None else args.m
+    return PropertySpec(kind, k=k, m=m, a=args.a)
 
 
-def _reference_from_args(args) -> np.ndarray:
-    if getattr(args, "q_file", None):
+def _reference_from_args(args) -> np.ndarray | None:
+    if args.q_file:
         try:
             with open(args.q_file, encoding="utf-8") as f:
                 vals = [float(line.strip()) for line in f if line.strip()]
@@ -117,11 +100,11 @@ def _reference_from_args(args) -> np.ndarray:
         except ValueError as exc:
             raise UsageError(f"malformed --q-file: {exc}") from exc
         return np.array(vals)
-    if getattr(args, "q", None) == "uniform":
+    if args.q == "uniform":
         if args.k is None:
             raise UsageError("--q uniform requires --k")
-        return np.full(args.k, 1.0 / args.k)
-    raise UsageError("this property requires --q-file or --q uniform")
+        return np.full(args.k, 1.0) / args.k
+    return None
 
 
 def _parse_n_grid(text: str) -> tuple[int, ...]:
@@ -129,16 +112,13 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
         if ":" in text:
             lo_s, hi_s, pts_s = text.split(":")
             lo, hi, pts = int(lo_s), int(hi_s), int(pts_s)
-            if lo <= 0 or hi <= lo or pts < 2:
-                raise ValueError("need 0 < lo < hi and points >= 2")
+            if hi <= lo or pts < 2:
+                raise ValueError("need lo < hi and points >= 2")
             grid = np.unique(np.round(np.geomspace(lo, hi, pts)).astype(int))
             return tuple(int(n) for n in grid)
-        grid = tuple(int(tok) for tok in text.split(","))
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise UsageError(f"malformed --n-grid {text!r}: {exc}") from exc
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] <= 0:
-        raise UsageError("--n-grid must be positive and strictly increasing")
-    return grid
 
 
 def _is_int(text: str) -> bool:
@@ -215,31 +195,43 @@ def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dic
     return Histogram(array)
 
 
-# simulate's family flags: the family each applies to and its key in its params.
+# simulate's family flags and their keys in the family's params.
 DIST_FLAGS = {
-    "zipf_power": ("zipf", "power"),
-    "binom_prob": ("binomial", "prob"),
-    "geom_prob": ("geometric", "prob"),
-    "poisson_mean": ("poisson", "mean"),
-    "dirichlet_conc": ("dirichlet", "concentration"),
+    "zipf_power": "power",
+    "binom_prob": "prob",
+    "geom_prob": "prob",
+    "poisson_mean": "mean",
+    "dirichlet_conc": "concentration",
 }
 
-# estimate flags that only the amplified estimator reads.
-AMPLIFIED_FLAGS = ("counts2", "alpha", "s0_mult", "t", "s0", "v_max")
+# The choice that decides whether each optional flag is read, and the values
+# of it that read the flag.  A command that passes no such choice to
+# _check_read reads the flag whatever was chosen: simulate always reads --k
+# (the support size), coeffs every tuning flag.  Unlisted flags are read
+# whenever their command has them, bar --split-mode and --t-decay, whose
+# defaults hide whether they were given.
+READ_BY = {
+    "k": ("--property/--q", {"support_size", "dist_to_uniform", "uniform"}),
+    "m": ("--property", {"support_coverage"}),
+    "a": ("--property", {"power_sum"}),
+    **dict.fromkeys(("q", "q_file", "q_x"), ("--property", {"l1_distance", "kl_divergence"})),
+    "zipf_power": ("--dist", {"zipf"}),
+    "binom_prob": ("--dist", {"binomial"}),
+    "geom_prob": ("--dist", {"geometric"}),
+    "poisson_mean": ("--dist", {"poisson"}),
+    "dirichlet_conc": ("--dist", {"dirichlet"}),
+    **dict.fromkeys(("counts2", "alpha", "s0_mult", "t", "s0", "v_max"), ("--estimator", {"amplified"})),
+    "rate": ("--estimator", {"amplified", "modified_empirical"}),
+    "fixed_size": ("--estimator", set(ESTIMATORS) - {"amplified"}),
+}
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _dist_params_from_args(args) -> dict:
-    params = {}
-    for name, (family, key) in DIST_FLAGS.items():
-        if (value := getattr(args, name)) is not None:
-            if family != args.dist:
-                raise UsageError(f"{_flag(name)} applies only to --dist {family}")
-            params[key] = value
-    return params
+def _check_read(args, choices: dict) -> None:
+    """Reject a given flag that no chosen value reads; ``choices`` maps each choice to its values."""
+    for name, (choice, readers) in READ_BY.items():
+        if choice in choices and getattr(args, name, None) is not None and not readers & choices[choice]:
+            chosen = ",".join(sorted(filter(None, choices[choice])))
+            raise UsageError(f"{choice} {chosen} does not read --{name.replace('_', '-')}")
 
 
 def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> EstimatorParams:
@@ -268,7 +260,10 @@ def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> Est
 
 
 def cmd_simulate(args) -> int:
-    spec = _spec_from_args(args)
+    kind = PROPERTY_ALIASES[args.property]
+    estimators = tuple(tok.strip() for tok in args.estimators.split(","))
+    _check_read(args, {"--property": {kind}, "--dist": {args.dist}, "--estimator": set(estimators)})
+    spec = _spec_from_args(kind, args)
     k = args.k if args.k is not None else (1000 if spec.kind == "support_coverage" else 10000)
     if args.n_grid is not None:
         n_grid = _parse_n_grid(args.n_grid)
@@ -276,12 +271,6 @@ def cmd_simulate(args) -> int:
         n_grid = (1000, 1500, 2000, 2500, 3000)
     else:
         n_grid = _parse_n_grid("1000:100000:10")
-    estimators = tuple(tok.strip() for tok in args.estimators.split(","))
-    unknown = set(estimators) - set(ESTIMATORS)
-    if unknown:
-        raise UsageError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
-    if (args.alpha is None) != (args.s0_mult is None):
-        raise UsageError("--alpha and --s0-mult must be given together")
 
     cfg = ExperimentConfig(
         spec=spec,
@@ -292,7 +281,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
         estimators=estimators,
         split_mode=args.split_mode,
-        dist_params=_dist_params_from_args(args),
+        dist_params={key: v for name, key in DIST_FLAGS.items() if (v := getattr(args, name)) is not None},
         poissonized=not args.fixed_size,
         alpha=args.alpha,
         s0_mult=args.s0_mult,
@@ -325,14 +314,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    spec = _spec_from_args(args)
-    if args.estimator != "amplified":
-        unread = [name for name in AMPLIFIED_FLAGS if getattr(args, name) is not None]
-        if args.estimator == "empirical" and args.rate is not None:
-            unread.append("rate")
-        if unread:
-            flags = ", ".join(map(_flag, unread))
-            raise UsageError(f"--estimator {args.estimator} does not read {flags}")
+    kind = PROPERTY_ALIASES[args.property]
+    _check_read(args, {"--property": {kind}, "--property/--q": {kind, args.q}, "--estimator": {args.estimator}})
+    spec = _spec_from_args(kind, args)
     ids: dict = {}
     counts = _read_counts(args.counts, spec, ids)
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
@@ -388,11 +372,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    spec = _spec_from_args(args)
-    if spec.q is not None and args.q_x is None:
-        raise UsageError(f"{spec.kind} tables depend on --q-x (the reference mass)")
-    if spec.q is None and args.q_x is not None:
-        raise UsageError(f"{spec.kind} tables have no reference mass; drop --q-x")
+    kind = PROPERTY_ALIASES[args.property]
+    _check_read(args, {"--property": {kind}, "--property/--q": {kind, args.q}})
+    spec = _spec_from_args(kind, args)
     params = _amplified_params_from_args(args, args.rate, spec)
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.
@@ -436,8 +418,9 @@ def _add_property_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, help="support-size normalizer / symbol count")
     p.add_argument("--m", type=float, help="coverage horizon (support_coverage)")
     p.add_argument("--a", type=float, help="power-sum exponent, must be > 1")
-    p.add_argument("--q-file", help="reference distribution, one probability per line")
-    p.add_argument("--q", choices=["uniform"], help="reference shorthand (needs --k)")
+    ref = p.add_mutually_exclusive_group()
+    ref.add_argument("--q-file", help="reference distribution, one probability per line")
+    ref.add_argument("--q", choices=["uniform"], help="reference shorthand (needs --k)")
 
 
 def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
@@ -478,7 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--threads", type=int, default=1, help="trial parallelism (same output for any value)")
     sim.add_argument("--strict", action="store_true", help="exit 2 if any cell fails")
-    sim.add_argument("--fixed-size", action="store_true", help="plug-in draws use exactly n samples")
+    sim.add_argument(  # default None, so that _check_read sees whether it was given
+        "--fixed-size", action="store_true", default=None, help="plug-in draws use exactly n samples"
+    )
     sim.add_argument("--dump-dist", help="also write the probability vector, one per line")
     sim.add_argument("--zipf-power", type=float, help="zipf power (default 1.5)")
     sim.add_argument("--binom-prob", type=float, help="binomial success probability (default 0.3)")

@@ -72,7 +72,9 @@ class ParameterError(ValueError):
     """Estimator parameters out of their admissible range."""
 
 
-def _round_half_up(x: float) -> int:
+def _round_half_up(x: float, name: str) -> int:
+    if not math.isfinite(x):
+        raise ParameterError(f"derived {name}={x!r} is not finite")
     return int(math.floor(x + 0.5))
 
 
@@ -95,21 +97,21 @@ class EstimatorParams:
     v_max: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.rate > 0:
-            raise ParameterError(f"rate must be positive, got {self.rate!r}")
+        if not 0 < self.rate < math.inf:
+            raise ParameterError(f"rate must be positive and finite, got {self.rate!r}")
         if not self.t > MIN_T:
             raise ParameterError(f"amplification t must exceed {MIN_T}, got {self.t!r}")
-        if self.s0 < 1 or self.s0 != int(self.s0):
+        if not 1 <= self.s0 < math.inf or self.s0 != int(self.s0):
             raise ParameterError(f"s0 must be a positive integer, got {self.s0!r}")
         t, s0 = float(self.t), int(self.s0)
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "u_max", _round_half_up(2 * s0 * t + 2 * s0 - 1))
-        object.__setattr__(self, "r", _round_half_up(10 * s0 * t + 10 * s0))
+        object.__setattr__(self, "u_max", _round_half_up(2 * s0 * t + 2 * s0 - 1, "u_max"))
+        object.__setattr__(self, "r", _round_half_up(10 * s0 * t + 10 * s0, "r"))
         if self.v_max is None:
             object.__setattr__(self, "v_max", max(4 * self.r, 200))
-        if self.v_max < 1 or self.v_max != int(self.v_max):
+        if not 1 <= self.v_max < math.inf or self.v_max != int(self.v_max):
             raise ParameterError(f"v_max must be a positive integer, got {self.v_max!r}")
 
     def t_at(self, v: int) -> float:
@@ -142,8 +144,8 @@ def derive_params(
     The per-stream rate follows the split mode: ``total_n`` for two_stream
     and shared, ``total_n / 2`` for thinned.
     """
-    if not total_n >= MIN_TOTAL_N:
-        raise ParameterError(f"need total_n >= {MIN_TOTAL_N:g}, got {total_n!r}")
+    if not MIN_TOTAL_N <= total_n < math.inf:
+        raise ParameterError(f"need a finite total_n >= {MIN_TOTAL_N:g}, got {total_n!r}")
     if split_mode not in SPLIT_MODES:
         raise ParameterError(f"unknown split mode {split_mode!r}")
     log_n = math.log(total_n)
@@ -170,7 +172,7 @@ def derive_params(
             f"derived amplification t={t:.4g} must exceed {MIN_T}; "
             "increase total_n or lower alpha"
         )
-    s0 = max(1, _round_half_up(mult * log_n**0.2))
+    s0 = max(1, _round_half_up(mult * log_n**0.2, "s0"))
     rate = total_n / 2.0 if split_mode == "thinned" else float(total_n)
     return EstimatorParams(rate, t, s0, t_decay=t_decay, v_max=v_max)
 
@@ -418,8 +420,6 @@ def _count_vectors(spec: PropertySpec, *hists: Histogram) -> list[np.ndarray]:
 
 
 def _plug_in(hist: Histogram, scale: float, spec: PropertySpec) -> float:
-    if hist.total == 0:
-        return spec.report_offset
     (counts,) = _count_vectors(spec, hist)
     seen = counts > 0
     values = eval_fx_many(spec, seen, np.compress(seen, counts) / scale)
@@ -437,8 +437,8 @@ def empirical(hist: Histogram, spec: PropertySpec) -> float:
 
 def modified_empirical(hist: Histogram, rate: float, spec: PropertySpec) -> float:
     """Plug-in estimate at ``N_x / rate`` with ratios above 1 clamped."""
-    if not rate > 0:
-        raise ValueError(f"rate must be positive, got {rate!r}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate!r}")
     return _plug_in(hist, rate, spec)
 
 
@@ -492,12 +492,9 @@ def amplified_estimate_detailed(
     small, large = seen1 & ~large2, seen1 & large2
     # A symbol seen only in the second stream adds an exact +0.0 to its
     # branch, so only their number is kept; see the docstring on order.
-    if sample.second is sample.first:
-        only2_small = only2_large = 0
-    else:
-        only2 = ~seen1 & (c2 > 0)
-        only2_large = int(np.count_nonzero(only2 & large2))
-        only2_small = int(np.count_nonzero(only2)) - only2_large
+    only2 = ~seen1 & (c2 > 0)
+    only2_large = int(np.count_nonzero(only2 & large2))
+    only2_small = int(np.count_nonzero(only2)) - only2_large
 
     # np.compress gathers through a dense, irregular mask several times
     # faster than boolean indexing does.

@@ -71,11 +71,11 @@ class PropertySpec:
                 raise ValueError(f"{self.kind} requires a positive integer k")
             object.__setattr__(self, "k", int(self.k))
         if self.kind == "support_coverage":
-            if self.m is None or not self.m > 0:
-                raise ValueError("support_coverage requires m > 0")
+            if self.m is None or not 0 < self.m < math.inf:
+                raise ValueError("support_coverage requires a finite m > 0")
         if self.kind == "power_sum":
-            if self.a is None or not self.a > 1:
-                raise ValueError("power_sum requires exponent a > 1")
+            if self.a is None or not 1 < self.a < math.inf:
+                raise ValueError("power_sum requires a finite exponent a > 1")
         if self.kind in ("l1_distance", "kl_divergence"):
             if self.q is None:
                 raise ValueError(f"{self.kind} requires a reference distribution q")
@@ -84,7 +84,7 @@ class PropertySpec:
                 raise ValueError("q must be a nonempty 1-D probability vector")
             if np.any(q < 0):
                 raise ValueError("q must be nonnegative")
-            if abs(float(q.sum()) - 1.0) > PROB_SUM_TOL:
+            if not abs(float(q.sum()) - 1.0) <= PROB_SUM_TOL:
                 raise ValueError(f"q must sum to 1 within {PROB_SUM_TOL}")
             q = q.copy()
             q.flags.writeable = False
@@ -200,7 +200,7 @@ def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
     p = np.asarray(p, dtype=np.float64)
     if p.ndim != 1:
         raise ValueError("p must be a 1-D probability vector")
-    if abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
+    if not abs(float(p.sum()) - 1.0) <= PROB_SUM_TOL:
         raise ValueError(f"p must sum to 1 within {PROB_SUM_TOL}")
     if spec.q is not None and len(p) != len(spec.q):
         raise ValueError(

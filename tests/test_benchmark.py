@@ -90,6 +90,22 @@ class TestConfigValidation:
                 trials=2, seed=0, **manual,
             )
 
+    def test_repeated_estimator(self):
+        with pytest.raises(ValueError, match="repeated"):
+            ExperimentConfig(
+                spec=entropy(), family="uniform", k=4, n_grid=(100,),
+                trials=2, seed=0, estimators=("empirical", "empirical"),
+            )
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_positive(self, threads):
+        cfg = ExperimentConfig(
+            spec=entropy(), family="uniform", k=4, n_grid=(100,), trials=2, seed=0,
+            estimators=("empirical",),
+        )
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(cfg, threads=threads)
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import argparse
 import math
 import subprocess
 import sys
@@ -308,6 +309,9 @@ COEFFS_KL_AT_QX = ("coeffs", *KL_MANUAL, "--rate", "1000", "--out", "{out}", "--
 ESTIMATE_EMPIRICAL = ("estimate", "--property", "entropy", "--counts", "{counts}", "--estimator", "empirical")
 SIM_ON = ("simulate", "--property", "entropy", "--k", "10", *SIM_EMPIRICAL, "--dist")
 SIM_OUT = ("--out", "{out}")
+SIM_UNIFORM = ("--dist", "uniform", "--k", "10", *SIM_EMPIRICAL)
+SIM_ENTROPY = ("simulate", "--property", "entropy", *SIM_UNIFORM)
+ENTROPY_T_S0 = ("--property", "entropy", "--rate", "1000", "--t")
 
 MALFORMED = {
     "negative_rate": (
@@ -357,6 +361,42 @@ MALFORMED = {
     "geom_prob_on_binomial": (*SIM_ON, "binomial", "--geom-prob", "0.5", *SIM_OUT),
     "poisson_mean_on_geometric": (*SIM_ON, "geometric", "--poisson-mean", "5", *SIM_OUT),
     "dirichlet_conc_on_poisson": (*SIM_ON, "poisson", "--dirichlet-conc", "1", *SIM_OUT),
+    "entropy_a": (*ESTIMATE_EMPIRICAL, "--a", "2"),
+    "entropy_m": (*ESTIMATE_EMPIRICAL, "--m", "5"),
+    "entropy_k": (*ESTIMATE_EMPIRICAL, "--k", "7"),
+    "entropy_q_uniform": (*ESTIMATE_EMPIRICAL, "--q", "uniform", "--k", "7"),
+    "entropy_missing_q_file": (*ESTIMATE_EMPIRICAL, "--q-file", "/nonexistent/q.txt"),
+    "coeffs_entropy_a": ("coeffs", "--property", "entropy", "--a", "3", "--rate", "1000", "--out", "{out}"),
+    "simulate_empirical_alpha_s0_mult": (*SIM_ENTROPY, "--alpha", "0.5", "--s0-mult", "2", *SIM_OUT),
+    "simulate_amplified_fixed_size": (
+        "simulate", "--property", "entropy", "--dist", "uniform", "--k", "10", "--n-grid", "1000",
+        "--trials", "1", "--estimators", "amplified", "--fixed-size", *SIM_OUT,
+    ),
+    # Non-finite numbers: tracebacks, or exit 0 with a meaningless figure.
+    "coeffs_rate_inf": ("coeffs", "--property", "entropy", "--rate", "inf", "--out", "{out}"),
+    "coeffs_t_inf": ("coeffs", *ENTROPY_T_S0, "inf", "--s0", "1", "--out", "{out}"),
+    "amplified_rate_inf": ("estimate", "--property", "entropy", "--counts", "{counts}", "--rate", "inf"),
+    "amplified_t_1e308": ("estimate", *ENTROPY_T_S0, "1e308", "--s0", "1", "--counts", "{counts}"),
+    "modified_empirical_rate_inf": (
+        "estimate", "--property", "entropy", "--counts", "{counts}",
+        "--estimator", "modified_empirical", "--rate", "inf",
+    ),
+    "coeffs_s0_mult_inf": (
+        "coeffs", "--property", "entropy", "--rate", "1000", "--alpha", "0.5", "--s0-mult", "inf", "--out", "{out}",
+    ),
+    "coverage_m_inf": ("simulate", "--property", "coverage", "--m", "inf", *SIM_UNIFORM, *SIM_OUT),
+    "power_sum_a_inf": ("simulate", "--property", "power_sum", "--a", "inf", *SIM_UNIFORM, *SIM_OUT),
+    "q_file_nan": (
+        "estimate", "--property", "kl", "--q-file", "{qnan}", "--counts", "{pair}", "--estimator", "empirical",
+    ),
+    "q_uniform_k_0": (
+        "estimate", "--property", "kl", "--q", "uniform", "--k", "0", "--counts", "{counts}",
+        "--estimator", "empirical",
+    ),
+    # simulate options that used to be accepted and mean nothing.
+    "threads_0": (*SIM_ENTROPY, "--threads", "0", *SIM_OUT),
+    "threads_negative": (*SIM_ENTROPY, "--threads", "-3", *SIM_OUT),
+    "repeated_estimator": (*SIM_ENTROPY, "--estimators", "empirical,empirical", *SIM_OUT),
 }
 
 
@@ -365,7 +405,7 @@ class TestMalformedInput:
     def test_exits_1_with_one_error_line(self, case, counts_file, tmp_path, capsys):
         files = {"counts": counts_file, "out": str(tmp_path / "out.csv")}
         for name, text in (
-            ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"),
+            ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"), ("qnan", "0.5\nnan\n"), ("pair", "0,3\n1,1\n"),
             ("huge", "a,99999999999999999999\n"), ("huge_id", "0,3\n99999999999999999999,1\n"),
         ):
             files[name] = str(tmp_path / f"{name}.txt")
@@ -377,8 +417,6 @@ class TestMalformedInput:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
 
-
-SIM_ENTROPY = ("simulate", "--property", "entropy", "--dist", "uniform", "--k", "10", *SIM_EMPIRICAL)
 
 # Flags the parser does not register, so argparse rejects them.
 UNKNOWN_FLAGS = {
@@ -400,6 +438,39 @@ class TestUnknownFlags:
         assert exc.value.code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+
+# Flags every command that has them reads, whatever else is chosen.
+ALWAYS_READ = {
+    "help", "property", "dist", "n_grid", "trials", "seed", "estimators", "out", "threads",
+    "strict", "dump_dist", "counts", "estimator",
+}
+# Read by the amplified estimator only, but their defaults are not None, so
+# a given flag cannot be told from its default (see the README).
+UNCHECKED = {"split_mode", "t_decay"}
+
+
+class TestReadRule:
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "coeffs"])
+    def test_every_flag_is_in_the_table_or_always_read(self, command):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {a.dest for a in sub.choices[command]._actions if a.option_strings}
+        assert flags <= ALWAYS_READ | UNCHECKED | set(cli.READ_BY)
+
+    def test_message_names_the_choice_and_the_flag(self, counts_file, capsys):
+        assert run_cli(*[a.format(counts=counts_file) for a in ESTIMATE_EMPIRICAL], "--a", "2") == 1
+        assert capsys.readouterr().err == "error: --property entropy does not read --a\n"
+
+    def test_q_and_q_file_exclusive(self, counts_file, tmp_path, capsys):
+        q = tmp_path / "q.txt"
+        q.write_text("0.5\n0.5\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "estimate", "--property", "kl", "--q", "uniform", "--k", "2", "--q-file", str(q),
+                "--counts", counts_file, "--estimator", "empirical",
+            )
+        assert exc.value.code == 1
+        assert "argument --q-file: not allowed with argument --q" in capsys.readouterr().err
 
 
 class TestSelfcheck:

@@ -115,6 +115,12 @@ class TestModifiedEmpirical:
         with pytest.raises(ValueError):
             modified_empirical(hist(1), 0.0, entropy())
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_nonfinite_rate(self, rate):
+        # rate inf used to divide every count to 0 and report the offset
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            modified_empirical(hist(1), rate, entropy())
+
 
 class TestDeriveParams:
     def test_entropy_preset_at_e10(self):
@@ -143,6 +149,23 @@ class TestDeriveParams:
     def test_small_budget_rejected(self):
         with pytest.raises(ParameterError):
             derive_params(100, entropy())
+
+    @pytest.mark.parametrize(
+        "total_n, manual",
+        [(math.inf, {}), (1000.0, dict(preset=False, alpha=0.5, s0_mult=math.inf)),
+         (1000.0, dict(preset=False, alpha=0.5, s0_mult=1.5e308))],
+    )
+    def test_nonfinite_budget_or_s0_rejected(self, total_n, manual):
+        # each used to end in an OverflowError while rounding
+        with pytest.raises(ParameterError, match="finite"):
+            derive_params(total_n, entropy(), **manual)
+
+    @pytest.mark.parametrize(
+        "rate, t, s0", [(math.inf, 3.0, 1), (150.0, math.inf, 1), (150.0, 1e308, 1), (150.0, 3.0, math.inf)]
+    )
+    def test_params_need_finite_rate_and_orders(self, rate, t, s0):
+        with pytest.raises(ParameterError):
+            EstimatorParams(rate, t, s0)
 
     def test_small_amplification_rejected(self):
         # alpha = 1 gives t = 2 regardless of n

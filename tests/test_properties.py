@@ -189,3 +189,17 @@ class TestSpecValidation:
     def test_coverage_requires_positive_m(self):
         with pytest.raises(ValueError):
             support_coverage(0.0)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: support_coverage(math.inf), lambda: power_sum(math.inf), lambda: power_sum(math.nan)]
+    )
+    def test_parameters_must_be_finite(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    def test_nan_reference_rejected(self):
+        # NaN fails every comparison, so "sum off by more than tol" let it through
+        with pytest.raises(ValueError, match="sum to 1"):
+            l1_distance(np.array([0.5, math.nan]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            exact_value(entropy(), np.array([0.5, math.nan]))

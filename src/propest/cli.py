@@ -8,8 +8,9 @@ Subcommands:
 * ``selfcheck`` - run the numerical validation suite
 
 Exit codes: 0 success, 1 usage error or invalid input (any ``ValueError``,
-reported as one ``error:`` line), 2 runtime or check failure.  All
-randomness flows from ``--seed`` (default 1729), so reruns are byte-identical.
+reported as one ``error:`` line), 2 runtime or check failure, or an output
+file that cannot be written (one ``error:`` line naming it).  All randomness
+flows from ``--seed`` (default 1729), so reruns are byte-identical.
 
 Count files (``estimate --counts/--counts2``) hold one ``symbol,count`` pair
 a line, with exactly one comma.  Blank lines, an optional ``symbol,count``
@@ -195,32 +196,29 @@ def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dic
     return Histogram(array)
 
 
-# simulate's family flags and their keys in the family's params.
+# simulate's family flags: the family that reads each, and its key in the family's params.
 DIST_FLAGS = {
-    "zipf_power": "power",
-    "binom_prob": "prob",
-    "geom_prob": "prob",
-    "poisson_mean": "mean",
-    "dirichlet_conc": "concentration",
+    "zipf_power": ("zipf", "power"),
+    "binom_prob": ("binomial", "prob"),
+    "geom_prob": ("geometric", "prob"),
+    "poisson_mean": ("poisson", "mean"),
+    "dirichlet_conc": ("dirichlet", "concentration"),
 }
 
 # The choice that decides whether each optional flag is read, and the values
 # of it that read the flag.  A command that passes no such choice to
 # _check_read reads the flag whatever was chosen: simulate always reads --k
 # (the support size), coeffs every tuning flag.  Unlisted flags are read
-# whenever their command has them, bar --split-mode and --t-decay, whose
-# defaults hide whether they were given.
+# whenever their command has them.  A flag counts as given when it is not
+# None, so none of these has a default of its own (see _library_flags).
 READ_BY = {
     "k": ("--property/--q", {"support_size", "dist_to_uniform", "uniform"}),
     "m": ("--property", {"support_coverage"}),
     "a": ("--property", {"power_sum"}),
     **dict.fromkeys(("q", "q_file", "q_x"), ("--property", {"l1_distance", "kl_divergence"})),
-    "zipf_power": ("--dist", {"zipf"}),
-    "binom_prob": ("--dist", {"binomial"}),
-    "geom_prob": ("--dist", {"geometric"}),
-    "poisson_mean": ("--dist", {"poisson"}),
-    "dirichlet_conc": ("--dist", {"dirichlet"}),
-    **dict.fromkeys(("counts2", "alpha", "s0_mult", "t", "s0", "v_max"), ("--estimator", {"amplified"})),
+    **{name: ("--dist", {family}) for name, (family, _) in DIST_FLAGS.items()},
+    **dict.fromkeys(("counts2", "alpha", "s0_mult", "t", "s0", "v_max", "split_mode", "t_decay"),
+                    ("--estimator", {"amplified"})),
     "rate": ("--estimator", {"amplified", "modified_empirical"}),
     "fixed_size": ("--estimator", set(ESTIMATORS) - {"amplified"}),
 }
@@ -234,6 +232,11 @@ def _check_read(args, choices: dict) -> None:
             raise UsageError(f"{choice} {chosen} does not read --{name.replace('_', '-')}")
 
 
+def _library_flags(args) -> dict:
+    """``--split-mode`` and ``--t-decay`` if given; absent ones keep the library's defaults."""
+    return {name: v for name in ("split_mode", "t_decay") if (v := getattr(args, name, None)) is not None}
+
+
 def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> EstimatorParams:
     if (args.alpha is None) != (args.s0_mult is None):
         raise UsageError("--alpha and --s0-mult must be given together")
@@ -242,15 +245,15 @@ def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> Est
             raise UsageError("--t and --s0 must be given together")
         if args.alpha is not None:
             raise UsageError("--t/--s0 and --alpha are mutually exclusive")
-        return EstimatorParams(total_n, args.t, args.s0, t_decay=args.t_decay, v_max=args.v_max)
+        return EstimatorParams(total_n, args.t, args.s0, v_max=args.v_max, **_library_flags(args))
     return derive_params(
         total_n,
         spec,
         preset=args.alpha is None,
         alpha=args.alpha,
         s0_mult=args.s0_mult,
-        t_decay=args.t_decay,
         v_max=args.v_max,
+        **_library_flags(args),
     )
 
 
@@ -280,12 +283,11 @@ def cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
         estimators=estimators,
-        split_mode=args.split_mode,
-        dist_params={key: v for name, key in DIST_FLAGS.items() if (v := getattr(args, name)) is not None},
+        dist_params={key: v for name, (_, key) in DIST_FLAGS.items() if (v := getattr(args, name)) is not None},
         poissonized=not args.fixed_size,
         alpha=args.alpha,
         s0_mult=args.s0_mult,
-        t_decay=args.t_decay,
+        **_library_flags(args),
     )
 
     rows = run_experiment(cfg, threads=args.threads)
@@ -295,12 +297,8 @@ def cmd_simulate(args) -> int:
             for p in realized_distribution(cfg).probs:
                 f.write(_fmt(p) + "\n")
 
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write(results_to_csv(rows))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.out, "w", encoding="utf-8", newline="") as f:
+        f.write(results_to_csv(rows))
 
     failed = [row for row in rows if row.error is not None]
     for row in failed:
@@ -316,35 +314,29 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     kind = PROPERTY_ALIASES[args.property]
     _check_read(args, {"--property": {kind}, "--property/--q": {kind, args.q}, "--estimator": {args.estimator}})
+    if args.rate is None and args.estimator in READ_BY["rate"][1]:
+        raise UsageError(f"{args.estimator} requires --rate")
     spec = _spec_from_args(kind, args)
+    params = _amplified_params_from_args(args, args.rate, spec) if args.estimator == "amplified" else None
     ids: dict = {}
-    counts = _read_counts(args.counts, spec, ids)
+    reads = [_read_counts(path, spec, ids) for path in (args.counts, args.counts2) if path is not None]
+    hists = [_histogram(read, spec, ids) for read in reads]  # after both reads: len(ids) long
+    first, second = hists[0], hists[-1]
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
 
     if args.estimator == "empirical":
-        value = empirical(_histogram(counts, spec, ids), spec)
+        value = empirical(first, spec)
     elif args.estimator == "modified_empirical":
-        if args.rate is None:
-            raise UsageError("modified_empirical requires --rate")
-        value = modified_empirical(_histogram(counts, spec, ids), args.rate, spec)
+        value = modified_empirical(first, args.rate, spec)
         lines.append(f"rate={_fmt(args.rate)}")
     else:  # amplified
-        if args.rate is None:
-            raise UsageError("amplified requires --rate")
-        params = _amplified_params_from_args(args, args.rate, spec)
-        if args.counts2 is not None:
-            counts2 = _read_counts(args.counts2, spec, ids)
-            first = _histogram(counts, spec, ids)
-            second = _histogram(counts2, spec, ids)
-            split_mode = "two_stream"
-        else:
+        split_mode = "two_stream" if args.counts2 is not None else "shared"
+        if split_mode == "shared":
             print(
                 "warning: no --counts2 given; reusing the first stream for the "
                 "small/large split (shared mode, streams fully dependent)",
                 file=sys.stderr,
             )
-            first = second = _histogram(counts, spec, ids)
-            split_mode = "shared"
         sample = SplitSample(first=first, second=second, rate=float(args.rate))
         detail = amplified_estimate_detailed(sample, spec, params)
         value = detail.value
@@ -379,14 +371,10 @@ def cmd_coeffs(args) -> int:
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.
     values, clamped = table.values, table.clamped
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as f:
-            f.write("v,h_v_times_vfact,clamped\n")
-            for v in range(1, table.v_max + 1):
-                f.write(f"{v},{_fmt(values[v])},{int(clamped[v])}\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    with open(args.out, "w", encoding="utf-8", newline="") as f:
+        f.write("v,h_v_times_vfact,clamped\n")
+        for v in range(1, table.v_max + 1):
+            f.write(f"{v},{_fmt(values[v])},{int(clamped[v])}\n")
     return 0
 
 
@@ -429,7 +417,6 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--t-decay",
         action=argparse.BooleanOptionalAction,
-        default=True,
         help="decay the amplification per count when building coefficients",
     )
 
@@ -457,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="amplified,empirical",
         help=f"comma list from {','.join(ESTIMATORS)}",
     )
-    sim.add_argument("--split-mode", default="two_stream", choices=SPLIT_MODES)
+    sim.add_argument("--split-mode", choices=SPLIT_MODES)
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--threads", type=int, default=1, help="trial parallelism (same output for any value)")
     sim.add_argument("--strict", action="store_true", help="exit 2 if any cell fails")
@@ -510,6 +497,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # input files raise UsageError, so an output file failed
+        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -63,6 +63,8 @@ PRESETS = {
 
 MIN_TOTAL_N = 150.0
 MIN_T = 2.5
+# Ceiling on v_max + u_max, the length of the arrays every table set allocates.
+MAX_TABLE_SIZE = 10**7
 
 # Weights are clamped to at most 1e100 in magnitude, whatever the envelope.
 _LOG_CLAMP_CEILING = math.log(1e100)
@@ -104,6 +106,8 @@ class EstimatorParams:
         if not 1 <= self.s0 < math.inf or self.s0 != int(self.s0):
             raise ParameterError(f"s0 must be a positive integer, got {self.s0!r}")
         t, s0 = float(self.t), int(self.s0)
+        if not math.isfinite(self.rate * t):
+            raise ParameterError(f"rate * t is not finite (rate {self.rate!r}, t {t!r})")
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "s0", s0)
@@ -113,6 +117,8 @@ class EstimatorParams:
             object.__setattr__(self, "v_max", max(4 * self.r, 200))
         if not 1 <= self.v_max < math.inf or self.v_max != int(self.v_max):
             raise ParameterError(f"v_max must be a positive integer, got {self.v_max!r}")
+        if self.v_max + self.u_max > MAX_TABLE_SIZE:
+            raise ParameterError(f"v_max + u_max = {self.v_max + self.u_max} exceeds {MAX_TABLE_SIZE}")
 
     def t_at(self, v: int) -> float:
         """Effective amplification used for the coefficient at count ``v``.

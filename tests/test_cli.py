@@ -204,6 +204,17 @@ class TestEstimate:
             "--estimator", "modified_empirical",
         ) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--estimator", "amplified"), "amplified requires --rate"),
+        (("--estimator", "modified_empirical"), "modified_empirical requires --rate"),
+        (("--rate", "1000", "--s0-mult", "2"), "--alpha and --s0-mult must be given together"),
+    ], ids=["amplified_rate", "modified_empirical_rate", "s0_mult"])
+    def test_flags_checked_before_a_malformed_count_file(self, flags, message, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,x\n", encoding="utf-8")
+        assert run_cli("estimate", "--property", "entropy", "--counts", str(path), *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_duplicate_symbol_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("a,3\na,1\n", encoding="utf-8")
@@ -368,6 +379,9 @@ MALFORMED = {
     "entropy_missing_q_file": (*ESTIMATE_EMPIRICAL, "--q-file", "/nonexistent/q.txt"),
     "coeffs_entropy_a": ("coeffs", "--property", "entropy", "--a", "3", "--rate", "1000", "--out", "{out}"),
     "simulate_empirical_alpha_s0_mult": (*SIM_ENTROPY, "--alpha", "0.5", "--s0-mult", "2", *SIM_OUT),
+    "simulate_empirical_thinned": (*SIM_ENTROPY, "--split-mode", "thinned", *SIM_OUT),
+    "simulate_empirical_no_t_decay": (*SIM_ENTROPY, "--no-t-decay", *SIM_OUT),
+    "empirical_t_decay": (*ESTIMATE_EMPIRICAL, "--t-decay"),
     "simulate_amplified_fixed_size": (
         "simulate", "--property", "entropy", "--dist", "uniform", "--k", "10", "--n-grid", "1000",
         "--trials", "1", "--estimators", "amplified", "--fixed-size", *SIM_OUT,
@@ -418,6 +432,24 @@ class TestMalformedInput:
         assert not (tmp_path / "out.csv").exists()
 
 
+# Each output flag pointed into a directory that does not exist.
+UNWRITABLE = {
+    "simulate_out": (*SIM_ENTROPY, "--out", "{missing}"),
+    "simulate_dump_dist": (*SIM_ENTROPY, "--out", "{out}", "--dump-dist", "{missing}"),
+    "coeffs_out": ("coeffs", "--property", "entropy", "--rate", "1000", "--v-max", "20", "--out", "{missing}"),
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE))
+    def test_exits_2_with_one_error_line(self, case, tmp_path, capsys):
+        missing = str(tmp_path / "no" / "such" / "dir" / "file.csv")
+        argv = [arg.format(missing=missing, out=tmp_path / "out.csv") for arg in UNWRITABLE[case]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {missing}: ")
+
+
 # Flags the parser does not register, so argparse rejects them.
 UNKNOWN_FLAGS = {
     "simulate_t": (*SIM_ENTROPY, "--t", "5"),
@@ -445,9 +477,6 @@ ALWAYS_READ = {
     "help", "property", "dist", "n_grid", "trials", "seed", "estimators", "out", "threads",
     "strict", "dump_dist", "counts", "estimator",
 }
-# Read by the amplified estimator only, but their defaults are not None, so
-# a given flag cannot be told from its default (see the README).
-UNCHECKED = {"split_mode", "t_decay"}
 
 
 class TestReadRule:
@@ -455,7 +484,7 @@ class TestReadRule:
     def test_every_flag_is_in_the_table_or_always_read(self, command):
         (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         flags = {a.dest for a in sub.choices[command]._actions if a.option_strings}
-        assert flags <= ALWAYS_READ | UNCHECKED | set(cli.READ_BY)
+        assert flags <= ALWAYS_READ | set(cli.READ_BY)
 
     def test_message_names_the_choice_and_the_flag(self, counts_file, capsys):
         assert run_cli(*[a.format(counts=counts_file) for a in ESTIMATE_EMPIRICAL], "--a", "2") == 1

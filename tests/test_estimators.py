@@ -167,6 +167,27 @@ class TestDeriveParams:
         with pytest.raises(ParameterError):
             EstimatorParams(rate, t, s0)
 
+    @pytest.mark.parametrize("s0, v_max", [(10**20, None), (1, 10**11)])
+    def test_table_size_rejected_before_allocation(self, s0, v_max):
+        # s0 = 1e20 ended in numpy's bare "Maximum allowed size exceeded", and
+        # v_max = 1e11 asked for ~800 GB of log factorials
+        with pytest.raises(ParameterError, match=r"v_max \+ u_max = \d+ exceeds 10000000$"):
+            EstimatorParams(1000.0, 3.0, s0, v_max=v_max)
+
+    def test_preset_tables_far_below_the_ceiling(self):
+        p = derive_params(1e15, entropy())
+        assert p.v_max + p.u_max < estimators.MAX_TABLE_SIZE / 100
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: derive_params(1e308, entropy()), lambda: EstimatorParams(1e308, 3.0, 1)],
+        ids=["derive_params", "EstimatorParams"],
+    )
+    def test_overflowing_rate_times_t_named(self, make):
+        # rate * t overflowed inside the table build: "h must be in (0, 1], got 0.0"
+        with pytest.raises(ParameterError, match=r"^rate \* t is not finite \(rate 1e\+308, t "):
+            make()
+
     def test_small_amplification_rejected(self):
         # alpha = 1 gives t = 2 regardless of n
         with pytest.raises(ParameterError):

@@ -18,13 +18,18 @@ header and spaces around either field are ignored.  Counts are integers in
 1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1.  A file is checked
 one rule at a time (commas, integer counts, count range, symbol ids,
 duplicates); the first rule that fails is reported at its first offending
-line, numbered as in the file.
+line, numbered as in the file.  Count files and ``--q-file`` are UTF-8, with
+or without a byte-order mark.  A plain count file (ASCII, no blank line or
+padding, every count and l1/kl id 1..18 digits) is read in one numpy pass
+over its bytes; any other file goes through the general parser, which gives
+the same result.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 from typing import NoReturn
@@ -93,13 +98,13 @@ def _spec_from_args(kind: str, args) -> PropertySpec:
 
 def _reference_from_args(args) -> np.ndarray | None:
     if args.q_file:
-        try:
-            with open(args.q_file, encoding="utf-8") as f:
-                vals = [float(line.strip()) for line in f if line.strip()]
-        except OSError as exc:
-            raise UsageError(f"cannot read --q-file: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(f"malformed --q-file: {exc}") from exc
+        vals = []
+        for i, line in enumerate(map(str.strip, _read_text(args.q_file, "--q-file").split("\n")), start=1):
+            if line:
+                try:
+                    vals.append(float(line))
+                except ValueError:
+                    raise UsageError(f"{args.q_file}: line {i}: probability {line!r} not a number") from None
         return np.array(vals)
     if args.q == "uniform":
         if args.k is None:
@@ -122,6 +127,15 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
         raise UsageError(f"malformed --n-grid {text!r}: {exc}") from exc
 
 
+def _read_text(path: str, what: str) -> str:
+    """An input file's text: UTF-8, any leading byte-order mark dropped, line breaks as newlines."""
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            return f.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from exc
+
+
 def _is_int(text: str) -> bool:
     try:
         int(text)
@@ -137,11 +151,11 @@ def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, 
     are one symbol.  Other labels are opaque: each new one gets the next id
     in ``ids``, which both streams share.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = list(map(str.strip, f.read().split("\n")))
-    except OSError as exc:
-        raise UsageError(f"cannot read counts file: {exc}") from exc
+    text = _read_text(path, "counts file")
+    plain = _read_plain(text, spec, ids)
+    if plain is not None:
+        return plain
+    lines = list(map(str.strip, text.split("\n")))
     body = list(filter(None, lines))
     if body and body[0].lower().replace(" ", "") == "symbol,count":
         del body[0]
@@ -187,6 +201,54 @@ def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, 
         repeated[np.unique(x, return_index=True)[1]] = False
         fail(repeated, lambda k: f"duplicate symbol {syms[k]!r}")
     return x, counts
+
+
+def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The fields ``b[starts[i]:ends[i]]`` as int64 if each is 1..18 ASCII digits, else None."""
+    lengths = ends - starts
+    if lengths.min() < 1 or (width := int(lengths.max())) > 18:
+        return None
+    at = ends[:, None] + np.arange(-width, 0)  # each row right-aligned, padded on the left
+    digits = b[np.maximum(at, 0)] - ord("0")  # uint8, so a byte below '0' wraps above 9
+    digits[at < starts[:, None]] = 0
+    if (digits > 9).any():
+        return None
+    return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _read_plain(text: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`_read_counts` for a plain file in one pass over its bytes; None for any other.
+
+    Plain: ASCII with no byte up to 0x20 but line breaks, an optional header,
+    then ``symbol,count`` lines with exactly one comma, counts of 1..18 digits
+    and l1/kl ids of 1..18 digits, unique, and at most one trailing line
+    break.  A plain file reads as the general parser reads it.  On None
+    ``ids`` is as it was, and the general parser reports any fault.
+    """
+    head, _, rest = text.partition("\n")
+    body = (rest if head.lower() == "symbol,count" else text).removesuffix("\n")
+    if not body or not body.isascii():
+        return None
+    b = np.frombuffer(body.encode(), dtype=np.uint8)
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    commas, breaks = seps[0::2], seps[1::2]
+    if (b[b <= ord(" ")] != ord("\n")).any() or len(seps) % 2 == 0 \
+            or (b[commas] != ord(",")).any() or (b[breaks] != ord("\n")).any():
+        return None
+    counts = _digits(b, commas + 1, np.append(breaks, len(b)))
+    if counts is None or counts.min() < 1:
+        return None
+    if spec.q is not None:
+        x = _digits(b, np.insert(breaks + 1, 0, 0), commas)
+        if x is None or x.max() >= len(spec.q) or np.bincount(x).max() > 1:
+            return None
+        return x, counts
+    syms = body.replace("\n", ",").split(",")[0::2]
+    if len(set(syms)) < len(syms):
+        return None
+    new = list(itertools.filterfalse(ids.__contains__, syms))
+    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
+    return np.fromiter(map(ids.__getitem__, syms), np.int64, len(syms)), counts
 
 
 def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dict) -> Histogram:

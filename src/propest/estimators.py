@@ -20,11 +20,11 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .distributions import SPLIT_MODES, Histogram, SplitSample
 from .numerics import (
     integrate_poisson_kernel_bessel,
+    log_factorials,
     log_poisson_tail,
     log_poisson_tail_table,
     signed_log_sum_arrays,
@@ -204,11 +204,12 @@ def _shared_state(spec: PropertySpec, params: EstimatorParams) -> tuple:
     """What every table of ``(spec, params)`` shares, whatever its ``q_x``.
 
     The log weight envelope, the log Poisson tail at level ``r`` and the
-    log factorials, both up to ``params.v_max + params.u_max``.
+    log factorials, both up to ``params.v_max + params.u_max``; the log
+    factorials are a prefix of the process-wide :func:`log_factorials`.
     """
     j_max = params.v_max + params.u_max
-    log_fact = gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0)
-    return _log_clamp_bound(spec, params), log_poisson_tail_table(float(params.r), j_max), log_fact
+    log_tail = log_poisson_tail_table(float(params.r), j_max)
+    return _log_clamp_bound(spec, params), log_tail, log_factorials(j_max + 1)
 
 
 def _coefficient_signed_log(

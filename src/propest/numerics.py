@@ -12,6 +12,7 @@ large share of a cold import) is imported only when a quadrature runs.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "ConvergenceError",
     "bessel_f",
     "integrate_poisson_kernel_bessel",
+    "log_factorials",
     "log_poisson_tail",
     "log_poisson_tail_table",
     "signed_log_sum_arrays",
@@ -35,6 +37,30 @@ _QUAD_ABS_TOL = 1e-9
 
 class ConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+# log(i!) for i < len(_log_fact): one read-only array per process, replaced
+# (never written) when a caller asks for more.
+_log_fact = np.zeros(0)
+_log_fact_lock = threading.Lock()
+
+
+def log_factorials(n: int) -> np.ndarray:
+    """``log(i!)`` for ``i`` in ``0..n-1``, as a read-only array.
+
+    Every caller reads a prefix of one array per process, grown to exactly
+    the largest ``n`` asked for.  ``gammaln`` is elementwise, so a prefix
+    holds the same bits as a fresh ``gammaln(np.arange(n) + 1.0)``.
+    """
+    global _log_fact
+    if len(_log_fact) < n:
+        with _log_fact_lock:
+            old = _log_fact
+            if len(old) < n:
+                grown = np.concatenate([old, _special.gammaln(np.arange(len(old), n, dtype=np.float64) + 1.0)])
+                grown.flags.writeable = False
+                _log_fact = grown
+    return _log_fact[:n]
 
 
 def log_poisson_tail(r: float, j: int) -> float:
@@ -79,7 +105,7 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
         return np.full(j_max + 1, -math.inf)
     top = int(max(2 * math.ceil(r), j_max)) + 200
     i = np.arange(top + 1, dtype=np.float64)
-    log_pmf = i * math.log(r) - r - _special.gammaln(i + 1.0)
+    log_pmf = i * math.log(r) - r - log_factorials(top + 1)
     running = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
     return running[1 : j_max + 2].copy()
 

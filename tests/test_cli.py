@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -627,6 +628,46 @@ class TestCountFileErrors:
         assert capsys.readouterr().err == f"error: {path}: line 4: expected 'symbol,count'\n"
 
 
+BOM = "\ufeff"
+Q_FILE_TEXT = "0.25\n0.25\n0.25\n0.125\n0.125\n0\n0\n0\n"
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark (Excel "CSV UTF-8", PowerShell) is not part of line 1."""
+
+    @pytest.mark.parametrize("flags", [ENTROPY_EMPIRICAL, KL_EMPIRICAL], ids=["entropy", "kl"])
+    @pytest.mark.parametrize("header", ["", "symbol,count\n"], ids=["bare", "header"])
+    @pytest.mark.parametrize("body, code", [("5,3\n0,1\n", 0), ("5,3\n\n0,x\n", 1), ("5,3\n5,1\n", 1)],
+                             ids=["ok", "fault", "duplicate"])
+    def test_same_reply_and_error_line(self, flags, header, body, code, tmp_path, capsys):
+        replies = []
+        for mark in ("", BOM):
+            path = tmp_path / "counts.csv"
+            path.write_text(mark + header + body, encoding="utf-8")
+            replies.append((run_cli("estimate", *flags, "--counts", str(path)), *capsys.readouterr()))
+        assert replies[0] == replies[1] and replies[0][0] == code
+
+    def test_q_file(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("0,3\n3,1\n", encoding="utf-8")
+        replies = []
+        for mark in ("", BOM):
+            q = tmp_path / "q.txt"
+            q.write_text(mark + Q_FILE_TEXT, encoding="utf-8")
+            code = run_cli("estimate", "--property", "kl", "--q-file", str(q), "--counts", str(counts),
+                           "--estimator", "empirical")
+            replies.append((code, *capsys.readouterr()))
+        assert replies[0] == replies[1] and replies[0][0] == 0
+
+
+def test_malformed_q_file_names_the_line(tmp_path, counts_file, capsys):
+    q = tmp_path / "q.txt"
+    q.write_text("0.5\n\nx\n0.5\n", encoding="utf-8")
+    assert run_cli("estimate", "--property", "kl", "--q-file", str(q), "--counts", counts_file,
+                   "--estimator", "empirical") == 1
+    assert capsys.readouterr().err == f"error: {q}: line 3: probability 'x' not a number\n"
+
+
 def old_symbol_id(sym, spec, ids):
     if spec.q is None:
         return ids.setdefault(sym, len(ids))
@@ -685,6 +726,21 @@ def read_streams(read, histogram, paths, spec, rejections=(cli.UsageError,)):
     except rejections:
         return None
     return [np.asarray(getattr(v, "array", v)) for v in vectors], list(ids.items())
+
+
+def assert_reads_like_reference(paths, spec):
+    # The old reader let counts above 2^63-1 through to an OverflowError.
+    want = read_streams(
+        old_read_counts, old_histogram, paths, spec, (cli.UsageError, OverflowError)
+    )
+    got = read_streams(cli._read_counts, cli._histogram, paths, spec)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert got[1] == want[1]
+        for g, w in zip(got[0], want[0]):
+            assert g.dtype == np.int64 and np.array_equal(g, w)
 
 
 Q_LEN = 6
@@ -751,18 +807,93 @@ def test_reader_matches_line_by_line_reference(stream_paths, case, two_streams):
     for path, text in zip(stream_paths, (first, second)):
         path.write_text(text, encoding="utf-8", newline="")
     paths = stream_paths if two_streams else stream_paths[:1]
-    # The old reader let counts above 2^63-1 through to an OverflowError.
-    want = read_streams(
-        old_read_counts, old_histogram, paths, spec, (cli.UsageError, OverflowError)
-    )
-    got = read_streams(cli._read_counts, cli._histogram, paths, spec)
-    if want is None:
-        assert got is None
-    else:
-        assert got is not None
-        assert got[1] == want[1]
-        for g, w in zip(got[0], want[0]):
-            assert g.dtype == np.int64 and np.array_equal(g, w)
+    assert_reads_like_reference(paths, spec)
+
+
+PLAIN_Q_LEN = 500
+
+
+def _plain_count(rnd):
+    """A count as a plain file writes it: short, with leading zeros, or 18 digits."""
+    return rnd.choice([
+        lambda: str(rnd.randint(1, 999)), lambda: f"00{rnd.randint(1, 999)}",
+        lambda: str(rnd.randint(10**17, 10**18 - 1)),
+    ])()
+
+
+def _with_count(line, count):
+    return f"{line.partition(',')[0]},{count}"
+
+
+# Each deviation from a fault-free plain file, as the lines that replace one
+# line.  The general parser reads the first five and rejects the rest (for
+# opaque labels, bad_id adds an ordinary label).
+DEVIATIONS = {
+    "19_digit_count": lambda draw, line: [_with_count(line, draw(st.integers(10**18, 2**63 - 1)))],
+    "signed_count": lambda draw, line: [_with_count(line, "+" + line.partition(",")[2])],
+    "underscore_count": lambda draw, line: [_with_count(line, "1_000")],
+    "padded_line": lambda draw, line: [draw(st.sampled_from([" ", "\t", "\x1c"])) + line],
+    "blank_line": lambda draw, line: ["", line],
+    "zero_count": lambda draw, line: [_with_count(line, draw(st.sampled_from(["0", "000"])))],
+    "text_count": lambda draw, line: [_with_count(line, draw(st.sampled_from(["x", "", "1.5", "-3"])))],
+    "count_above_int64": lambda draw, line: [_with_count(line, draw(st.integers(2**63, 10**19 - 1)))],
+    "extra_comma": lambda draw, line: [line + ",1"],
+    "no_comma": lambda draw, line: [line.replace(",", "")],
+    "duplicate": lambda draw, line: [line, line],
+    "bad_id": lambda draw, line: [draw(st.sampled_from(["x", str(PLAIN_Q_LEN), str(2**64)])) + ",1", line],
+}
+
+
+@st.composite
+def plain_files(draw, kl):
+    """``(text, plain)``: up to a few hundred lines with at most one deviation, plain if none."""
+    # Hundreds of lines: their fields come from one seeded generator, which
+    # draws them far faster than a strategy per field.
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 300))
+    lines = [
+        f"{rnd.choice(['', '0'] if kl else ['', '0', 's'])}{key},{_plain_count(rnd)}"
+        for key in rnd.sample(range(PLAIN_Q_LEN), n)
+    ]
+    deviation = draw(st.sampled_from(["none"] * 6 + ["spaced_header", *DEVIATIONS]))
+    if lines and deviation in DEVIATIONS:
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[j : j + 1] = DEVIATIONS[deviation](draw, lines[j])
+    header = draw(st.sampled_from(["", "symbol,count", "Symbol,Count"]))
+    if deviation == "spaced_header":
+        header = "symbol, count"
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(([header] if header else []) + lines) + newline * draw(st.booleans())
+    return text, deviation == "none" and bool(lines)
+
+
+@given(
+    case=st.booleans().flatmap(lambda kl: st.tuples(st.just(kl), plain_files(kl), plain_files(kl))),
+    two_streams=st.booleans(),
+)
+@example(case=(False, (" 5,3\n6,1\n", False), ("6,2\n", False)), two_streams=True)
+@example(case=(False, ("symbol,count\na,1\nb,2\n", True), ("b,3\nc,4", True)), two_streams=True)
+@example(case=(False, ("a,1000000000000000000\n", False), ("", False)), two_streams=False)
+@example(case=(True, ("5,1\r\n07,2\r\n", True), ("7,1\r\n", True)), two_streams=True)
+@example(case=(True, (f"{PLAIN_Q_LEN},1\n6,1\n", False), ("", False)), two_streams=False)
+@settings(max_examples=200, deadline=None)
+def test_plain_reader_matches_reference(stream_paths, case, two_streams):
+    kl, *files = case
+    spec = PropertySpec("kl_divergence", q=np.full(PLAIN_Q_LEN, 1.0 / PLAIN_Q_LEN)) if kl else PropertySpec("entropy")
+    for path, (text, _) in zip(stream_paths, files):
+        path.write_text(text, encoding="utf-8", newline="")
+    paths = stream_paths if two_streams else stream_paths[:1]
+    assert_reads_like_reference(paths, spec)
+    # Every fault-free plain file takes the plain path; a refused one leaves the ids as they were.
+    ids = {}
+    for path, (_, plain) in zip(paths, files):
+        before = list(ids.items())
+        if cli._read_plain(cli._read_text(str(path), "counts file"), spec, ids) is None:
+            assert not plain and list(ids.items()) == before
+            try:
+                cli._read_counts(str(path), spec, ids)
+            except cli.UsageError:
+                break
 
 
 class TestParser:

@@ -12,8 +12,9 @@ import threading
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from propest import cli, estimators
+from propest import cli, estimators, numerics
 from propest.benchmark import trial_seed
 from propest.distributions import Histogram, SplitSample, make_distribution, split_sample
 from propest.estimators import (
@@ -404,6 +405,27 @@ class TestTableSet:
         assert not cancelled.any()
         with pytest.raises(ValueError):
             clamped[1] = True
+
+    @pytest.mark.parametrize("rates", [(1e5, 3e3, 200.0), (200.0, 3e3, 1e5)], ids=["large_first", "small_first"])
+    def test_shared_log_factorials_match_gammaln(self, rates, monkeypatch):
+        """Every prefix of the process-wide log factorials is right, whatever size was asked first."""
+        monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
+        for rate in rates:
+            assert np.array_equal(numerics.log_poisson_tail_table(rate, 50), direct_log_poisson_tail_table(rate, 50))
+            for spec in (entropy(), support_size(1000)):
+                params = derive_params(rate, spec)
+                j_max = params.v_max + params.u_max
+                _, log_tail, log_fact = estimators._shared_state(spec, params)
+                assert np.array_equal(log_fact, gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0))
+                assert np.array_equal(log_tail, direct_log_poisson_tail_table(float(params.r), j_max))
+
+
+def direct_log_poisson_tail_table(r, j_max):
+    """``numerics.log_poisson_tail_table`` with its own ``gammaln`` call."""
+    top = int(max(2 * math.ceil(r), j_max)) + 200
+    i = np.arange(top + 1, dtype=np.float64)
+    log_pmf = i * math.log(r) - r - gammaln(i + 1.0)
+    return np.logaddexp.accumulate(log_pmf[::-1])[::-1][1 : j_max + 2]
 
 
 class TestAmplified:

@@ -6,6 +6,8 @@ they stay independent of the implementation.
 """
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -13,11 +15,14 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from propest import numerics
 from propest.numerics import (
     ConvergenceError,
     bessel_f,
     integrate_poisson_kernel_bessel,
+    log_factorials,
     log_poisson_tail,
     log_poisson_tail_table,
     signed_log_sum_arrays,
@@ -94,6 +99,46 @@ class TestPoissonTail:
 
     def test_log_tail_table_zero_rate(self):
         assert np.all(log_poisson_tail_table(0.0, 5) == -math.inf)
+
+
+def test_log_factorials_are_one_read_only_array(monkeypatch):
+    monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
+    small = log_factorials(10)
+    large = log_factorials(1000)
+    assert len(numerics._log_fact) == 1000
+    assert np.array_equal(large, gammaln(np.arange(1000, dtype=np.float64) + 1.0))
+    assert np.array_equal(large[:10], small) and np.array_equal(log_factorials(10), small)
+    with pytest.raises(ValueError):
+        large[0] = 1.0
+
+
+def test_log_factorials_grow_under_concurrent_calls(monkeypatch):
+    """Threads growing the array in interleaved steps each get the right prefix, and no growth is lost."""
+    sizes = [[100 * k + i for k in range(1, 101)] for i in range(8)]
+    reference = gammaln(np.arange(max(map(max, sizes)), dtype=np.float64) + 1.0)
+    wrong, lengths = [], []
+
+    def ask(start, ns):
+        start.wait(timeout=60)
+        wrong.extend(n for n in ns if not np.array_equal(log_factorials(n), reference[:n]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
+            start = threading.Barrier(len(sizes))
+            threads = [threading.Thread(target=ask, args=(start, ns)) for ns in sizes]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            lengths.append(len(numerics._log_fact))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert lengths == [len(reference)] * 10
 
 
 class TestBessel:

@@ -19,10 +19,11 @@ header and spaces around either field are ignored.  Counts are integers in
 one rule at a time (commas, integer counts, count range, symbol ids,
 duplicates); the first rule that fails is reported at its first offending
 line, numbered as in the file.  Count files and ``--q-file`` are UTF-8, with
-or without a byte-order mark.  A plain count file (ASCII, no blank line or
-padding, every count and l1/kl id 1..18 digits) is read in one numpy pass
-over its bytes; any other file goes through the general parser, which gives
-the same result.
+or without a byte-order mark.  One reader parses every count file: unless
+the file is plain (ASCII, no padding, no blank line), it strips each line
+and field and drops blank lines; then one numpy pass over the bytes checks
+the commas and reads every count and l1/kl id of 1..18 digits.  ``int()``
+reads the fields only when some field is not of that form.
 """
 
 from __future__ import annotations
@@ -152,54 +153,68 @@ def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, 
     in ``ids``, which both streams share.
     """
     text = _read_text(path, "counts file")
-    plain = _read_plain(text, spec, ids)
-    if plain is not None:
-        return plain
-    lines = list(map(str.strip, text.split("\n")))
-    body = list(filter(None, lines))
-    if body and body[0].lower().replace(" ", "") == "symbol,count":
-        del body[0]
-    if not body:
+    head, _, rest = text.lstrip().partition("\n")  # head: the first line that is not blank
+    body = (rest if head.rstrip().lower().replace(" ", "") == "symbol,count" else text).removesuffix("\n")
+    if not body.strip():
         return (np.zeros(0, dtype=np.int64),) * 2
+    b = np.frombuffer(body.encode(), dtype=np.uint8)
+    nl = b == ord("\n")
+    # A plain body (ASCII, no byte up to 0x20 but line breaks, no blank line: no line break
+    # first, last or twice in a row) is read as it is; any other has its lines and fields stripped.
+    if not body.isascii() or np.count_nonzero(b <= ord(" ")) > np.count_nonzero(nl) \
+            or nl[0] or nl[-1] or (nl[1:] & nl[:-1]).any():
+        body = "\n".join(",".join(map(str.strip, line.split(","))) for line in body.split("\n") if line.strip())
+        b = np.frombuffer(body.encode(), dtype=np.uint8)
 
-    def fail(flags, message) -> NoReturn:
+    def fail(flags, texts, message) -> NoReturn:
+        """Report ``message(texts[k])`` at the file's line of the first flagged body line ``k``."""
         k = next(i for i, bad in enumerate(flags) if bad)
-        line = [i for i, stripped in enumerate(lines, start=1) if stripped][k - len(body)]
-        raise UsageError(f"{path}: line {line}: {message(k)}")
+        # The body's lines are the file's last lines that are not blank.
+        line = [i for i, s in enumerate(text.split("\n"), start=1) if s.strip()][k - body.count("\n") - 1]
+        raise UsageError(f"{path}: line {line}: {message(texts[k])}")
 
-    text = "\n".join(body)
     # One comma a line: the commas and line breaks of the body must alternate.
-    seps = np.frombuffer(text.encode(), dtype=np.uint8)
-    seps = seps[(seps == ord(",")) | (seps == ord("\n"))]
-    if len(seps) != 2 * len(body) - 1 or (seps[1::2] != ord("\n")).any():
-        fail((line.count(",") != 1 for line in body), lambda k: "expected 'symbol,count'")
-    fields = list(map(str.strip, text.replace("\n", ",").split(",")))
-    syms, count_s = fields[0::2], fields[1::2]
+    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
+    commas, breaks = seps[0::2], seps[1::2]
+    if len(seps) % 2 == 0 or (b[commas] != ord(",")).any() or (b[breaks] != ord("\n")).any():
+        lines = body.split("\n")
+        fail((line.count(",") != 1 for line in lines), lines, lambda s: "expected 'symbol,count'")
 
-    def parse(texts, lo, hi, not_int, out_of_range) -> np.ndarray:
-        """Integer literals as int64, failing at the first not in ``lo..hi``."""
+    def column(j: int) -> list[str]:
+        """The symbols (``j`` 0) or counts (1) as text."""
+        return body.replace("\n", ",").split(",")[j::2]
+
+    def parse(j, starts, ends, lo, hi, not_int, out_of_range) -> np.ndarray:
+        """Column ``j`` as int64, failing at the first field that is not an integer in ``lo..hi``."""
         try:
-            values = np.array(list(map(int, texts)), dtype=np.int64)
+            values = _digits(b, starts, ends)
+            if values is None:  # `+7`, `1_000`, 19 digits or a fault
+                values = np.array(list(map(int, column(j))), dtype=np.int64)
             if values.min() >= lo and values.max() <= hi:
                 return values
         except ValueError:
-            fail((not _is_int(s) for s in texts), not_int)
+            texts = column(j)
+            fail((not _is_int(s) for s in texts), texts, not_int)
         except OverflowError:  # beyond int64, so beyond hi
             pass
-        fail((not lo <= int(s) <= hi for s in texts), out_of_range)
+        texts = column(j)
+        fail((not lo <= int(s) <= hi for s in texts), texts, out_of_range)
 
-    counts = parse(count_s, 1, 2**63 - 1, lambda k: f"count {count_s[k]!r} not an integer",
-                   lambda k: f"count {count_s[k]!r} outside 1..2^63-1")
+    counts = parse(1, commas + 1, np.append(breaks, len(b)), 1, 2**63 - 1,
+                   lambda s: f"count {s!r} not an integer", lambda s: f"count {s!r} outside 1..2^63-1")
     if spec.q is None:
-        x = np.array([ids.setdefault(s, len(ids)) for s in syms], dtype=np.int64)
+        syms = column(0)
+        new = dict.fromkeys(itertools.filterfalse(ids.__contains__, syms))
+        ids.update(zip(new, itertools.count(len(ids))))
+        x = np.fromiter(map(ids.__getitem__, syms), np.int64, len(syms))
     else:
-        x = parse(syms, 0, len(spec.q) - 1,
-                  lambda k: f"{spec.kind} requires integer symbol ids indexing q",
-                  lambda k: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q")
+        x = parse(0, np.insert(breaks + 1, 0, 0), commas, 0, len(spec.q) - 1,
+                  lambda s: f"{spec.kind} requires integer symbol ids indexing q",
+                  lambda s: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q")
     if np.bincount(x).max() > 1:
         repeated = np.ones(len(x), dtype=bool)
         repeated[np.unique(x, return_index=True)[1]] = False
-        fail(repeated, lambda k: f"duplicate symbol {syms[k]!r}")
+        fail(repeated, column(0), lambda s: f"duplicate symbol {s!r}")
     return x, counts
 
 
@@ -214,41 +229,6 @@ def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray |
     if (digits > 9).any():
         return None
     return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _read_plain(text: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """:func:`_read_counts` for a plain file in one pass over its bytes; None for any other.
-
-    Plain: ASCII with no byte up to 0x20 but line breaks, an optional header,
-    then ``symbol,count`` lines with exactly one comma, counts of 1..18 digits
-    and l1/kl ids of 1..18 digits, unique, and at most one trailing line
-    break.  A plain file reads as the general parser reads it.  On None
-    ``ids`` is as it was, and the general parser reports any fault.
-    """
-    head, _, rest = text.partition("\n")
-    body = (rest if head.lower() == "symbol,count" else text).removesuffix("\n")
-    if not body or not body.isascii():
-        return None
-    b = np.frombuffer(body.encode(), dtype=np.uint8)
-    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    commas, breaks = seps[0::2], seps[1::2]
-    if (b[b <= ord(" ")] != ord("\n")).any() or len(seps) % 2 == 0 \
-            or (b[commas] != ord(",")).any() or (b[breaks] != ord("\n")).any():
-        return None
-    counts = _digits(b, commas + 1, np.append(breaks, len(b)))
-    if counts is None or counts.min() < 1:
-        return None
-    if spec.q is not None:
-        x = _digits(b, np.insert(breaks + 1, 0, 0), commas)
-        if x is None or x.max() >= len(spec.q) or np.bincount(x).max() > 1:
-            return None
-        return x, counts
-    syms = body.replace("\n", ",").split(",")[0::2]
-    if len(set(syms)) < len(syms):
-        return None
-    new = list(itertools.filterfalse(ids.__contains__, syms))
-    ids.update(zip(new, range(len(ids), len(ids) + len(new))))
-    return np.fromiter(map(ids.__getitem__, syms), np.int64, len(syms)), counts
 
 
 def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dict) -> Histogram:
@@ -381,7 +361,14 @@ def cmd_estimate(args) -> int:
     spec = _spec_from_args(kind, args)
     params = _amplified_params_from_args(args, args.rate, spec) if args.estimator == "amplified" else None
     ids: dict = {}
-    reads = [_read_counts(path, spec, ids) for path in (args.counts, args.counts2) if path is not None]
+    paths = [path for path in (args.counts, args.counts2) if path is not None]
+    reads = [_read_counts(path, spec, ids) for path in paths]
+    # A stream of rate n totals Poisson(n) counts; a rate <= 0 is the estimator's to refuse.
+    if args.rate is not None and args.rate > 0:
+        for path, (_, counts) in zip(paths, reads):
+            if counts.sum(dtype=np.float64) > args.rate + 10 * math.sqrt(args.rate):
+                raise UsageError(f"{path}: total count {sum(counts.tolist())} is more than 10 standard "
+                                 f"deviations above --rate {_fmt(args.rate)}")
     hists = [_histogram(read, spec, ids) for read in reads]  # after both reads: len(ids) long
     first, second = hists[0], hists[-1]
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import propest.numerics
@@ -165,6 +165,19 @@ class TestEstimate:
         kv = _parse_kv(capsys.readouterr().out)
         assert float(kv["estimate"]) == pytest.approx(0.5623351, abs=5e-8)
 
+    @pytest.mark.parametrize("text, code, reply", [
+        ("symbol,count", 0, "estimate=0\n"),
+        ("\n Symbol , Count \n\n", 0, "estimate=0\n"),
+        ("symbol,\tcount\na,1\n", 1, "line 1: count 'count' not an integer"),
+        ("symbol,count\nsymbol,count\n", 1, "line 2: count 'count' not an integer"),
+    ], ids=["header_only", "spaced_header_only", "tab_is_not_a_header", "second_header"])
+    def test_header_is_the_first_line_without_spaces(self, text, code, reply, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("estimate", "--property", "entropy", "--counts", str(path), "--estimator", "empirical") == code
+        out, err = capsys.readouterr()
+        assert out.startswith(reply) if code == 0 else err == f"error: {path}: {reply}\n"
+
     def test_amplified_shared_mode_warning(self, counts_file, capsys):
         code = run_cli(
             "estimate", "--property", "entropy", "--counts", counts_file,
@@ -204,6 +217,24 @@ class TestEstimate:
             "estimate", "--property", "entropy", "--counts", counts_file,
             "--estimator", "modified_empirical",
         ) == 1
+
+    @pytest.mark.parametrize("estimator", ["amplified", "modified_empirical"])
+    def test_total_far_above_rate_rejected(self, estimator, tmp_path, capsys):
+        # At --rate 400 the limit is 400 + 10 * sqrt(400) = 600.  Totals far
+        # above the rate used to print a meaningless estimate with exit 0.
+        at_limit, above = tmp_path / "c1.csv", tmp_path / "c2.csv"
+        at_limit.write_text("a,350\nb,250\n", encoding="utf-8")
+        above.write_text("a,351\nb,250\n", encoding="utf-8")
+        argv = ("estimate", "--property", "entropy", "--rate", "400", "--estimator", estimator)
+        assert run_cli(*argv, "--counts", str(at_limit)) == 0
+        capsys.readouterr()
+        assert run_cli(*argv, "--counts", str(above)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {above}: total count 601 is more than 10 standard deviations above --rate 400\n"
+        )
+        if estimator == "amplified":
+            assert run_cli(*argv, "--counts", str(at_limit), "--counts2", str(above)) == 1
+            assert capsys.readouterr().err.startswith(f"error: {above}: total count 601 ")
 
     @pytest.mark.parametrize("flags, message", [
         (("--estimator", "amplified"), "amplified requires --rate"),
@@ -826,7 +857,7 @@ def _with_count(line, count):
 
 
 # Each deviation from a fault-free plain file, as the lines that replace one
-# line.  The general parser reads the first five and rejects the rest (for
+# line.  The reader accepts the first five and rejects the rest (for
 # opaque labels, bad_id adds an ordinary label).
 DEVIATIONS = {
     "19_digit_count": lambda draw, line: [_with_count(line, draw(st.integers(10**18, 2**63 - 1)))],
@@ -884,16 +915,27 @@ def test_plain_reader_matches_reference(stream_paths, case, two_streams):
         path.write_text(text, encoding="utf-8", newline="")
     paths = stream_paths if two_streams else stream_paths[:1]
     assert_reads_like_reference(paths, spec)
-    # Every fault-free plain file takes the plain path; a refused one leaves the ids as they were.
-    ids = {}
-    for path, (_, plain) in zip(paths, files):
-        before = list(ids.items())
-        if cli._read_plain(cli._read_text(str(path), "counts file"), spec, ids) is None:
-            assert not plain and list(ids.items()) == before
-            try:
-                cli._read_counts(str(path), spec, ids)
-            except cli.UsageError:
-                break
+
+
+@given(case=st.booleans().flatmap(lambda kl: st.tuples(st.just(kl), plain_files(kl))))
+@settings(max_examples=100, deadline=None)
+def test_plain_file_read_in_the_byte_pass(stream_paths, case):
+    """Every field of a fault-free plain file is read by ``_digits``, never by ``int()``."""
+    kl, (text, plain) = case
+    assume(plain)
+    spec = PropertySpec("kl_divergence", q=np.full(PLAIN_Q_LEN, 1.0 / PLAIN_Q_LEN)) if kl else PropertySpec("entropy")
+    stream_paths[0].write_text(text, encoding="utf-8", newline="")
+    read, real = [], cli._digits
+
+    def digits(*args):
+        values = real(*args)
+        read.append(values is not None)
+        return values
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "_digits", digits)
+        cli._read_counts(str(stream_paths[0]), spec, {})
+    assert read == [True] * (1 + kl)  # counts, and l1/kl ids
 
 
 class TestParser:

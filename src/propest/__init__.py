@@ -33,7 +33,6 @@ from .properties import (
     PropertySpec,
     distance_to_uniformity,
     entropy,
-    eval_fx,
     exact_value,
     kl_divergence,
     l1_distance,

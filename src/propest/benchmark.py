@@ -74,19 +74,14 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def trial_seed(master_seed: int, n: int, estimator_id, trial_index: int) -> int:
+def trial_seed(master_seed: int, n: int, estimator_id: str, trial_index: int) -> int:
     """Derive a 64-bit per-trial seed by counter-style mixing.
 
     Stable across releases: changing it would silently change every
     published benchmark number.
     """
-    est = (
-        _fnv1a64(estimator_id.encode("utf-8"))
-        if isinstance(estimator_id, str)
-        else int(estimator_id) & _MASK64
-    )
     s = _splitmix64(int(master_seed) & _MASK64)
-    for part in (int(n) & _MASK64, est, int(trial_index) & _MASK64):
+    for part in (int(n) & _MASK64, _fnv1a64(estimator_id.encode("utf-8")), int(trial_index) & _MASK64):
         s = _splitmix64(s ^ _splitmix64(part))
     return s
 

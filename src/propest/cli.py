@@ -15,8 +15,10 @@ flows from ``--seed`` (default 1729), so reruns are byte-identical.
 Count files (``estimate --counts/--counts2``) hold one ``symbol,count`` pair
 a line, with exactly one comma.  Blank lines, an optional ``symbol,count``
 header and spaces around either field are ignored.  Counts are integers in
-1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1.  A file is checked
-one rule at a time (commas, integer counts, count range, symbol ids,
+1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1.  support_size and
+dist_to_uniform take at most ``--k`` distinct symbols over both files; more
+exit 1, as the estimators refuse a symbol id of ``k`` or above.  A file is
+checked one rule at a time (commas, integer counts, count range, symbol ids,
 duplicates); the first rule that fails is reported at its first offending
 line, numbered as in the file.  Count files and ``--q-file`` are UTF-8, with
 or without a byte-order mark.  One reader parses every count file: unless

@@ -43,13 +43,9 @@ class Distribution:
     """An explicit probability vector over symbols ``0..k-1``."""
 
     probs: np.ndarray
-    family: str
-    params: dict
-    k: int
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        probs = probs.copy()
+        probs = np.asarray(self.probs, dtype=np.float64).copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
@@ -167,14 +163,15 @@ def make_distribution(
         x = np.arange(1, k + 1, dtype=np.float64)
         probs = _normalize_log((x - 1.0) * math.log1p(-prob) + math.log(prob))
 
-    return Distribution(probs=probs, family=family, params=merged, k=k)
+    return Distribution(probs)
 
 
 def sample_histogram(
     dist: Distribution,
     n: float,
     poissonized: bool = True,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> Histogram:
     """Draw one count histogram of expected (or exact) size ``n``.
 
@@ -183,8 +180,6 @@ def sample_histogram(
     """
     if not n > 0:
         raise ValueError(f"sample size must be positive, got {n!r}")
-    if rng is None:
-        raise ValueError("sampling requires an rng")
     if poissonized:
         counts = rng.poisson(dist.probs * float(n))
     else:
@@ -196,7 +191,8 @@ def split_sample(
     dist: Distribution,
     budget: float,
     mode: str = "two_stream",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SplitSample:
     """Produce the two count streams consumed by the amplified estimator.
 
@@ -211,8 +207,6 @@ def split_sample(
         raise ValueError(f"unknown split mode {mode!r}; choose from {SPLIT_MODES}")
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    if rng is None:
-        raise ValueError("sampling requires an rng")
     if mode == "two_stream":
         first = sample_histogram(dist, budget, poissonized=True, rng=rng)
         second = sample_histogram(dist, budget, poissonized=True, rng=rng)

@@ -29,7 +29,7 @@ from .numerics import (
     log_poisson_tail_table,
     signed_log_sum_arrays,
 )
-from .properties import PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
+from .properties import KINDS_WITH_K, PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
 
 __all__ = [
     "AmplifiedEstimate",
@@ -412,10 +412,14 @@ def _count_vectors(spec: PropertySpec, *hists: Histogram) -> list[np.ndarray]:
     """The count vectors of ``hists``, zero-padded to one length.
 
     For l1/kl that length is ``len(q)``, so that a boolean mask over a vector
-    also selects the symbols' reference masses from ``q``.
+    also selects the symbols' reference masses from ``q``.  A nonzero count
+    at an id beyond ``q``, or beyond the ``k`` symbols of support_size and
+    dist_to_uniform, is refused.
     """
     vectors = [hist.array for hist in hists]
     size = max(len(c) for c in vectors)
+    if spec.kind in KINDS_WITH_K and any(c[spec.k:].any() for c in vectors):
+        raise ValueError(f"{spec.kind} with k={spec.k} admits no symbol id beyond 0..{spec.k - 1}")
     if spec.q is not None:
         size = len(spec.q)
         if any(c[size:].any() for c in vectors):
@@ -480,7 +484,8 @@ def amplified_estimate_detailed(
     Symbols whose second-stream count is at most ``s0`` contribute their
     table weight at the first-stream count (zero for unseen symbols, and
     zero with an overflow tick for counts beyond the table).  The remaining
-    symbols contribute the plug-in value ``f_x(N_x / rate)``.
+    symbols contribute the plug-in value ``f_x(N_x / rate)``.  Given
+    ``tables`` must be built for ``spec`` and ``params``.
 
     Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
     the order of its terms: the symbols seen in the first stream, ascending,
@@ -492,6 +497,8 @@ def amplified_estimate_detailed(
         )
     if tables is None:
         tables = build_coefficient_tables(spec, params)
+    elif tables.params != params or (tables.spec is not spec and tables.spec != spec):
+        raise ValueError("tables were built for other params or another property than the estimate's")
 
     c1, c2 = _count_vectors(spec, sample.first, sample.second)
     seen1 = c1 > 0

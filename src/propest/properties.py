@@ -6,6 +6,10 @@ therefore stored in an offset form (``|p_x - q_x| - q_x``); the constant that
 restores the conventional value is carried as ``report_offset`` and added
 only when an estimate or exact value is reported.  Arguments above 1, which
 arise from count ratios, evaluate as ``f_x(1)``.
+
+One evaluator computes ``f_x``: :func:`eval_fx_grid` takes the probabilities
+and, for l1/kl, the reference masses ``q_x`` aligned with them (or one scalar
+for all).  :func:`eval_fx_many` gathers those masses from ``q`` by symbol.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "distance_to_uniformity",
     "l1_distance",
     "kl_divergence",
-    "eval_fx",
     "eval_fx_grid",
     "eval_fx_many",
     "exact_value",
@@ -41,6 +44,9 @@ KINDS = (
     "l1_distance",
     "kl_divergence",
 )
+
+#: The kinds whose ``k`` is the support size: symbols ``0..k-1`` only.
+KINDS_WITH_K = ("support_size", "dist_to_uniform")
 
 PROB_SUM_TOL = 1e-12
 
@@ -66,7 +72,7 @@ class PropertySpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown property kind {self.kind!r}")
-        if self.kind in ("support_size", "dist_to_uniform"):
+        if self.kind in KINDS_WITH_K:
             if self.k is None or self.k < 1 or self.k != int(self.k):
                 raise ValueError(f"{self.kind} requires a positive integer k")
             object.__setattr__(self, "k", int(self.k))
@@ -92,11 +98,15 @@ class PropertySpec:
         if self.kind in ("dist_to_uniform", "l1_distance"):
             object.__setattr__(self, "report_offset", 1.0)
 
-    def reference_mass(self, x: int) -> float:
-        """The reference probability ``q_x``; only meaningful for l1/kl."""
-        if self.q is None:
-            raise ValueError(f"{self.kind} carries no reference distribution")
-        return float(self.q[x])
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PropertySpec):
+            return NotImplemented
+        same_scalars = (self.kind, self.k, self.m, self.a) == (other.kind, other.k, other.m, other.a)
+        # q by content; np.array_equal holds for two Nones and fails for one.
+        return same_scalars and bool(np.array_equal(self.q, other.q))
+
+    def __hash__(self) -> int:  # equal specs have equal scalars, whatever their q
+        return hash((self.kind, self.k, self.m, self.a))
 
 
 def entropy() -> PropertySpec:
@@ -134,11 +144,11 @@ def kl_divergence(q: np.ndarray) -> PropertySpec:
     return PropertySpec("kl_divergence", q=np.asarray(q, dtype=np.float64))
 
 
-def _fx_values(spec: PropertySpec, p: np.ndarray, qx) -> np.ndarray:
-    """Offset per-symbol values at probabilities ``p`` (clamped to [0, 1]).
+def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx=None) -> np.ndarray:
+    """Offset per-symbol values ``f_x`` at probabilities ``p`` (clamped to [0, 1]).
 
-    ``qx`` is a scalar or an array aligned with ``p``; it is only consulted
-    for the two reference-distribution kinds.
+    ``qx`` is the reference mass, a scalar or an array aligned with ``p``;
+    l1/kl require it and the other kinds ignore it.
     """
     p = np.minimum(np.asarray(p, dtype=np.float64), 1.0)
     if np.any(p < 0):
@@ -158,6 +168,8 @@ def _fx_values(spec: PropertySpec, p: np.ndarray, qx) -> np.ndarray:
     if kind == "dist_to_uniform":
         inv_k = 1.0 / spec.k
         return np.abs(p - inv_k) - inv_k
+    if qx is None:
+        raise ValueError(f"{kind} needs the symbols' reference masses qx")
     qx = np.asarray(qx, dtype=np.float64)
     if kind == "l1_distance":
         return np.abs(p - qx) - qx
@@ -170,19 +182,6 @@ def _fx_values(spec: PropertySpec, p: np.ndarray, qx) -> np.ndarray:
     return out
 
 
-def eval_fx(spec: PropertySpec, x: int, p: float) -> float:
-    """Offset per-symbol value ``f_x(p)``; ``p > 1`` evaluates as ``f_x(1)``."""
-    qx = spec.reference_mass(x) if spec.q is not None else 0.0
-    return float(_fx_values(spec, np.array([p]), qx)[0])
-
-
-def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx: float | None = None) -> np.ndarray:
-    """``f_x`` over an array of probabilities for one fixed symbol context."""
-    if spec.q is not None and qx is None:
-        raise ValueError(f"{spec.kind} needs the symbol's reference mass qx")
-    return _fx_values(spec, p, 0.0 if qx is None else qx)
-
-
 def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.ndarray:
     """``f_x(p_x)`` over aligned arrays of symbol indices and probabilities.
 
@@ -190,9 +189,7 @@ def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.n
     are given as a boolean mask over ``q``; the estimators check their ids
     before they get here.
     """
-    if spec.q is None:
-        return _fx_values(spec, p, 0.0)
-    return _fx_values(spec, p, spec.q[symbols])
+    return eval_fx_grid(spec, p, None if spec.q is None else spec.q[symbols])
 
 
 def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
@@ -206,6 +203,8 @@ def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: p has {len(p)} entries, q has {len(spec.q)}"
         )
+    if spec.kind in KINDS_WITH_K and p[spec.k:].any():
+        raise ValueError(f"{spec.kind} with k={spec.k} admits no mass beyond symbols 0..{spec.k - 1}")
     values = eval_fx_many(spec, np.arange(len(p)), p)
     return float(values.sum()) + spec.report_offset
 

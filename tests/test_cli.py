@@ -17,7 +17,7 @@ from propest import cli
 from propest.cli import main
 from propest.estimators import EstimatorParams, build_coefficient_table
 from propest.numerics import log_poisson_tail
-from propest.properties import PropertySpec, entropy, eval_fx
+from propest.properties import PropertySpec, entropy, eval_fx_grid
 from propest.selfcheck import run_selfcheck
 
 
@@ -322,7 +322,7 @@ class TestCoeffs:
         v1 = float(lines[1].split(",")[1])
         params = EstimatorParams(150.0, 3.0, 1, t_decay=False)
         tail = math.exp(log_poisson_tail(params.r, 2))
-        target = 3.0 * eval_fx(entropy(), 0, 1 / 450.0) * tail
+        target = 3.0 * eval_fx_grid(entropy(), 1 / 450.0) * tail
         assert v1 == pytest.approx(target, rel=1e-12)
         assert v1 == build_coefficient_table(entropy(), params).weights(1)
         for line in lines[1:]:
@@ -435,6 +435,13 @@ MALFORMED = {
     "q_file_nan": (
         "estimate", "--property", "kl", "--q-file", "{qnan}", "--counts", "{pair}", "--estimator", "empirical",
     ),
+    # More distinct symbols than --k: uniformity read 0 here, its true value is 1.
+    "uniformity_more_symbols_than_k": (
+        "estimate", "--property", "uniformity", "--k", "5", "--counts", "{ten}", "--estimator", "empirical",
+    ),
+    "support_size_more_symbols_than_k": (
+        "estimate", "--property", "support_size", "--k", "5", "--counts", "{ten}", "--rate", "1000",
+    ),
     "q_uniform_k_0": (
         "estimate", "--property", "kl", "--q", "uniform", "--k", "0", "--counts", "{counts}",
         "--estimator", "empirical",
@@ -453,6 +460,7 @@ class TestMalformedInput:
         for name, text in (
             ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"), ("qnan", "0.5\nnan\n"), ("pair", "0,3\n1,1\n"),
             ("huge", "a,99999999999999999999\n"), ("huge_id", "0,3\n99999999999999999999,1\n"),
+            ("ten", "".join(f"s{i},1\n" for i in range(10))),
         ):
             files[name] = str(tmp_path / f"{name}.txt")
             (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")

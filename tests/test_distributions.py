@@ -118,7 +118,7 @@ class TestSampling:
 
     def test_point_mass_poisson_moments(self):
         # single symbol: total ~ Poisson(100); check the mean over many trials
-        d = Distribution(probs=np.array([1.0]), family="uniform", params={}, k=1)
+        d = Distribution(np.array([1.0]))
         rng = np.random.default_rng(123)
         trials = 10000
         totals = np.array(

@@ -33,7 +33,7 @@ from propest.numerics import log_poisson_tail
 from propest.properties import (
     distance_to_uniformity,
     entropy,
-    eval_fx,
+    eval_fx_grid,
     kl_divergence,
     l1_distance,
     support_coverage,
@@ -227,7 +227,7 @@ class TestCoefficient:
     def test_v1_closed_form(self):
         params = small_params()
         tail = math.exp(log_poisson_tail(params.r, 2))
-        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * tail
+        target = 3.0 * eval_fx_grid(entropy(), 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
         assert value == pytest.approx(target, rel=1e-12)
 
@@ -235,7 +235,7 @@ class TestCoefficient:
         # decay leaves v = 1 untouched
         params = small_params(t_decay=True)
         tail = math.exp(log_poisson_tail(params.r, 2))
-        target = 3.0 * eval_fx(entropy(), 0, 1.0 / 450.0) * tail
+        target = 3.0 * eval_fx_grid(entropy(), 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
         assert value == pytest.approx(target, rel=1e-12)
 
@@ -471,7 +471,7 @@ class TestAmplified:
         assert detail.n_small == 2 and detail.n_large == 2
         table = build_coefficient_table(entropy(), params)
         small = table.values[1] + table.values[2]
-        large = eval_fx(entropy(), 0, 40 / 150.0) + eval_fx(entropy(), 0, 0.0)
+        large = eval_fx_grid(entropy(), 40 / 150.0) + eval_fx_grid(entropy(), 0.0)
         assert detail.small_sum == pytest.approx(small, rel=1e-12)
         assert detail.large_sum == pytest.approx(large, rel=1e-12)
         assert detail.value == pytest.approx(small + large, rel=1e-12)
@@ -510,6 +510,25 @@ class TestAmplified:
         sample = SplitSample(hist(1), hist(), rate=100.0)
         with pytest.raises(ValueError):
             amplified_estimate(sample, entropy(), small_params())
+
+    def test_tables_for_other_params_or_property_rejected(self):
+        # Tables built for n=5000 used to turn this entropy estimate from 2.8135 into 1.6576.
+        sample = split_sample(make_distribution("zipf", 1000), 1000, rng=np.random.default_rng(1))
+        params = derive_params(1000, entropy())
+        assert amplified_estimate(sample, entropy(), params) == pytest.approx(2.8135, abs=1e-4)
+        for spec, tables in (
+            (entropy(), build_coefficient_tables(entropy(), derive_params(5000, entropy()))),
+            (support_size(1000), build_coefficient_tables(entropy(), derive_params(1000, support_size(1000)))),
+        ):
+            with pytest.raises(ValueError, match="tables were built"):
+                amplified_estimate(sample, spec, derive_params(1000, spec), tables)
+
+    def test_tables_for_an_equal_spec_and_params_accepted(self):
+        q = np.array([0.5, 0.25, 0.25])
+        tables = build_coefficient_tables(kl_divergence(q), small_params())
+        sample = SplitSample(hist(1, 2, 1), hist(0, 3), rate=150.0)
+        expected = amplified_estimate(sample, kl_divergence(q), small_params())
+        assert amplified_estimate(sample, kl_divergence(q.copy()), small_params(), tables) == expected
 
     def test_offset_added_once(self):
         spec = distance_to_uniformity(10)
@@ -564,6 +583,20 @@ class TestSymbolIds:
             amplified_estimate(SplitSample(first, second, 150.0), spec, small_params())
         # zero counts past the end of q are no symbols
         assert empirical(hist(0, 2, 0, 0, 0, 0), spec) == empirical(hist(0, 2), spec)
+
+    @pytest.mark.parametrize("make_spec", [support_size, distance_to_uniformity])
+    def test_count_vector_beyond_k_rejected(self, make_spec):
+        # Ten equal counts used to read as uniform on 5 symbols: uniformity 0, support size 2.
+        spec = make_spec(5)
+        first = hist(*[1] * 10)
+        with pytest.raises(ValueError, match="k=5"):
+            empirical(first, spec)
+        with pytest.raises(ValueError, match="k=5"):
+            modified_empirical(first, 10.0, spec)
+        with pytest.raises(ValueError, match="k=5"):
+            amplified_estimate(SplitSample(hist(1), first, 150.0), spec, small_params())
+        # zero counts past k are no symbols
+        assert empirical(hist(0, 2, 0, 0, 0, 0, 0), spec) == empirical(hist(0, 2), spec)
 
 
 class TestSmoothedHHat:

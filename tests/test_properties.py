@@ -11,7 +11,7 @@ from propest.properties import (
     PropertySpec,
     distance_to_uniformity,
     entropy,
-    eval_fx,
+    eval_fx_grid,
     eval_fx_many,
     exact_value,
     kl_divergence,
@@ -39,38 +39,43 @@ def _all_specs():
 class TestEvalFx:
     def test_zero_maps_to_zero_everywhere(self):
         for spec in _all_specs():
-            assert eval_fx(spec, 0, 0.0) == 0.0
+            assert eval_fx_grid(spec, 0.0, 1.0 / 8) == 0.0
 
     def test_entropy_quarter(self):
-        assert eval_fx(entropy(), 0, 0.25) == pytest.approx(0.25 * math.log(4), rel=1e-12)
+        assert eval_fx_grid(entropy(), 0.25) == pytest.approx(0.25 * math.log(4), rel=1e-12)
 
     def test_uniformity_offset_form(self):
         spec = distance_to_uniformity(10)
-        assert eval_fx(spec, 3, 0.1) == pytest.approx(-0.1, abs=1e-15)
+        assert eval_fx_grid(spec, 0.1) == pytest.approx(-0.1, abs=1e-15)
 
     def test_clamp_above_one(self):
         # count ratios can exceed 1; the evaluator uses the value at 1
-        assert eval_fx(entropy(), 0, 2.0) == 0.0
-        assert eval_fx(power_sum(2.0), 0, 1.7) == 1.0
+        assert eval_fx_grid(entropy(), 2.0) == 0.0
+        assert eval_fx_grid(power_sum(2.0), 1.7) == 1.0
         spec = support_coverage(5.0)
-        assert eval_fx(spec, 0, 3.0) == eval_fx(spec, 0, 1.0)
+        assert eval_fx_grid(spec, 3.0) == eval_fx_grid(spec, 1.0)
 
     def test_support_size_indicator(self):
         spec = support_size(10)
-        assert eval_fx(spec, 0, 1e-9) == pytest.approx(0.1)
-        assert eval_fx(spec, 0, 0.0) == 0.0
+        assert eval_fx_grid(spec, 1e-9) == pytest.approx(0.1)
+        assert eval_fx_grid(spec, 0.0) == 0.0
 
     def test_kl_rejects_zero_reference(self):
         q = np.array([0.0, 1.0])
         spec = PropertySpec("kl_divergence", q=q)
         with pytest.raises(ValueError):
-            eval_fx(spec, 0, 0.5)
+            eval_fx_many(spec, np.array([0]), np.array([0.5]))
         # fine when the unknown mass there is 0
-        assert eval_fx(spec, 0, 0.0) == 0.0
+        assert eval_fx_many(spec, np.array([0]), np.array([0.0]))[0] == 0.0
+
+    def test_reference_kinds_require_qx(self):
+        for spec in (l1_distance(np.full(4, 0.25)), kl_divergence(np.full(4, 0.25))):
+            with pytest.raises(ValueError, match="reference masses"):
+                eval_fx_grid(spec, np.array([0.1]))
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
-            eval_fx(entropy(), 0, -0.1)
+            eval_fx_grid(entropy(), -0.1)
 
     def test_many_matches_scalar(self):
         q = np.array([0.2, 0.3, 0.5])
@@ -78,7 +83,7 @@ class TestEvalFx:
             symbols = np.array([0, 1, 2])
             ps = np.array([0.1, 0.2, 0.7])
             many = eval_fx_many(spec, symbols, ps)
-            scalars = [eval_fx(spec, int(x), float(p)) for x, p in zip(symbols, ps)]
+            scalars = [eval_fx_grid(spec, p, q[x]) for x, p in zip(symbols, ps)]
             np.testing.assert_allclose(many, scalars, rtol=1e-14)
 
 
@@ -118,6 +123,15 @@ class TestExactValue:
         spec = l1_distance(np.full(4, 0.25))
         with pytest.raises(ValueError):
             exact_value(spec, np.full(5, 0.2))
+
+    def test_mass_beyond_k_rejected(self):
+        # uniform on 10 symbols used to read 0 from uniform on 5
+        for spec in (distance_to_uniformity(5), support_size(5)):
+            with pytest.raises(ValueError, match="k=5"):
+                exact_value(spec, np.full(10, 0.1))
+        p = np.array([0.5, 0.5, 0.0, 0.0])
+        assert exact_value(distance_to_uniformity(2), p) == pytest.approx(0.0, abs=1e-15)
+        assert exact_value(support_size(2), p) == 1.0
 
     def test_unnormalized_rejected(self):
         with pytest.raises(ValueError):
@@ -196,6 +210,17 @@ class TestSpecValidation:
     def test_parameters_must_be_finite(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
+
+    def test_equality_and_hash_compare_q_by_content(self):
+        q = np.array([0.2, 0.3, 0.5])
+        for make in (l1_distance, kl_divergence):
+            assert make(q) == make(q.copy()) and hash(make(q)) == hash(make(q.copy()))
+            assert make(q) != make(np.array([0.3, 0.2, 0.5]))
+            assert make(q) != make(np.array([0.2, 0.3, 0.25, 0.25]))
+        assert l1_distance(q) != kl_divergence(q)
+        assert support_size(5) == support_size(5) and support_size(5) != support_size(6)
+        assert entropy() != l1_distance(q) and entropy() != "entropy"
+        assert len({kl_divergence(q), kl_divergence(q.copy()), entropy()}) == 2
 
     def test_nan_reference_rejected(self):
         # NaN fails every comparison, so "sum off by more than tol" let it through

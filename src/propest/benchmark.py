@@ -25,7 +25,6 @@ from .distributions import (
     split_sample,
 )
 from .estimators import (
-    ParameterError,
     amplified_estimate,
     build_coefficient_tables,
     derive_params,
@@ -231,7 +230,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
             )
             try:
                 run = _make_trial_fn(cfg, dist, n, estimator)
-            except (ParameterError, ValueError) as exc:
+            except ValueError as exc:
                 rows.append(
                     ResultRow(
                         mse=math.nan, mean_estimate=math.nan, error=str(exc), **base

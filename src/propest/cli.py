@@ -56,7 +56,7 @@ from .estimators import (
     empirical,
     modified_empirical,
 )
-from .properties import PropertySpec
+from .properties import KINDS, PropertySpec
 from .selfcheck import run_selfcheck
 
 __all__ = ["main"]
@@ -64,17 +64,11 @@ __all__ = ["main"]
 DEFAULT_SEED = 1729
 
 PROPERTY_ALIASES = {
-    "entropy": "entropy",
-    "support_size": "support_size",
+    **{kind: kind for kind in KINDS},
     "coverage": "support_coverage",
-    "support_coverage": "support_coverage",
-    "power_sum": "power_sum",
     "uniformity": "dist_to_uniform",
-    "dist_to_uniform": "dist_to_uniform",
     "l1": "l1_distance",
-    "l1_distance": "l1_distance",
     "kl": "kl_divergence",
-    "kl_divergence": "kl_divergence",
 }
 
 
@@ -92,11 +86,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _spec_from_args(kind: str, args) -> PropertySpec:
-    if kind in ("l1_distance", "kl_divergence"):
-        return PropertySpec(kind, q=_reference_from_args(args))
-    k = args.k if kind in ("support_size", "dist_to_uniform") else None
-    m = 5000.0 if kind == "support_coverage" and args.m is None else args.m
-    return PropertySpec(kind, k=k, m=m, a=args.a)
+    given = {"k": args.k, "m": 5000.0 if args.m is None else args.m, "a": args.a,
+             "q": _reference_from_args(args)}
+    return PropertySpec(kind, **{name: given[name] for name in KINDS[kind].reads})
 
 
 def _reference_from_args(args) -> np.ndarray | None:
@@ -249,6 +241,8 @@ DIST_FLAGS = {
     "dirichlet_conc": ("dirichlet", "concentration"),
 }
 
+_KINDS_READING = {name: {kind for kind, record in KINDS.items() if name in record.reads} for name in "kmaq"}
+
 # The choice that decides whether each optional flag is read, and the values
 # of it that read the flag.  A command that passes no such choice to
 # _check_read reads the flag whatever was chosen: simulate always reads --k
@@ -256,10 +250,10 @@ DIST_FLAGS = {
 # whenever their command has them.  A flag counts as given when it is not
 # None, so none of these has a default of its own (see _library_flags).
 READ_BY = {
-    "k": ("--property/--q", {"support_size", "dist_to_uniform", "uniform"}),
-    "m": ("--property", {"support_coverage"}),
-    "a": ("--property", {"power_sum"}),
-    **dict.fromkeys(("q", "q_file", "q_x"), ("--property", {"l1_distance", "kl_divergence"})),
+    "k": ("--property/--q", _KINDS_READING["k"] | {"uniform"}),
+    "m": ("--property", _KINDS_READING["m"]),
+    "a": ("--property", _KINDS_READING["a"]),
+    **dict.fromkeys(("q", "q_file", "q_x"), ("--property", _KINDS_READING["q"])),
     **{name: ("--dist", {family}) for name, (family, _) in DIST_FLAGS.items()},
     **dict.fromkeys(("counts2", "alpha", "s0_mult", "t", "s0", "v_max", "split_mode", "t_decay"),
                     ("--estimator", {"amplified"})),

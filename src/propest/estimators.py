@@ -29,7 +29,7 @@ from .numerics import (
     log_poisson_tail_table,
     signed_log_sum_arrays,
 )
-from .properties import KINDS_WITH_K, PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
+from .properties import KINDS, PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
 
 __all__ = [
     "AmplifiedEstimate",
@@ -37,7 +37,6 @@ __all__ = [
     "CoefficientTables",
     "EstimatorParams",
     "ParameterError",
-    "PRESETS",
     "amplified_estimate",
     "amplified_estimate_detailed",
     "build_coefficient_table",
@@ -50,16 +49,6 @@ __all__ = [
 
 _LOG_DECAY = math.log(1.5)
 _DECAY_FLOOR = 1.5
-
-#: Per-property preset tuning: (t_coefficient, t_exponent, s0_multiplier),
-#: giving t = c * log(n)^e + 1 and s0 = round(m * log(n)^0.2).
-PRESETS = {
-    "entropy": (2.0, 0.8, 16.0),
-    "support_size": (1.0, 0.7, 16.0),
-    "support_coverage": (1.0, 0.8, 8.0),
-    "power_sum": (1.0, 1.0, 4.0),
-    "dist_to_uniform": (1.0, 0.7, 4.0),
-}
 
 MIN_TOTAL_N = 150.0
 MIN_T = 2.5
@@ -144,8 +133,8 @@ def derive_params(
 ) -> EstimatorParams:
     """Tune the amplified estimator for a total sampling budget ``total_n``.
 
-    Preset mode looks up the per-property tuning in :data:`PRESETS` and
-    takes no ``alpha`` or ``s0_mult``; manual mode (``preset=False``) uses
+    Preset mode reads the tuning ``KINDS[spec.kind].preset`` and takes no
+    ``alpha`` or ``s0_mult``; manual mode (``preset=False``) uses
     ``t = log(n)^(1-alpha) + 1`` and ``s0 = round(s0_mult * log(n)^0.2)``.
     The per-stream rate follows the split mode: ``total_n`` for two_stream
     and shared, ``total_n / 2`` for thinned.
@@ -158,12 +147,10 @@ def derive_params(
     if preset:
         if alpha is not None or s0_mult is not None:
             raise ParameterError("alpha and s0_mult apply only with preset=False")
-        if spec.kind not in PRESETS:
-            raise ParameterError(
-                f"no preset tuning for {spec.kind}; pass preset=False with "
-                "explicit alpha and s0_mult"
-            )
-        coeff, expo, mult = PRESETS[spec.kind]
+        if (tuning := KINDS[spec.kind].preset) is None:
+            raise ParameterError(f"no preset tuning for {spec.kind}; "
+                                 "pass preset=False with explicit alpha and s0_mult")
+        coeff, expo, mult = tuning
     else:
         if alpha is None or s0_mult is None:
             raise ParameterError("manual tuning requires both alpha and s0_mult")
@@ -332,6 +319,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
     if spec.q is None:
+        if q_x is not None:
+            raise ValueError(f"{spec.kind} weights do not depend on a reference mass q_x")
         return None
     if q_x is None:
         raise ValueError(f"{spec.kind} weights depend on the reference mass q_x")
@@ -418,7 +407,7 @@ def _count_vectors(spec: PropertySpec, *hists: Histogram) -> list[np.ndarray]:
     """
     vectors = [hist.array for hist in hists]
     size = max(len(c) for c in vectors)
-    if spec.kind in KINDS_WITH_K and any(c[spec.k:].any() for c in vectors):
+    if spec.k is not None and any(c[spec.k:].any() for c in vectors):
         raise ValueError(f"{spec.kind} with k={spec.k} admits no symbol id beyond 0..{spec.k - 1}")
     if spec.q is not None:
         size = len(spec.q)

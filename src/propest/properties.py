@@ -7,20 +7,22 @@ restores the conventional value is carried as ``report_offset`` and added
 only when an estimate or exact value is reported.  Arguments above 1, which
 arise from count ratios, evaluate as ``f_x(1)``.
 
-One evaluator computes ``f_x``: :func:`eval_fx_grid` takes the probabilities
-and, for l1/kl, the reference masses ``q_x`` aligned with them (or one scalar
-for all).  :func:`eval_fx_many` gathers those masses from ``q`` by symbol.
+Each kind is one :class:`Kind` record in :data:`KINDS`.  :func:`eval_fx_grid`
+evaluates its ``f_x`` at probabilities and, for l1/kl, reference masses
+``q_x`` aligned with them; :func:`eval_fx_many` gathers those from ``q``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "KINDS",
+    "Kind",
     "PropertySpec",
     "entropy",
     "support_size",
@@ -35,20 +37,64 @@ __all__ = [
     "lipschitz",
 ]
 
-KINDS = (
-    "entropy",
-    "support_size",
-    "support_coverage",
-    "power_sum",
-    "dist_to_uniform",
-    "l1_distance",
-    "kl_divergence",
-)
-
-#: The kinds whose ``k`` is the support size: symbols ``0..k-1`` only.
-KINDS_WITH_K = ("support_size", "dist_to_uniform")
-
 PROB_SUM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One property kind.
+
+    ``reads``: the spec parameters it requires, the only ones a spec of it
+    accepts.  ``fx(spec, p, qx)``: the offset ``f_x`` at ``p`` in [0, 1], given
+    reference masses ``qx`` if it reads ``q``.  ``lipschitz(spec, h)``: the
+    constant on ``[h, 1]``.  ``report_offset``: the mass the offset form
+    subtracts.  ``preset``: the amplified estimator's ``(c, e, m)`` for
+    ``t = c * log(n)^e + 1`` and ``s0 = round(m * log(n)^0.2)``; None: no preset.
+    """
+
+    reads: tuple[str, ...]
+    fx: Callable[[PropertySpec, np.ndarray, np.ndarray | None], np.ndarray]
+    lipschitz: Callable[[PropertySpec, float], float] = lambda spec, h: 1.0
+    report_offset: float = 0.0
+    preset: tuple[float, float, float] | None = None
+
+
+def _entropy_fx(spec, p, qx):
+    out = np.zeros_like(p)
+    pos = p > 0
+    out[pos] = -p[pos] * np.log(p[pos])
+    return out
+
+
+def _kl_fx(spec, p, qx):
+    out = np.zeros_like(p)
+    pos = p > 0
+    qx = np.broadcast_to(qx, p.shape)
+    if np.any(pos & (qx == 0)):
+        raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
+    out[pos] = p[pos] * (np.log(p[pos]) - np.log(qx[pos]))
+    return out
+
+
+def _kl_lipschitz(spec, h):
+    qmin = float(spec.q.min())
+    if qmin <= 0:
+        raise ValueError("KL smoothness undefined when q has zero entries")
+    return -math.log(h * qmin)
+
+
+KINDS = {
+    "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0)),
+    "support_size": Kind(("k",), lambda spec, p, qx: (p > 0).astype(np.float64) / spec.k,
+                         lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0)),
+    "support_coverage": Kind(("m",), lambda spec, p, qx: -np.expm1(-spec.m * p) / spec.m,
+                             preset=(1.0, 0.8, 8.0)),
+    "power_sum": Kind(("a",), lambda spec, p, qx: p**spec.a, preset=(1.0, 1.0, 4.0)),
+    "dist_to_uniform": Kind(("k",), lambda spec, p, qx: np.abs(p - 1.0 / spec.k) - 1.0 / spec.k,
+                            report_offset=1.0, preset=(1.0, 0.7, 4.0)),
+    "l1_distance": Kind(("q",), lambda spec, p, qx: np.abs(p - qx) - qx, report_offset=1.0),
+    "kl_divergence": Kind(("q",), _kl_fx, _kl_lipschitz),
+}
 
 
 @dataclass(frozen=True)
@@ -58,8 +104,9 @@ class PropertySpec:
     ``k`` is the support-size normalizer (support_size, dist_to_uniform),
     ``m`` the coverage horizon (support_coverage), ``a`` the power exponent
     (power_sum), and ``q`` the reference distribution (l1_distance,
-    kl_divergence).  ``report_offset`` restores the mass subtracted by the
-    offset form: +1 for the two absolute-distance properties, 0 otherwise.
+    kl_divergence).  A spec requires the parameters its kind reads
+    (``KINDS[kind].reads``) and refuses any other, so ``spec.k is not None``
+    exactly when the kind's support is the ``k`` symbols ``0..k-1``.
     """
 
     kind: str
@@ -67,22 +114,23 @@ class PropertySpec:
     m: float | None = None
     a: float | None = None
     q: np.ndarray | None = None
-    report_offset: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown property kind {self.kind!r}")
-        if self.kind in KINDS_WITH_K:
+        reads = KINDS[self.kind].reads
+        for name in ("k", "m", "a", "q"):
+            if name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} does not read {name}")
+        if "k" in reads:
             if self.k is None or self.k < 1 or self.k != int(self.k):
                 raise ValueError(f"{self.kind} requires a positive integer k")
             object.__setattr__(self, "k", int(self.k))
-        if self.kind == "support_coverage":
-            if self.m is None or not 0 < self.m < math.inf:
-                raise ValueError("support_coverage requires a finite m > 0")
-        if self.kind == "power_sum":
-            if self.a is None or not 1 < self.a < math.inf:
-                raise ValueError("power_sum requires a finite exponent a > 1")
-        if self.kind in ("l1_distance", "kl_divergence"):
+        if "m" in reads and (self.m is None or not 0 < self.m < math.inf):
+            raise ValueError(f"{self.kind} requires a finite m > 0")
+        if "a" in reads and (self.a is None or not 1 < self.a < math.inf):
+            raise ValueError(f"{self.kind} requires a finite exponent a > 1")
+        if "q" in reads:
             if self.q is None:
                 raise ValueError(f"{self.kind} requires a reference distribution q")
             q = np.asarray(self.q, dtype=np.float64)
@@ -95,8 +143,11 @@ class PropertySpec:
             q = q.copy()
             q.flags.writeable = False
             object.__setattr__(self, "q", q)
-        if self.kind in ("dist_to_uniform", "l1_distance"):
-            object.__setattr__(self, "report_offset", 1.0)
+
+    @property
+    def report_offset(self) -> float:
+        """The mass the offset form subtracts: +1 for dist_to_uniform and l1_distance, 0 otherwise."""
+        return KINDS[self.kind].report_offset
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PropertySpec):
@@ -153,33 +204,10 @@ def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx=None) -> np.ndarray:
     p = np.minimum(np.asarray(p, dtype=np.float64), 1.0)
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
-    kind = spec.kind
-    if kind == "entropy":
-        out = np.zeros_like(p)
-        pos = p > 0
-        out[pos] = -p[pos] * np.log(p[pos])
-        return out
-    if kind == "support_size":
-        return (p > 0).astype(np.float64) / spec.k
-    if kind == "support_coverage":
-        return -np.expm1(-spec.m * p) / spec.m
-    if kind == "power_sum":
-        return p**spec.a
-    if kind == "dist_to_uniform":
-        inv_k = 1.0 / spec.k
-        return np.abs(p - inv_k) - inv_k
-    if qx is None:
-        raise ValueError(f"{kind} needs the symbols' reference masses qx")
-    qx = np.asarray(qx, dtype=np.float64)
-    if kind == "l1_distance":
-        return np.abs(p - qx) - qx
-    # kl_divergence
-    out = np.zeros_like(p)
-    pos = p > 0
-    if np.any(pos & (np.broadcast_to(qx, p.shape) == 0)):
-        raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
-    out[pos] = p[pos] * (np.log(p[pos]) - np.log(np.broadcast_to(qx, p.shape)[pos]))
-    return out
+    kind = KINDS[spec.kind]
+    if qx is None and "q" in kind.reads:
+        raise ValueError(f"{spec.kind} needs the symbols' reference masses qx")
+    return kind.fx(spec, p, qx)
 
 
 def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -203,7 +231,7 @@ def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
         raise ValueError(
             f"dimension mismatch: p has {len(p)} entries, q has {len(spec.q)}"
         )
-    if spec.kind in KINDS_WITH_K and p[spec.k:].any():
+    if spec.k is not None and p[spec.k:].any():
         raise ValueError(f"{spec.kind} with k={spec.k} admits no mass beyond symbols 0..{spec.k - 1}")
     values = eval_fx_many(spec, np.arange(len(p)), p)
     return float(values.sum()) + spec.report_offset
@@ -218,14 +246,4 @@ def lipschitz(spec: PropertySpec, h: float) -> float:
     """
     if not 0 < h <= 1:
         raise ValueError(f"h must be in (0, 1], got {h!r}")
-    kind = spec.kind
-    if kind == "entropy":
-        return -math.log(h)
-    if kind == "kl_divergence":
-        qmin = float(spec.q.min())
-        if qmin <= 0:
-            raise ValueError("KL smoothness undefined when q has zero entries")
-        return -math.log(h * qmin)
-    if kind == "support_size":
-        return min(1.0, 1.0 / (spec.k * h))
-    return 1.0
+    return KINDS[spec.kind].lipschitz(spec, h)

@@ -272,6 +272,11 @@ class TestCoefficient:
             build_coefficient_table(spec, params)
         value = build_coefficient_table(spec, params, q_x=0.25).weights(1)
         assert math.isfinite(value)
+        # a kind that reads no q refuses a mass rather than dropping it
+        with pytest.raises(ValueError, match="^entropy weights do not depend on a reference mass q_x$"):
+            build_coefficient_table(entropy(), params, q_x=0.3)
+        with pytest.raises(ValueError, match="q_x"):
+            smoothed_h_hat(entropy(), 0.5, params, q_x=0.7)
 
     def test_reference_mass_outside_unit_interval_rejected(self):
         spec = kl_divergence(np.full(4, 0.25))

@@ -49,7 +49,7 @@ def undefined_globals(module):
                 local.add("__annotations__")
             elif ins.opname in ("LOAD_GLOBAL", "LOAD_NAME"):
                 if ins.argval not in known and ins.argval not in local:
-                    missing.add(f"{obj.co_qualname} -> {ins.argval}")
+                    missing.add(f"{getattr(obj, 'co_qualname', obj.co_name)} -> {ins.argval}")  # co_qualname: 3.11+
     return sorted(missing)
 
 

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from propest import cli
 from propest.properties import (
+    KINDS,
     PropertySpec,
     distance_to_uniformity,
     entropy,
@@ -21,6 +23,10 @@ from propest.properties import (
     support_coverage,
     support_size,
 )
+
+
+# A valid value of each spec parameter.
+VALID = {"k": 4, "m": 10.0, "a": 2.0, "q": np.full(4, 0.25)}
 
 
 def _all_specs():
@@ -199,6 +205,38 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             PropertySpec("renyi")
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [(kind, name) for kind, record in KINDS.items() for name in VALID if name not in record.reads],
+    )
+    def test_parameter_the_kind_does_not_read_refused(self, kind, name):
+        read = {n: VALID[n] for n in KINDS[kind].reads}
+        PropertySpec(kind, **read)
+        with pytest.raises(ValueError, match=f"^{kind} does not read {name}$"):
+            PropertySpec(kind, **read, **{name: VALID[name]})
+
+    @pytest.mark.parametrize("kind", ["support_size", "dist_to_uniform"])
+    @pytest.mark.parametrize("k", [None, 0, 2.5])
+    def test_k_must_be_a_positive_integer(self, kind, k):
+        with pytest.raises(ValueError, match=f"^{kind} requires a positive integer k$"):
+            PropertySpec(kind, k=k)
+
+    def test_cli_tables_follow_kinds(self):
+        assert cli.READ_BY["k"] == ("--property/--q", {"support_size", "dist_to_uniform", "uniform"})
+        assert cli.READ_BY["m"] == ("--property", {"support_coverage"})
+        assert cli.READ_BY["a"] == ("--property", {"power_sum"})
+        for name in ("q", "q_file", "q_x"):
+            assert cli.READ_BY[name] == ("--property", {"l1_distance", "kl_divergence"})
+        for kind, record in KINDS.items():
+            for name in VALID:
+                assert (kind in cli.READ_BY[name][1]) == (name in record.reads)
+            assert cli.PROPERTY_ALIASES[kind] == kind
+        assert set(cli.PROPERTY_ALIASES.values()) == set(KINDS)
+        assert {alias: kind for alias, kind in cli.PROPERTY_ALIASES.items() if alias != kind} == {
+            "coverage": "support_coverage", "uniformity": "dist_to_uniform",
+            "l1": "l1_distance", "kl": "kl_divergence",
+        }
 
     def test_coverage_requires_positive_m(self):
         with pytest.raises(ValueError):

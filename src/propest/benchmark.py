@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,8 +52,6 @@ ESTIMATORS = (
     "empirical_plusplus",
     "modified_empirical",
 )
-
-CSV_HEADER = "property,distribution,k,n,estimator,trials,mse,mean_estimate,true_value,seed"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -155,6 +153,22 @@ class ResultRow:
     error: str | None = None
 
 
+def _fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _formats(cls, skip: str) -> dict[str, Callable[[object], str]]:
+    """Each field of dataclass ``cls`` but ``skip``, in order, with the function that writes
+    its value by declared type: 17 significant digits for a float, 0/1 for a bool, else ``str``.
+    """
+    write = {"float": _fmt, "bool": lambda v: str(int(v))}
+    return {f.name: write.get(f.type, str) for f in fields(cls) if f.name != skip}
+
+
+_CSV_FORMATS = _formats(ResultRow, "error")
+CSV_HEADER = ",".join(_CSV_FORMATS)
+
+
 def _plug_in_budget(estimator: str, n: int) -> int:
     if estimator == "empirical_plus":
         return int(round(n * math.sqrt(math.log(n))))
@@ -252,30 +266,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     return rows
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def results_to_csv(rows: Sequence[ResultRow]) -> str:
-    """Render rows as CSV text (LF line endings, 17 significant digits)."""
+    """Render rows as CSV text (LF line endings): every :class:`ResultRow` field but ``error``."""
     out = io.StringIO()
     out.write(CSV_HEADER + "\n")
     for row in rows:
-        out.write(
-            ",".join(
-                (
-                    row.property,
-                    row.distribution,
-                    str(row.k),
-                    str(row.n),
-                    row.estimator,
-                    str(row.trials),
-                    _fmt(row.mse),
-                    _fmt(row.mean_estimate),
-                    _fmt(row.true_value),
-                    str(row.seed),
-                )
-            )
-            + "\n"
-        )
+        out.write(",".join(write(getattr(row, name)) for name, write in _CSV_FORMATS.items()) + "\n")
     return out.getvalue()

@@ -43,6 +43,7 @@ from .benchmark import (
     ESTIMATORS,
     ExperimentConfig,
     _fmt,
+    _formats,
     realized_distribution,
     results_to_csv,
     run_experiment,
@@ -232,14 +233,8 @@ def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dic
     return Histogram(array)
 
 
-# simulate's family flags: the family that reads each, and its key in the family's params.
-DIST_FLAGS = {
-    "zipf_power": ("zipf", "power"),
-    "binom_prob": ("binomial", "prob"),
-    "geom_prob": ("geometric", "prob"),
-    "poisson_mean": ("poisson", "mean"),
-    "dirichlet_conc": ("dirichlet", "concentration"),
-}
+# simulate's family flags, by their names in ``args``: the family whose parameter each sets.
+_FAMILY_FLAGS = {record.flag[2:].replace("-", "_"): family for family, record in FAMILIES.items() if record.flag}
 
 _KINDS_READING = {name: {kind for kind, record in KINDS.items() if name in record.reads} for name in "kmaq"}
 
@@ -254,7 +249,7 @@ READ_BY = {
     "m": ("--property", _KINDS_READING["m"]),
     "a": ("--property", _KINDS_READING["a"]),
     **dict.fromkeys(("q", "q_file", "q_x"), ("--property", _KINDS_READING["q"])),
-    **{name: ("--dist", {family}) for name, (family, _) in DIST_FLAGS.items()},
+    **{name: ("--dist", {family}) for name, family in _FAMILY_FLAGS.items()},
     **dict.fromkeys(("counts2", "alpha", "s0_mult", "t", "s0", "v_max", "split_mode", "t_decay"),
                     ("--estimator", {"amplified"})),
     "rate": ("--estimator", {"amplified", "modified_empirical"}),
@@ -321,7 +316,8 @@ def cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
         estimators=estimators,
-        dist_params={key: v for name, (_, key) in DIST_FLAGS.items() if (v := getattr(args, name)) is not None},
+        dist_params={FAMILIES[family].param: v for name, family in _FAMILY_FLAGS.items()
+                     if (v := getattr(args, name)) is not None},
         poissonized=not args.fixed_size,
         alpha=args.alpha,
         s0_mult=args.s0_mult,
@@ -385,23 +381,9 @@ def cmd_estimate(args) -> int:
         sample = SplitSample(first=first, second=second, rate=float(args.rate))
         detail = amplified_estimate_detailed(sample, spec, params)
         value = detail.value
-        lines += [
-            f"split_mode={split_mode}",
-            f"rate={_fmt(params.rate)}",
-            f"t={_fmt(params.t)}",
-            f"s0={params.s0}",
-            f"u_max={params.u_max}",
-            f"r={params.r}",
-            f"t_decay={int(params.t_decay)}",
-            f"small_sum={_fmt(detail.small_sum)}",
-            f"large_sum={_fmt(detail.large_sum)}",
-            f"report_offset={_fmt(detail.report_offset)}",
-            f"n_small={detail.n_small}",
-            f"n_large={detail.n_large}",
-            f"n_overflow={detail.n_overflow}",
-            f"n_clamped={detail.n_clamped}",
-            f"n_cancelled={detail.n_cancelled}",
-        ]
+        lines.append(f"split_mode={split_mode}")
+        for obj, skip in ((params, "v_max"), (detail, "value")):  # the tuning, then the diagnostics
+            lines += [f"{name}={write(getattr(obj, name))}" for name, write in _formats(type(obj), skip).items()]
 
     lines.insert(0, f"estimate={_fmt(value)}")
     print("\n".join(lines))
@@ -497,11 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--fixed-size", action="store_true", default=None, help="plug-in draws use exactly n samples"
     )
     sim.add_argument("--dump-dist", help="also write the probability vector, one per line")
-    sim.add_argument("--zipf-power", type=float, help="zipf power (default 1.5)")
-    sim.add_argument("--binom-prob", type=float, help="binomial success probability (default 0.3)")
-    sim.add_argument("--geom-prob", type=float, help="geometric success probability (default 0.99)")
-    sim.add_argument("--poisson-mean", type=float, help="poisson mean (default 3000)")
-    sim.add_argument("--dirichlet-conc", type=float, help="dirichlet concentration (default 2)")
+    for family, record in FAMILIES.items():
+        if record.flag:
+            sim.add_argument(record.flag, type=float, help=f"{family} {record.param} (default {record.default:g})")
     _add_tuning_flags(sim)
     sim.set_defaults(func=cmd_simulate)
 

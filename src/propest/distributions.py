@@ -16,6 +16,7 @@ from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "FAMILIES",
+    "Family",
     "SPLIT_MODES",
     "Distribution",
     "Histogram",
@@ -25,17 +26,8 @@ __all__ = [
     "split_sample",
 ]
 
-FAMILIES = ("uniform", "dirichlet", "zipf", "binomial", "poisson", "geometric")
-SPLIT_MODES = ("two_stream", "thinned", "shared")
-
-_DEFAULT_PARAMS = {
-    "uniform": {},
-    "dirichlet": {"concentration": 2.0},
-    "zipf": {"power": 1.5},
-    "binomial": {"prob": 0.3},
-    "poisson": {"mean": 3000.0},
-    "geometric": {"prob": 0.99},
-}
+# Per-stream Poisson rate of each split mode, as a multiple of the budget.
+SPLIT_MODES = {"two_stream": 1.0, "thinned": 0.5, "shared": 1.0}
 
 
 @dataclass(frozen=True)
@@ -65,11 +57,11 @@ class Histogram:
         given = np.asarray(self.array)
         if given.ndim != 1:
             raise ValueError("counts must be a 1-D vector indexed by symbol id")
-        if given.dtype.kind == "f" and not np.array_equal(given, np.trunc(given)):
-            raise ValueError("counts must be integers")
+        # Refused before the cast to int64, which would wrap or warn on them.
+        if given.size and (given.min() < 0 or given.dtype.kind in "fu" and not given.max() < 2**63
+                           or given.dtype.kind == "f" and not np.array_equal(given, np.trunc(given))):
+            raise ValueError("counts must be integers in 0..2^63-1")
         array = given.astype(np.int64, copy=False)
-        if array.size and array.min() < 0:
-            raise ValueError("counts must be nonnegative")
         array = array.view()
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
@@ -101,6 +93,28 @@ def _normalize_log(log_mass: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+@dataclass(frozen=True)
+class Family:
+    """A family's one parameter, if any: its key in ``params``, default and ``simulate``
+    flag, and the ``high`` end of the open interval ``(0, high)`` its value must lie in.
+    """
+
+    param: str | None = None
+    default: float | None = None
+    flag: str | None = None
+    high: float = math.inf
+
+
+FAMILIES = {
+    "uniform": Family(),
+    "dirichlet": Family("concentration", 2.0, "--dirichlet-conc"),
+    "zipf": Family("power", 1.5, "--zipf-power"),
+    "binomial": Family("prob", 0.3, "--binom-prob", high=1.0),
+    "poisson": Family("mean", 3000.0, "--poisson-mean"),
+    "geometric": Family("prob", 0.99, "--geom-prob", high=1.0),
+}
+
+
 def make_distribution(
     family: str,
     k: int,
@@ -113,55 +127,44 @@ def make_distribution(
     puts ``(1-prob)^(x-1) * prob`` on 1..k; poisson and binomial live on
     0..k-1 (binomial with k-1 trials).  The dirichlet family draws one
     vector from a symmetric Dirichlet prior and therefore consumes ``rng``.
+    ``params`` holds at most the family's one parameter (see :data:`FAMILIES`).
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        raise ValueError(f"unknown family {family!r}; choose from {tuple(FAMILIES)}")
     if k < 1 or k != int(k):
         raise ValueError(f"k must be a positive integer, got {k!r}")
     k = int(k)
-    merged = dict(_DEFAULT_PARAMS[family])
-    merged.update(params or {})
+    record = FAMILIES[family]
+    params = dict(params or {})
+    value = params.pop(record.param, record.default)
+    if params:
+        raise ValueError(f"{family} does not read {', '.join(map(repr, params))}")
+    if record.param is not None:
+        value = float(value)
+        if not 0 < value < record.high:
+            raise ValueError(f"{family} {record.param} must lie in (0, {record.high:g}), got {value!r}")
 
     if family == "uniform":
         probs = np.full(k, 1.0 / k)
         probs /= probs.sum()
     elif family == "dirichlet":
-        conc = float(merged["concentration"])
-        if not conc > 0:
-            raise ValueError("dirichlet concentration must be positive")
         if rng is None:
             raise ValueError("dirichlet family requires an rng or seed")
-        gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        probs = gen.dirichlet(np.full(k, conc))
+        probs = np.random.default_rng(rng).dirichlet(np.full(k, value))  # a Generator is kept as it is
         probs = probs / probs.sum()
     elif family == "zipf":
-        power = float(merged["power"])
-        if not power > 0:
-            raise ValueError("zipf power must be positive")
-        probs = _normalize_log(-power * np.log(np.arange(1, k + 1, dtype=np.float64)))
+        probs = _normalize_log(-value * np.log(np.arange(1, k + 1, dtype=np.float64)))
     elif family == "binomial":
-        prob = float(merged["prob"])
-        if not 0 < prob < 1:
-            raise ValueError("binomial prob must be in (0, 1)")
-        if k == 1:
-            probs = np.array([1.0])
-        else:
-            # scipy.stats.binom's own log-pmf formula, without its import cost.
-            x = np.arange(k, dtype=np.float64)
-            log_pmf = gammaln(k) - (gammaln(x + 1.0) + gammaln(k - x))
-            probs = _normalize_log(log_pmf + xlogy(x, prob) + xlog1py(k - 1 - x, -prob))
-    elif family == "poisson":
-        mean = float(merged["mean"])
-        if not mean > 0:
-            raise ValueError("poisson mean must be positive")
+        # scipy.stats.binom's own log-pmf formula, without its import cost.
         x = np.arange(k, dtype=np.float64)
-        probs = _normalize_log(xlogy(x, mean) - gammaln(x + 1.0) - mean)
+        log_pmf = gammaln(k) - (gammaln(x + 1.0) + gammaln(k - x))
+        probs = _normalize_log(log_pmf + xlogy(x, value) + xlog1py(k - 1 - x, -value))
+    elif family == "poisson":
+        x = np.arange(k, dtype=np.float64)
+        probs = _normalize_log(xlogy(x, value) - gammaln(x + 1.0) - value)
     else:  # geometric
-        prob = float(merged["prob"])
-        if not 0 < prob < 1:
-            raise ValueError("geometric prob must be in (0, 1)")
         x = np.arange(1, k + 1, dtype=np.float64)
-        probs = _normalize_log((x - 1.0) * math.log1p(-prob) + math.log(prob))
+        probs = _normalize_log((x - 1.0) * math.log1p(-value) + math.log(value))
 
     return Distribution(probs)
 
@@ -201,22 +204,17 @@ def split_sample(
     stream of rate ``budget`` and routes each sample to a side by a fair
     coin, so each side has rate ``budget / 2``.  ``shared`` reuses a single
     rate-``budget`` stream as both sides; the sides are then fully dependent,
-    which trades theory for sample thrift.
+    which trades theory for sample thrift.  Side rates: :data:`SPLIT_MODES`.
     """
     if mode not in SPLIT_MODES:
-        raise ValueError(f"unknown split mode {mode!r}; choose from {SPLIT_MODES}")
+        raise ValueError(f"unknown split mode {mode!r}; choose from {tuple(SPLIT_MODES)}")
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget!r}")
-    if mode == "two_stream":
-        first = sample_histogram(dist, budget, poissonized=True, rng=rng)
-        second = sample_histogram(dist, budget, poissonized=True, rng=rng)
-        return SplitSample(first=first, second=second, rate=float(budget))
-    if mode == "shared":
-        hist = sample_histogram(dist, budget, poissonized=True, rng=rng)
-        return SplitSample(first=hist, second=hist, rate=float(budget))
-    # thinned
-    counts = rng.poisson(dist.probs * float(budget))
-    first = rng.binomial(counts, 0.5)
-    return SplitSample(
-        first=Histogram(first), second=Histogram(counts - first), rate=float(budget) / 2.0
-    )
+    rate = float(budget) * SPLIT_MODES[mode]
+    if mode == "thinned":
+        counts = rng.poisson(dist.probs * float(budget))
+        first = rng.binomial(counts, 0.5)
+        return SplitSample(first=Histogram(first), second=Histogram(counts - first), rate=rate)
+    first = sample_histogram(dist, budget, poissonized=True, rng=rng)
+    second = first if mode == "shared" else sample_histogram(dist, budget, poissonized=True, rng=rng)
+    return SplitSample(first=first, second=second, rate=rate)

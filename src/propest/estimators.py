@@ -136,8 +136,7 @@ def derive_params(
     Preset mode reads the tuning ``KINDS[spec.kind].preset`` and takes no
     ``alpha`` or ``s0_mult``; manual mode (``preset=False``) uses
     ``t = log(n)^(1-alpha) + 1`` and ``s0 = round(s0_mult * log(n)^0.2)``.
-    The per-stream rate follows the split mode: ``total_n`` for two_stream
-    and shared, ``total_n / 2`` for thinned.
+    The per-stream rate is ``total_n * SPLIT_MODES[split_mode]``.
     """
     if not MIN_TOTAL_N <= total_n < math.inf:
         raise ParameterError(f"need a finite total_n >= {MIN_TOTAL_N:g}, got {total_n!r}")
@@ -166,8 +165,7 @@ def derive_params(
             "increase total_n or lower alpha"
         )
     s0 = max(1, _round_half_up(mult * log_n**0.2, "s0"))
-    rate = total_n / 2.0 if split_mode == "thinned" else float(total_n)
-    return EstimatorParams(rate, t, s0, t_decay=t_decay, v_max=v_max)
+    return EstimatorParams(float(total_n) * SPLIT_MODES[split_mode], t, s0, t_decay=t_decay, v_max=v_max)
 
 
 # ---------------------------------------------------------------------------

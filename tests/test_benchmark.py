@@ -224,6 +224,8 @@ class TestCsv:
         )
         text = results_to_csv(run_experiment(cfg))
         lines = text.split("\n")
+        # Derived from ResultRow's fields; readers of old sweeps rely on this exact text.
+        assert CSV_HEADER == "property,distribution,k,n,estimator,trials,mse,mean_estimate,true_value,seed"
         assert lines[0] == CSV_HEADER
         assert len(lines) == 3 and lines[-1] == ""
         assert text.count("\r") == 0

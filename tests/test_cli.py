@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 import propest.numerics
 from propest import cli
 from propest.cli import main
-from propest.estimators import EstimatorParams, build_coefficient_table
+from propest.distributions import FAMILIES
+from propest.estimators import AmplifiedEstimate, EstimatorParams, build_coefficient_table
 from propest.numerics import log_poisson_tail
 from propest.properties import PropertySpec, entropy, eval_fx_grid
 from propest.selfcheck import run_selfcheck
@@ -190,6 +192,14 @@ class TestEstimate:
         assert kv["split_mode"] == "shared"
         assert math.isfinite(float(kv["estimate"]))
         assert int(kv["n_small"]) + int(kv["n_large"]) == 2
+
+    def test_amplified_reply_lines_are_the_fields(self, counts_file, capsys):
+        assert run_cli("estimate", "--property", "entropy", "--counts", counts_file,
+                       "--rate", "150", "--t", "3", "--s0", "1") == 0
+        keys = [line.split("=")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["estimate", "property", "estimator", "split_mode",
+                        *(f.name for f in fields(EstimatorParams) if f.name != "v_max"),
+                        *(f.name for f in fields(AmplifiedEstimate) if f.name != "value")]
 
     def test_amplified_two_streams(self, counts_file, tmp_path, capsys):
         second = tmp_path / "c2.csv"
@@ -432,6 +442,9 @@ MALFORMED = {
     ),
     "coverage_m_inf": ("simulate", "--property", "coverage", "--m", "inf", *SIM_UNIFORM, *SIM_OUT),
     "power_sum_a_inf": ("simulate", "--property", "power_sum", "--a", "inf", *SIM_UNIFORM, *SIM_OUT),
+    "zipf_power_inf": (*SIM_ON, "zipf", "--zipf-power", "inf", *SIM_OUT),
+    "poisson_mean_inf": (*SIM_ON, "poisson", "--poisson-mean", "inf", *SIM_OUT),
+    "dirichlet_conc_inf": (*SIM_ON, "dirichlet", "--dirichlet-conc", "inf", *SIM_OUT),
     "q_file_nan": (
         "estimate", "--property", "kl", "--q-file", "{qnan}", "--counts", "{pair}", "--estimator", "empirical",
     ),
@@ -470,6 +483,13 @@ class TestMalformedInput:
         assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("family", ["zipf", "poisson", "dirichlet"])
+    def test_infinite_family_parameter_named(self, family, tmp_path, capsys):
+        record = FAMILIES[family]
+        argv = [a.format(out=tmp_path / "out.csv") for a in (*SIM_ON, family, record.flag, "inf", *SIM_OUT)]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {family} {record.param} must lie in (0, inf), got inf\n"
 
 
 # Each output flag pointed into a directory that does not exist.
@@ -525,6 +545,17 @@ class TestReadRule:
         (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
         flags = {a.dest for a in sub.choices[command]._actions if a.option_strings}
         assert flags <= ALWAYS_READ | set(cli.READ_BY)
+
+    def test_family_flags_come_from_the_records(self):
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = {a.option_strings[0]: a for a in sub.choices["simulate"]._actions if a.option_strings}
+        for family, record in FAMILIES.items():
+            if record.flag is not None:
+                action = actions[record.flag]
+                assert cli.READ_BY[action.dest] == ("--dist", {family})
+                assert action.help == f"{family} {record.param} (default {record.default:g})"
+        assert {name for name, (choice, _) in cli.READ_BY.items() if choice == "--dist"} == {
+            actions[record.flag].dest for record in FAMILIES.values() if record.flag is not None}
 
     def test_message_names_the_choice_and_the_flag(self, counts_file, capsys):
         assert run_cli(*[a.format(counts=counts_file) for a in ESTIMATE_EMPIRICAL], "--a", "2") == 1

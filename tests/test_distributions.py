@@ -1,5 +1,6 @@
 """Tests for the benchmark distributions and Poissonized sampling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as sp_stats
 
 from propest.distributions import (
     FAMILIES,
+    SPLIT_MODES,
     Distribution,
     Histogram,
     make_distribution,
@@ -82,6 +84,45 @@ class TestMakeDistribution:
         with pytest.raises(ValueError):
             make_distribution("nope", 10)
 
+    @pytest.mark.parametrize("family, params", [("zipf", {"prob": 0.3}), ("uniform", {"power": 3.0})])
+    def test_refuses_a_key_the_family_does_not_read(self, family, params):
+        (key,) = params
+        with pytest.raises(ValueError, match=f"^{family} does not read '{key}'$"):
+            make_distribution(family, 10, params, rng=0)
+
+    @pytest.mark.parametrize("family, key", [("zipf", "power"), ("poisson", "mean"),
+                                             ("dirichlet", "concentration")])
+    def test_refuses_an_infinite_parameter(self, family, key):
+        # These once gave an all-NaN vector, refused later as not summing to 1.
+        with pytest.raises(ValueError, match=rf"^{family} {key} must lie in \(0, inf\), got inf$"):
+            make_distribution(family, 10, {key: math.inf}, rng=0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_default_is_inside_the_range(self, family):
+        record = FAMILIES[family]
+        assert (record.param is None) == (record.default is None) == (record.flag is None)
+        if record.param is not None:
+            assert 0 < record.default < record.high
+            np.testing.assert_array_equal(
+                make_distribution(family, 50, rng=1).probs,
+                make_distribution(family, 50, {record.param: record.default}, rng=1).probs,
+            )
+
+    # sha256 of probs.tobytes() at k=1000, recorded before the families became records.
+    PINNED = [
+        ("poisson", None, "71d40234bfde0d68498b317adbc1e93cde1800254a06d31e103e6c9476ee8690"),
+        ("poisson", {"mean": 5.0}, "11c3071d920bb6c46edf01f15d45c485fc5497117d0d5e49221280abbf1d5bea"),
+        ("zipf", {"power": 2.0}, "d5491d0017cdd5b8bb609952a69d684b5570884a4dc9df0d0798f5deadb3dad1"),
+        ("binomial", {"prob": 0.5}, "21306dd7aadea13e33902ef7521625ec7efe16f55e427f7e3e9a5c20a2476c5e"),
+        ("dirichlet", {"concentration": 1.0},
+         "011edd346f627a07680ca7156964a2873f4f0e433361757d4ebfa72b76e04df2"),
+    ]
+
+    @pytest.mark.parametrize("family, params, digest", PINNED)
+    def test_vector_bits_pinned(self, family, params, digest):
+        probs = make_distribution(family, 1000, params, rng=np.random.default_rng(11)).probs
+        assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
+
 
 class TestHistogram:
     def test_zero_counts_dropped(self):
@@ -97,6 +138,19 @@ class TestHistogram:
     def test_non_vector_or_non_integer_rejected(self, bad):
         with pytest.raises(ValueError):
             Histogram(np.array(bad))
+
+    @pytest.mark.parametrize("bad", [
+        np.array([np.inf, 1.0]), np.array([np.nan]), np.array([2.0**63]), np.array([-1e30]),
+        np.array([0.5]), np.array([2**63], dtype=np.uint64), np.array([3, -1]),
+    ])
+    def test_bad_counts_one_message_no_warning(self, bad):
+        # The cast to int64 warned on inf and wrapped a uint64 2^63, then called them negative.
+        with pytest.raises(ValueError, match=r"^counts must be integers in 0\.\.2\^63-1$"):
+            Histogram(bad)
+
+    def test_largest_counts_accepted(self):
+        assert Histogram(np.array([2**63 - 1], dtype=np.uint64)).total == 2**63 - 1
+        assert Histogram(np.array([2.0**63 - 1024, 0.0])).array[0] == 2**63 - 1024
 
     def test_from_array(self):
         given = np.array([0, 3, 0, 1])
@@ -189,6 +243,11 @@ class TestSplitSample:
         for sym in range(10):
             corr = np.corrcoef(f[:, sym], g[:, sym])[0, 1]
             assert abs(corr) < 0.02 + 3.0 / math.sqrt(trials)
+
+    @pytest.mark.parametrize("mode", SPLIT_MODES)
+    def test_rate_is_the_mode_multiple_of_the_budget(self, mode):
+        s = split_sample(make_distribution("uniform", 4), 40.0, mode=mode, rng=np.random.default_rng(0))
+        assert s.rate == 40.0 * SPLIT_MODES[mode] == (20.0 if mode == "thinned" else 40.0)
 
     def test_mode_validation(self):
         d = make_distribution("uniform", 2)

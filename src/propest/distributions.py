@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 __all__ = [
     "FAMILIES",
@@ -156,10 +155,14 @@ def make_distribution(
         probs = _normalize_log(-value * np.log(np.arange(1, k + 1, dtype=np.float64)))
     elif family == "binomial":
         # scipy.stats.binom's own log-pmf formula, without its import cost.
+        from scipy.special import gammaln, xlog1py, xlogy
+
         x = np.arange(k, dtype=np.float64)
         log_pmf = gammaln(k) - (gammaln(x + 1.0) + gammaln(k - x))
         probs = _normalize_log(log_pmf + xlogy(x, value) + xlog1py(k - 1 - x, -value))
     elif family == "poisson":
+        from scipy.special import gammaln, xlogy
+
         x = np.arange(k, dtype=np.float64)
         probs = _normalize_log(xlogy(x, value) - gammaln(x + 1.0) - value)
     else:  # geometric

@@ -233,6 +233,7 @@ class CoefficientTable:
     flags computed so far, marking counts whose weight hit the envelope or
     lost all significance to cancellation; ``computed`` says which entries
     those are, and every entry at ``v`` is final once ``weights(v)`` returns.
+    ``n_flagged`` counts the computed entries marked clamped or cancelled.
     ``values[0]`` is 0 (an unseen symbol contributes nothing).  Entries are
     computed under a per-table lock, so concurrent estimates can share one
     table.  ``shared`` is :func:`_shared_state`, computed once per table set.
@@ -255,6 +256,7 @@ class CoefficientTable:
         self._cancelled = np.zeros(v_max + 1, dtype=bool)
         self._computed = np.zeros(v_max + 1, dtype=bool)
         self._computed[0] = True
+        self.n_flagged = 0
         self._lock = threading.Lock()
 
     @property
@@ -286,6 +288,7 @@ class CoefficientTable:
                 self._clamped[v] = True
             self._values[v] = sign * math.exp(log_mag)
         self._computed[vs] = True
+        self.n_flagged += int(np.count_nonzero(self._clamped[vs] | self._cancelled[vs]))
 
     @property
     def computed(self) -> np.ndarray:
@@ -518,6 +521,8 @@ def amplified_estimate_detailed(
     for table, pick in picks:
         v = v_small[pick]
         seen_weights[pick] = table.weights(v)
+        if not table.n_flagged:
+            continue
         # weights() has computed every entry at v, so its flags are final.
         n_clamped += int(np.count_nonzero(table.clamped[v]))
         n_cancelled += int(np.count_nonzero(table.cancelled[v]))

@@ -3,10 +3,12 @@
 Factorials, Poisson tail probabilities, and series terms routinely leave the
 range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
-moment.  The Bessel factor and the adaptive quadrature over it exist to
-cross-validate the coefficient machinery in :mod:`propest.estimators`; the
-estimators themselves never integrate anything, so ``scipy.integrate`` (a
-large share of a cold import) is imported only when a quadrature runs.
+moment.  Log factorials come from a port of Cephes ``lgam`` (Moshier 1989),
+the routine behind ``scipy.special.gammaln``, and hold the same bits.  The
+Bessel factor and the adaptive quadrature over it exist to cross-validate
+the coefficient machinery in :mod:`propest.estimators`; the estimators
+themselves never read them, so scipy (``scipy.special`` alone is most of a
+cold import) is imported only inside the functions that call it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import threading
 import warnings
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "ConvergenceError",
@@ -39,6 +40,48 @@ class ConvergenceError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+# Cephes lgam: log(sqrt(2 pi)) and the Stirling series coefficients, highest first.
+_LS2PI = 0.91893853320467274178
+_STIRLING = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+def _lgam_range(start: int, stop: int) -> np.ndarray:
+    """Cephes ``lgam(x)`` for the integers ``x`` in ``start..stop-1`` (``start >= 1``).
+
+    Below 13, the log of the product ``(x-1)...2`` in Cephes' order; above,
+    the Stirling form, whose correction is a degree-4 polynomial in
+    ``1/x^2`` below 1000, two terms up to 1e8 and none beyond.  Every
+    ``log x`` goes through libm's ``math.log``, as in Cephes: ``np.log``
+    rounds a few of them differently.
+    """
+    x = np.arange(start, stop, dtype=np.float64)
+    out = np.empty(len(x))
+    n_small = max(0, min(13, stop) - start)
+    for i, u in enumerate(x[:n_small].tolist()):
+        z = 1.0
+        while u >= 3.0:
+            u -= 1.0
+            z *= u
+        out[i] = math.log(z)
+    x = x[n_small:]
+    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, len(x))
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    poly = np.full(len(x), _STIRLING[0])
+    for c in _STIRLING[1:]:
+        poly = poly * p + c
+    two_term = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + 0.0833333333333333333333
+    correction = np.where(x < 1000.0, poly, two_term) / x
+    out[n_small:] = np.where(x > 1.0e8, q, q + correction)
+    return out
+
+
 # log(i!) for i < len(_log_fact): one read-only array per process, replaced
 # (never written) when a caller asks for more.
 _log_fact = np.zeros(0)
@@ -49,15 +92,15 @@ def log_factorials(n: int) -> np.ndarray:
     """``log(i!)`` for ``i`` in ``0..n-1``, as a read-only array.
 
     Every caller reads a prefix of one array per process, grown to exactly
-    the largest ``n`` asked for.  ``gammaln`` is elementwise, so a prefix
-    holds the same bits as a fresh ``gammaln(np.arange(n) + 1.0)``.
+    the largest ``n`` asked for.  Entry ``i`` is :func:`_lgam_range` at
+    ``i + 1``, bit for bit ``gammaln(i + 1.0)``, however the array grew.
     """
     global _log_fact
     if len(_log_fact) < n:
         with _log_fact_lock:
             old = _log_fact
             if len(old) < n:
-                grown = np.concatenate([old, _special.gammaln(np.arange(len(old), n, dtype=np.float64) + 1.0)])
+                grown = np.concatenate([old, _lgam_range(len(old) + 1, n + 1)])
                 grown.flags.writeable = False
                 _log_fact = grown
     return _log_fact[:n]
@@ -71,7 +114,9 @@ def log_poisson_tail(r: float, j: int) -> float:
         return 0.0
     if r == 0.0:
         return -math.inf
-    sf = float(_special.gammainc(j + 1.0, r))
+    from scipy.special import gammainc
+
+    sf = float(gammainc(j + 1.0, r))
     if sf > 1e-290:
         return math.log(sf)
     # gammainc only underflows when j is far above r, where the term ratio
@@ -116,7 +161,9 @@ def bessel_f(u: int, y: float) -> float:
         raise ValueError(f"u must be a positive integer, got {u!r}")
     if y < 0:
         raise ValueError(f"y must be nonnegative, got {y!r}")
-    return float(_special.jv(2 * u, 2.0 * math.sqrt(y)))
+    from scipy.special import jv
+
+    return float(jv(2 * u, 2.0 * math.sqrt(y)))
 
 
 def integrate_poisson_kernel_bessel(u: int, y: float, upper: float) -> float:

@@ -411,6 +411,19 @@ class TestTableSet:
         with pytest.raises(ValueError):
             clamped[1] = True
 
+    @pytest.mark.parametrize("params, v_max, flagged", [
+        (clamping_params(), None, 212),
+        (derive_params(1e5, entropy()), 200, 47),
+    ], ids=["clamped", "cancelled"])
+    def test_n_flagged_counts_the_flagged_entries_computed(self, params, v_max, flagged):
+        table = build_coefficient_table(entropy(), params, v_max)
+        table.weights([1, 2, 17])
+        assert table.n_flagged == 0
+        table.weights([17, flagged, flagged + 1])
+        assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled) > 0
+        table.values  # completes the table
+        assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled)
+
     @pytest.mark.parametrize("rates", [(1e5, 3e3, 200.0), (200.0, 3e3, 1e5)], ids=["large_first", "small_first"])
     def test_shared_log_factorials_match_gammaln(self, rates, monkeypatch):
         """Every prefix of the process-wide log factorials is right, whatever size was asked first."""

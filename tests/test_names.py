@@ -17,6 +17,7 @@ import subprocess
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import propest
@@ -64,18 +65,62 @@ def test_exports_are_defined(name):
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
-def test_import_leaves_scipy_stats_unloaded(subprocess_env):
-    # scipy.stats costs most of a cold import and the package needs none of
-    # it; scipy.integrate is needed only by the quadrature self-checks
-    code = (
-        "import sys, propest, propest.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
-    )
+# Run in a fresh interpreter with the working directory holding the count
+# files; prints the scipy modules loaded after the command-line calls.
+_CLI_PATH_SCRIPT = """
+import sys
+import propest, propest.cli
+from propest.cli import main
+calls = [
+    ["simulate", "--property", "entropy", "--dist", "zipf", "--k", "200", "--n-grid", "400,1000",
+     "--trials", "2", "--estimators", "amplified,empirical,empirical_plus", "--out", "sim.csv"],
+    ["estimate", "--property", "entropy", "--counts", "c1.csv", "--counts2", "c2.csv", "--rate", "300"],
+    ["estimate", "--property", "support_size", "--k", "50", "--counts", "c1.csv", "--rate", "300"],
+    ["estimate", "--property", "kl", "--q", "uniform", "--k", "50", "--counts", "c1.csv", "--rate", "300",
+     "--alpha", "0.5", "--s0-mult", "1"],
+    ["coeffs", "--property", "entropy", "--rate", "1000", "--out", "coeffs.csv"],
+]
+codes = [main(argv) for argv in calls]
+print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_import_and_cli_paths_leave_scipy_unloaded(subprocess_env, tmp_path):
+    # scipy.special alone is most of a cold import: the package imports no
+    # scipy module until a binomial or poisson family, smoothed_h_hat or the
+    # self-check reads one.
+    for name, seed in (("c1.csv", 1), ("c2.csv", 2)):
+        counts = np.random.default_rng(seed).poisson(6.0, 50)
+        (tmp_path / name).write_text("".join(f"{i},{c}\n" for i, c in enumerate(counts)), encoding="utf-8")
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env=subprocess_env,
+        [sys.executable, "-c", _CLI_PATH_SCRIPT], capture_output=True, text=True, check=True,
+        env=subprocess_env, cwd=tmp_path,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+@pytest.mark.parametrize("call", [
+    "from propest.distributions import make_distribution\n"
+    "p = make_distribution('binomial', 40).probs\n"
+    "assert abs(p.sum() - 1) < 1e-12 and p.argmax() == 12",
+    "from propest.distributions import make_distribution\n"
+    "p = make_distribution('poisson', 40, {'mean': 5.0}).probs\n"
+    "assert abs(p.sum() - 1) < 1e-12 and p.argmax() in (4, 5)",
+    "from propest.estimators import EstimatorParams, smoothed_h_hat\n"
+    "from propest.properties import entropy\n"
+    "series, quad = smoothed_h_hat(entropy(), 0.5, EstimatorParams(150.0, 3.0, 1, t_decay=False))\n"
+    "assert abs(series - quad) < 1e-5",
+    "from propest.selfcheck import run_selfcheck\n"
+    "assert all(check.passed for check in run_selfcheck())",
+], ids=["binomial", "poisson", "smoothed_h_hat", "selfcheck"])
+def test_scipy_special_is_imported_where_it_is_read(subprocess_env, call):
+    code = (
+        "import sys, propest, propest.cli\n"
+        "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+        f"{call}\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=subprocess_env)
 
 
 def test_detects_undefined_global(tmp_path, monkeypatch):

@@ -112,6 +112,36 @@ def test_log_factorials_are_one_read_only_array(monkeypatch):
         large[0] = 1.0
 
 
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_log_factorials_hold_gammaln_bits(monkeypatch):
+    """The Cephes ``lgam`` port equals ``gammaln`` bit for bit over 0..3e5.
+
+    The array grows in pieces whose edges fall on both branch points of
+    ``lgam`` (x = 13 and x = 1000), and the comparison is of the bits, so a
+    libm or a log that rounds one entry differently fails here.
+    """
+    monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
+    for n in (12, 13, 999, 1000, 1001, 300_001):
+        log_factorials(n)
+    reference = gammaln(np.arange(300_001, dtype=np.float64) + 1.0)
+    assert np.array_equal(_bits(log_factorials(300_001)), _bits(reference))
+    # one piece across both branch points
+    assert np.array_equal(_bits(numerics._lgam_range(5, 2000)), _bits(reference[4:1999]))
+
+
+def test_lgam_port_holds_gammaln_bits_past_1e8():
+    """A range across x = 1e8, where ``lgam`` drops its correction term.
+
+    The term is below half an ulp of the result there, so this pins the
+    Stirling form at the largest arguments, computed without a 1e8-long prefix.
+    """
+    x = np.arange(10**8 - 2000, 10**8 + 2000, dtype=np.float64)
+    assert np.array_equal(_bits(numerics._lgam_range(10**8 - 2000, 10**8 + 2000)), _bits(gammaln(x)))
+
+
 def test_log_factorials_grow_under_concurrent_calls(monkeypatch):
     """Threads growing the array in interleaved steps each get the right prefix, and no growth is lost."""
     sizes = [[100 * k + i for k in range(1, 101)] for i in range(8)]

@@ -25,7 +25,6 @@ from .distributions import SPLIT_MODES, Histogram, SplitSample
 from .numerics import (
     integrate_poisson_kernel_bessel,
     log_factorials,
-    log_poisson_tail,
     log_poisson_tail_table,
     signed_log_sum_arrays,
 )
@@ -592,19 +591,20 @@ def smoothed_h_hat(
         return 0.0, 0.0
     table = build_coefficient_table(spec, params, q_x=q_x)
     qx, log_bound = table.q_x, table.log_clamp_bound
-    v_stop = max(16, 4 * params.s0)
+    log_tail = log_poisson_tail_table(lam, params.v_max)
+    v_stop = min(max(16, 4 * params.s0), params.v_max)
     while (
-        log_bound + log_poisson_tail(lam, v_stop) >= math.log(_HHAT_TAIL_TOL)
+        log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL)
         and v_stop < params.v_max
     ):
         v_stop = min(2 * v_stop, params.v_max)
-    if log_bound + log_poisson_tail(lam, v_stop) >= math.log(_HHAT_TAIL_TOL):
+    if log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL):
         raise ValueError(
             "params.v_max too small to truncate the series below the tail bound"
         )
 
     v = np.arange(1, v_stop + 1)
-    log_weight = v * math.log(lam) - lam - table._log_fact[v]
+    log_weight = v * math.log(lam) - lam - log_factorials(v_stop + 1)[v]
     series = float(np.sum(table.weights(v) * np.exp(log_weight)))
 
     t = params.t

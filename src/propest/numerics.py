@@ -4,8 +4,9 @@ Factorials, Poisson tail probabilities, and series terms routinely leave the
 range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
 moment.  Log factorials come from a port of Cephes ``lgam`` (Moshier 1989),
-the routine behind ``scipy.special.gammaln``, and hold the same bits.  The
-Bessel factor and the adaptive quadrature over it exist to cross-validate
+the routine behind ``scipy.special.gammaln``, and hold the same bits.  Poisson
+tails come from one routine, :func:`log_poisson_tail_table`, a backward
+log-sum-exp over the log pmf.  The Bessel factor and the adaptive quadrature over it exist to cross-validate
 the coefficient machinery in :mod:`propest.estimators`; the estimators
 themselves never read them, so scipy (``scipy.special`` alone is most of a
 cold import) is imported only inside the functions that call it.
@@ -24,7 +25,6 @@ __all__ = [
     "bessel_f",
     "integrate_poisson_kernel_bessel",
     "log_factorials",
-    "log_poisson_tail",
     "log_poisson_tail_table",
     "signed_log_sum_arrays",
 ]
@@ -104,35 +104,6 @@ def log_factorials(n: int) -> np.ndarray:
                 grown.flags.writeable = False
                 _log_fact = grown
     return _log_fact[:n]
-
-
-def log_poisson_tail(r: float, j: int) -> float:
-    """Natural log of ``P(Poisson(r) > j)`` (0 for ``j < 0``), robust deep into the tail."""
-    if r < 0:
-        raise ValueError(f"rate must be nonnegative, got {r!r}")
-    if j < 0:
-        return 0.0
-    if r == 0.0:
-        return -math.inf
-    from scipy.special import gammainc
-
-    sf = float(gammainc(j + 1.0, r))
-    if sf > 1e-290:
-        return math.log(sf)
-    # gammainc only underflows when j is far above r, where the term ratio
-    # r/(j+2) < 1 makes the remaining series geometric-fast.
-    m = j + 1
-    lead = m * math.log(r) - r - math.lgamma(m + 1.0)
-    total = 1.0
-    term = 1.0
-    i = m + 1
-    while True:
-        term *= r / i
-        total += term
-        if term <= 1e-18 * total:
-            break
-        i += 1
-    return lead + math.log(total)
 
 
 def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:

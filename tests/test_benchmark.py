@@ -1,6 +1,7 @@
 """Tests for the Monte-Carlo harness: seeding, aggregation, and CSV output."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,11 @@ from propest.benchmark import (
     run_experiment,
     trial_seed,
 )
+from propest.cli import main
 from propest.distributions import make_distribution
 from propest.properties import entropy, exact_value, kl_divergence, l1_distance, support_size
+
+README_SWEEP = Path(__file__).parent / "data" / "readme_sweep.csv"
 
 
 class TestMse:
@@ -192,19 +196,29 @@ class TestRunExperiment:
         dist = make_distribution("dirichlet", 30, None, rng=dist_rng)
         assert row.true_value == exact_value(support_size(30), dist.probs)
 
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_readme_outlier_cells_pinned(self, threads):
-        # Two cells of the README sweep; trial 64 of n=59948 holds the outlier.
+    def test_readme_sweep_pinned(self, tmp_path):
+        # The README's CLI sweep, every cell byte for byte; trial 64 of
+        # n=59948 holds the amplified outlier.
+        out = tmp_path / "results.csv"
+        assert main([
+            "simulate", "--property", "entropy", "--dist", "zipf", "--k", "10000",
+            "--n-grid", "1000:100000:10", "--trials", "100", "--seed", "7",
+            "--estimators", "amplified,empirical,empirical_plus", "--threads", "1",
+            "--out", str(out),
+        ]) == 0
+        assert out.read_bytes() == README_SWEEP.read_bytes()
+
+    def test_readme_outlier_cells_pinned(self):
         # Threads share each cell's coefficient table while it is filled.
         cfg = ExperimentConfig(
             spec=entropy(), family="zipf", k=10_000, n_grid=(21544, 59948),
             trials=100, seed=7, estimators=("amplified",),
         )
-        rows = run_experiment(cfg, threads=threads)
-        assert [(row.mse, row.mean_estimate) for row in rows] == [
-            (0.00099850175452182561, 3.079965180032449),
-            (0.28136183302619405, 3.0379114278601467),
-        ]
+        header, *lines = results_to_csv(run_experiment(cfg, threads=3)).splitlines()
+        pinned = README_SWEEP.read_text(encoding="utf-8").splitlines()
+        assert header == pinned[0]
+        cells = ("entropy,zipf,10000,21544,amplified,", "entropy,zipf,10000,59948,amplified,")
+        assert lines == [line for line in pinned if line.startswith(cells)]
 
     def test_aggregate_consistency(self):
         cfg = ExperimentConfig(

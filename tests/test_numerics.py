@@ -23,7 +23,6 @@ from propest.numerics import (
     bessel_f,
     integrate_poisson_kernel_bessel,
     log_factorials,
-    log_poisson_tail,
     log_poisson_tail_table,
     signed_log_sum_arrays,
 )
@@ -53,52 +52,47 @@ def _mp_log_poisson_tail(r, j):
 
 class TestPoissonTail:
     def test_zero_rate_point_mass(self):
-        assert math.exp(log_poisson_tail(0.0, 0)) == 0.0
+        assert np.all(log_poisson_tail_table(0.0, 5) == -math.inf)
 
     def test_single_term_complement(self):
-        tail = math.exp(log_poisson_tail(1.0, 0))
-        assert tail == pytest.approx(1 - math.exp(-1), rel=1e-14)
+        (log_tail,) = log_poisson_tail_table(1.0, 0)
+        assert math.exp(log_tail) == pytest.approx(1 - math.exp(-1), rel=1e-14)
 
     def test_deep_tail_series_oracle(self):
         # direct 64-term series in extended precision
         oracle = float(1 - _mp_poisson_cdf(5, 60))
-        value = math.exp(log_poisson_tail(5.0, 60))
+        value = math.exp(log_poisson_tail_table(5.0, 60)[60])
         assert value < 1e-12
         assert value == pytest.approx(oracle, rel=1e-6)
 
-    def test_j_minus_one_is_one(self):
-        assert math.exp(log_poisson_tail(3.7, -1)) == 1.0
+    def test_negative_rate_or_j_max_refused(self):
+        with pytest.raises(ValueError, match="rate"):
+            log_poisson_tail_table(-1.0, 5)
+        with pytest.raises(ValueError, match="j_max"):
+            log_poisson_tail_table(3.7, -1)
 
     def test_complement_identity(self):
         for r in (0.5, 1.0, 5.0, 20.0, 100.0, 200.0):
-            for j in (0, 1, 3, int(r), int(2 * r) + 5):
+            js = (0, 1, 3, int(r), int(2 * r) + 5)
+            table = log_poisson_tail_table(r, max(js))
+            for j in js:
                 cdf = float(_mp_poisson_cdf(r, j))
-                tail = math.exp(log_poisson_tail(r, j))
-                assert tail + cdf == pytest.approx(1.0, abs=1e-12)
+                assert math.exp(table[j]) + cdf == pytest.approx(1.0, abs=1e-12)
 
     @given(
         r=st.floats(min_value=0.01, max_value=50.0),
-        j=st.integers(min_value=-1, max_value=120),
+        j_max=st.integers(min_value=0, max_value=121),
     )
     @settings(max_examples=200, deadline=None)
-    def test_nonincreasing_in_j(self, r, j):
-        tail = math.exp(log_poisson_tail(r, j))
-        assert tail >= math.exp(log_poisson_tail(r, j + 1)) - 1e-15
-        assert 0.0 <= tail <= 1.0
+    def test_nonincreasing_in_j(self, r, j_max):
+        tails = np.exp(log_poisson_tail_table(r, j_max))
+        assert np.all(np.diff(tails) <= 1e-15)
+        assert np.all((tails >= 0.0) & (tails <= 1.0 + 1e-13))
 
     def test_log_tail_matches_mpmath_deep(self):
         for r, j in ((40.0, 300), (2.0, 80), (3454.0, 14000)):
             oracle = _mp_log_poisson_tail(r, j)
-            assert log_poisson_tail(r, j) == pytest.approx(oracle, rel=1e-10)
-
-    def test_log_tail_table_matches_scalar(self):
-        r = 40.0
-        table = log_poisson_tail_table(r, 400)
-        for j in (0, 1, 17, 40, 120, 399):
-            assert table[j] == pytest.approx(log_poisson_tail(r, j), rel=1e-12)
-
-    def test_log_tail_table_zero_rate(self):
-        assert np.all(log_poisson_tail_table(0.0, 5) == -math.inf)
+            assert log_poisson_tail_table(r, j)[j] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_log_factorials_are_one_read_only_array(monkeypatch):

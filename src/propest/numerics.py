@@ -6,7 +6,8 @@ range of double precision, so every quantity here is carried as a
 moment.  Log factorials come from a port of Cephes ``lgam`` (Moshier 1989),
 the routine behind ``scipy.special.gammaln``, and hold the same bits.  Poisson
 tails come from one routine, :func:`log_poisson_tail_table`, a backward
-log-sum-exp over the log pmf.  The Bessel factor and the adaptive quadrature over it exist to cross-validate
+log-sum-exp over the log pmf normalised by its own computed mass.  The Bessel
+factor and the adaptive quadrature over it exist to cross-validate
 the coefficient machinery in :mod:`propest.estimators`; the estimators
 themselves never read them, so scipy (``scipy.special`` alone is most of a
 cold import) is imported only inside the functions that call it.
@@ -111,7 +112,10 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
 
     Computed as a backward running log-sum-exp over the log pmf, truncated
     far enough past ``max(2r, j_max)`` that the discarded mass is negligible
-    relative to every returned tail.
+    relative to every returned tail, and divided by the computed total mass.
+    Rounding offsets every log pmf term alike, by up to ~4e-12 at ``r`` in
+    the thousands; the division cancels that offset, so the tails where
+    ``j`` is far below ``r`` are exactly 0 and no tail exceeds 1.
     """
     if r < 0:
         raise ValueError(f"rate must be nonnegative, got {r!r}")
@@ -123,7 +127,7 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
     i = np.arange(top + 1, dtype=np.float64)
     log_pmf = i * math.log(r) - r - log_factorials(top + 1)
     running = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
-    return running[1 : j_max + 2].copy()
+    return running[1 : j_max + 2] - running[0]
 
 
 def bessel_f(u: int, y: float) -> float:

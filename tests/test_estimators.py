@@ -239,6 +239,14 @@ class TestCoefficient:
         value = build_coefficient_table(entropy(), params).weights(1)
         assert value == pytest.approx(target, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1000, 59948])
+    def test_count_one_weight_matches_oracle_at_readme_rates(self, n):
+        # The weight is t f(1/(rate t)) times a tail at level r 2733 or 4061
+        # that is 1 to within 1e-1000, so any error in that tail shows whole.
+        params = derive_params(n, entropy())
+        value = build_coefficient_table(entropy(), params).weights(1)
+        assert abs(value / mp_entropy_coefficient(1, params) - 1.0) <= 2.0**-48
+
     def test_zero_function_on_grid(self):
         # rate * t <= 1 clamps every grid point to 1 where entropy vanishes
         params = EstimatorParams(0.3, 3.0, 1)
@@ -443,7 +451,8 @@ def direct_log_poisson_tail_table(r, j_max):
     top = int(max(2 * math.ceil(r), j_max)) + 200
     i = np.arange(top + 1, dtype=np.float64)
     log_pmf = i * math.log(r) - r - gammaln(i + 1.0)
-    return np.logaddexp.accumulate(log_pmf[::-1])[::-1][1 : j_max + 2]
+    running = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
+    return running[1 : j_max + 2] - running[0]
 
 
 class TestAmplified:

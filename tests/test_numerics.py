@@ -50,6 +50,23 @@ def _mp_log_poisson_tail(r, j):
         return float(mp.log(total))
 
 
+def _mp_log_poisson_tails(r, j_max):
+    # log P(Poisson(r) > j) for j in 0..j_max: the pmf by its recurrence,
+    # summed backward from far enough past max(2r, j_max) to be exact here
+    with mp.workprec(300):
+        top = max(2 * r, j_max) + 400
+        pmf = [mp.exp(-mp.mpf(r))]
+        for i in range(1, top + 1):
+            pmf.append(pmf[-1] * r / i)
+        tails = []
+        total = mp.mpf(0)
+        for i in range(top, 0, -1):
+            total += pmf[i]
+            if i <= j_max + 1:
+                tails.append(float(mp.log(total)))
+        return np.array(tails[::-1])
+
+
 class TestPoissonTail:
     def test_zero_rate_point_mass(self):
         assert np.all(log_poisson_tail_table(0.0, 5) == -math.inf)
@@ -85,14 +102,27 @@ class TestPoissonTail:
     )
     @settings(max_examples=200, deadline=None)
     def test_nonincreasing_in_j(self, r, j_max):
-        tails = np.exp(log_poisson_tail_table(r, j_max))
-        assert np.all(np.diff(tails) <= 1e-15)
-        assert np.all((tails >= 0.0) & (tails <= 1.0 + 1e-13))
+        table = log_poisson_tail_table(r, j_max)
+        assert np.all(np.diff(np.exp(table)) <= 1e-15)
+        assert np.all(table <= 0.0)
 
     def test_log_tail_matches_mpmath_deep(self):
         for r, j in ((40.0, 300), (2.0, 80), (3454.0, 14000)):
             oracle = _mp_log_poisson_tail(r, j)
             assert log_poisson_tail_table(r, j)[j] == pytest.approx(oracle, rel=1e-10)
+
+    def test_tails_far_below_the_mode_are_exactly_zero(self):
+        # Each of these tails is 1 to within 1e-50; a rounding offset shared
+        # by every log pmf term would show here as a nonzero log.
+        assert np.all(log_poisson_tail_table(4061.0, 120) == 0.0)
+        assert np.all(log_poisson_tail_table(276.0, 60) == 0.0)
+
+    def test_log_tails_up_to_the_mode_match_mpmath(self):
+        # 2733 and 4061 are the tail levels of the README sweep at n = 1000
+        # and 59948.
+        for r in (5, 40, 276, 2733, 4061):
+            err = log_poisson_tail_table(float(r), r) - _mp_log_poisson_tails(r, r)
+            assert np.max(np.abs(err)) <= 1e-12, r
 
 
 def test_log_factorials_are_one_read_only_array(monkeypatch):

@@ -113,9 +113,10 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
     Computed as a backward running log-sum-exp over the log pmf, truncated
     far enough past ``max(2r, j_max)`` that the discarded mass is negligible
     relative to every returned tail, and divided by the computed total mass.
-    Rounding offsets every log pmf term alike, by up to ~4e-12 at ``r`` in
-    the thousands; the division cancels that offset, so the tails where
-    ``j`` is far below ``r`` are exactly 0 and no tail exceeds 1.
+    Rounding shifts the log pmf terms that carry the mass by nearly the same
+    amount, up to ~4e-12 at ``r`` in the thousands; the division cancels
+    that shift, so the tails where ``j`` is far below ``r`` are exactly 0
+    and no tail exceeds 1.
     """
     if r < 0:
         raise ValueError(f"rate must be nonnegative, got {r!r}")

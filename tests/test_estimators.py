@@ -648,3 +648,10 @@ class TestSmoothedHHat:
     def test_decay_rejected(self):
         with pytest.raises(ValueError):
             smoothed_h_hat(entropy(), 0.5, small_params(t_decay=True))
+
+    def test_v_max_below_the_first_truncation_refused(self):
+        # The series would first stop at 16; the tail at v_max 10 is too
+        # large for the envelope, so it refuses rather than truncate there.
+        params = EstimatorParams(150.0, 3.0, 1, t_decay=False, v_max=10)
+        with pytest.raises(ValueError, match="v_max too small"):
+            smoothed_h_hat(entropy(), 0.5, params)

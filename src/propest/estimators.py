@@ -184,14 +184,17 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
     return min(bound, _LOG_CLAMP_CEILING)
 
 
-def _shared_state(spec: PropertySpec, params: EstimatorParams) -> tuple:
-    """What every table of ``(spec, params)`` shares, whatever its ``q_x``.
+def _shared_state(spec: PropertySpec, params: EstimatorParams, length: int) -> tuple:
+    """What every table of ``(spec, params)`` and ``length`` entries shares, whatever its ``q_x``.
 
     The log weight envelope, the log Poisson tail at level ``r`` and the
-    log factorials, both up to ``params.v_max + params.u_max``; the log
-    factorials are a prefix of the process-wide :func:`log_factorials`.
+    log factorials, both up to ``length + params.u_max``, the largest
+    ``v + u`` such a table reads.  Both are bit for bit prefixes of the
+    arrays a longer table gets: the log factorials of the process-wide
+    :func:`log_factorials`, the tail of any longer
+    :func:`log_poisson_tail_table` at the same level.
     """
-    j_max = params.v_max + params.u_max
+    j_max = length + params.u_max
     log_tail = log_poisson_tail_table(float(params.r), j_max)
     return _log_clamp_bound(spec, params), log_tail, log_factorials(j_max + 1)
 
@@ -347,7 +350,8 @@ def build_coefficient_table(
 
     No weight is computed here; each entry is computed when first read.
     """
-    size, shared = _table_size(params, v_max), _shared_state(spec, params)
+    size = _table_size(params, v_max)
+    shared = _shared_state(spec, params, size)
     return CoefficientTable(spec, params, size, shared, _resolve_context(spec, q_x))
 
 
@@ -381,7 +385,8 @@ def build_coefficient_tables(
 
     The tables share one envelope, log Poisson tail and log-factorial array.
     """
-    size, shared = _table_size(params, v_max), _shared_state(spec, params)
+    size = _table_size(params, v_max)
+    shared = _shared_state(spec, params, size)
     if spec.q is None:
         return CoefficientTables(spec, params, (CoefficientTable(spec, params, size, shared),))
     unique_q = np.unique(spec.q)

@@ -440,10 +440,11 @@ class TestTableSet:
             assert np.array_equal(numerics.log_poisson_tail_table(rate, 50), direct_log_poisson_tail_table(rate, 50))
             for spec in (entropy(), support_size(1000)):
                 params = derive_params(rate, spec)
-                j_max = params.v_max + params.u_max
-                _, log_tail, log_fact = estimators._shared_state(spec, params)
-                assert np.array_equal(log_fact, gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0))
-                assert np.array_equal(log_tail, direct_log_poisson_tail_table(float(params.r), j_max))
+                for length in (1, params.u_max, params.v_max):
+                    j_max = length + params.u_max
+                    _, log_tail, log_fact = estimators._shared_state(spec, params, length)
+                    assert np.array_equal(log_fact, gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0))
+                    assert np.array_equal(log_tail, direct_log_poisson_tail_table(float(params.r), j_max))
 
 
 def direct_log_poisson_tail_table(r, j_max):

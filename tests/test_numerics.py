@@ -108,6 +108,16 @@ class TestPoissonTail:
             err = log_poisson_tail_table(float(r), r) - _mp_log_poisson_tails(r, r)
             assert np.max(np.abs(err)) <= 1e-12, r
 
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 7.0, 20.0, 40.0, 100.0, 276.0, 500.0, 1509.0, 2733.0, 4061.0, 4350.0])
+    def test_shorter_tables_are_bit_for_bit_prefixes(self, r):
+        # Coefficient tables size their tail by their own length, so a short
+        # and a long table must read the same bits; the truncation point
+        # max(2r, j_max) + 200 moves with j_max past 2r.
+        longest = log_poisson_tail_table(r, 20000)
+        knee = 2 * math.ceil(r)
+        for j_max in sorted({0, 1, 2, 7, 19, 546, knee - 1, knee, knee + 1, knee + 250, 5000, 20000}):
+            assert log_poisson_tail_table(r, j_max).tobytes() == longest[: j_max + 1].tobytes(), j_max
+
 
 def test_log_factorials_are_one_read_only_array(monkeypatch):
     monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))

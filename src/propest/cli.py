@@ -451,7 +451,8 @@ def _add_tuning_flags(p: argparse.ArgumentParser) -> None:
 def _add_explicit_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, help="explicit amplification parameter")
     p.add_argument("--s0", type=int, help="explicit small/large threshold")
-    p.add_argument("--v-max", type=int, help="coefficient table size (default max(4r, 200))")
+    p.add_argument("--v-max", type=int, help="coefficient table size (default max(4r, 200)); "
+                   "estimate reads no count past u_max, so there it can only shorten the table")
 
 
 @functools.cache

@@ -51,7 +51,7 @@ _DECAY_FLOOR = 1.5
 
 MIN_TOTAL_N = 150.0
 MIN_T = 2.5
-# Ceiling on v_max + u_max, the length of the arrays every table set allocates.
+# Ceiling on v_max + u_max, the length of the longest arrays a table allocates.
 MAX_TABLE_SIZE = 10**7
 
 # Weights are clamped to at most 1e100 in magnitude, whatever the envelope.
@@ -74,8 +74,9 @@ class EstimatorParams:
 
     ``rate`` is the per-stream Poisson rate entering every count ratio.
     The series truncation ``u_max`` and the tail level ``r`` are derived
-    from ``t`` and ``s0``.  ``v_max`` caps the coefficient table (default
-    ``max(4r, 200)``); counts beyond it contribute zero.
+    from ``t`` and ``s0``.  ``v_max`` (default ``max(4r, 200)``) is the
+    length of :func:`build_coefficient_table`'s tables.  An estimate reads
+    no count past ``u_max``, so its tables hold ``min(v_max, u_max)``.
     """
 
     rate: float
@@ -185,14 +186,11 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
 
 
 def _shared_state(spec: PropertySpec, params: EstimatorParams, length: int) -> tuple:
-    """What every table of ``(spec, params)`` and ``length`` entries shares, whatever its ``q_x``.
+    """What every table of ``(spec, params)``, ``length`` entries long, shares.
 
     The log weight envelope, the log Poisson tail at level ``r`` and the
     log factorials, both up to ``length + params.u_max``, the largest
-    ``v + u`` such a table reads.  Both are bit for bit prefixes of the
-    arrays a longer table gets: the log factorials of the process-wide
-    :func:`log_factorials`, the tail of any longer
-    :func:`log_poisson_tail_table` at the same level.
+    ``v + u`` such a table reads; both are bit for bit prefixes of longer ones.
     """
     j_max = length + params.u_max
     log_tail = log_poisson_tail_table(float(params.r), j_max)
@@ -332,27 +330,16 @@ def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
     return float(q_x)
 
 
-def _table_size(params: EstimatorParams, v_max: int | None) -> int:
-    if v_max is None:
-        return params.v_max
-    if v_max < 1 or v_max > params.v_max:
-        raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    return v_max
-
-
 def build_coefficient_table(
-    spec: PropertySpec,
-    params: EstimatorParams,
-    v_max: int | None = None,
-    q_x: float | None = None,
+    spec: PropertySpec, params: EstimatorParams, q_x: float | None = None
 ) -> CoefficientTable:
-    """Table of ``h_v * v!`` for ``v = 1..v_max`` (default ``params.v_max``).
+    """Table of ``h_v * v!`` for ``v = 1..params.v_max``, by default past ``u_max``.
 
-    No weight is computed here; each entry is computed when first read.
+    Weights past ``u_max`` serve the coefficient dump and the self-checks,
+    never an estimate.  Each entry is computed when first read.
     """
-    size = _table_size(params, v_max)
-    shared = _shared_state(spec, params, size)
-    return CoefficientTable(spec, params, size, shared, _resolve_context(spec, q_x))
+    shared = _shared_state(spec, params, params.v_max)
+    return CoefficientTable(spec, params, params.v_max, shared, _resolve_context(spec, q_x))
 
 
 @dataclass(frozen=True)
@@ -381,17 +368,19 @@ class CoefficientTables:
 def build_coefficient_tables(
     spec: PropertySpec, params: EstimatorParams, v_max: int | None = None
 ) -> CoefficientTables:
-    """Build the full table set an amplified estimate needs.
+    """The table set an estimate needs, each ``v_max`` (default ``min(params.v_max, u_max)``) long.
 
     The tables share one envelope, log Poisson tail and log-factorial array.
     """
-    size = _table_size(params, v_max)
-    shared = _shared_state(spec, params, size)
+    v_max = min(params.v_max, params.u_max) if v_max is None else v_max
+    if not 1 <= v_max <= params.v_max:
+        raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
+    shared = _shared_state(spec, params, v_max)
     if spec.q is None:
-        return CoefficientTables(spec, params, (CoefficientTable(spec, params, size, shared),))
+        return CoefficientTables(spec, params, (CoefficientTable(spec, params, v_max, shared),))
     unique_q = np.unique(spec.q)
     tables = tuple(
-        CoefficientTable(spec, params, size, shared, _resolve_context(spec, float(qx)))
+        CoefficientTable(spec, params, v_max, shared, _resolve_context(spec, float(qx)))
         for qx in unique_q
     )
     return CoefficientTables(spec, params, tables, unique_q)
@@ -453,7 +442,7 @@ class AmplifiedEstimate:
 
     ``n_clamped`` and ``n_cancelled`` count the small-branch symbols whose
     weight was clamped or cancelled; ``n_overflow`` those whose count lies
-    beyond the table.
+    beyond ``u_max`` or beyond the table, and which contribute zero.
     """
 
     value: float
@@ -477,9 +466,9 @@ def amplified_estimate_detailed(
 
     Symbols whose second-stream count is at most ``s0`` contribute their
     table weight at the first-stream count (zero for unseen symbols, and
-    zero with an overflow tick for counts beyond the table).  The remaining
-    symbols contribute the plug-in value ``f_x(N_x / rate)``.  Given
-    ``tables`` must be built for ``spec`` and ``params``.
+    zero with an overflow tick for counts beyond the table or ``u_max``,
+    past which weights mean nothing).  The others contribute the plug-in
+    value ``f_x(N_x / rate)``.  ``tables``, if given, fit ``spec`` and ``params``.
 
     Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
     the order of its terms: the symbols seen in the first stream, ascending,
@@ -507,16 +496,16 @@ def amplified_estimate_detailed(
     # np.compress gathers through a dense, irregular mask several times
     # faster than boolean indexing does.
     v_small = np.compress(small, c1)
-    v_max = tables.tables[0].v_max
-    overflow = int(np.count_nonzero(v_small > v_max))
+    read_max = min(tables.tables[0].v_max, params.u_max)
+    overflow = int(np.count_nonzero(v_small > read_max))
     weights = np.zeros(len(v_small) + only2_small)
     seen_weights = weights[: len(v_small)]
     if len(tables.tables) == 1:
-        picks = [(tables.tables[0], v_small <= v_max if overflow else slice(None))]
+        picks = [(tables.tables[0], v_small <= read_max if overflow else slice(None))]
     else:
         # Group the symbols by owning table, so that only the tables owning
         # one are visited, and each visit gathers its own symbols only.
-        idx = np.flatnonzero(v_small <= v_max)
+        idx = np.flatnonzero(v_small <= read_max)
         owner = tables.table_for_symbols(small)[idx]
         order = np.argsort(owner, kind="stable")
         owners, starts = np.unique(owner[order], return_index=True)

@@ -29,6 +29,7 @@ from propest.estimators import (
     EstimatorParams,
     amplified_estimate_detailed,
     build_coefficient_tables,
+    derive_params,
     empirical,
     modified_empirical,
 )
@@ -228,7 +229,7 @@ def ref_amplified(first, second, rate, spec, params, tables):
     idx = np.array(symbols, dtype=np.int64)
     small = n2 <= params.s0
     v_small = n1[small]
-    v_max = tables.tables[0].v_max
+    v_max = min(tables.tables[0].v_max, params.u_max)
     in_range = (v_small >= 1) & (v_small <= v_max)
     weights = np.zeros(len(v_small))
     n_clamped = n_cancelled = 0
@@ -255,29 +256,34 @@ def bits(result):
 
 L1_Q = dirichlet_q(40, 1)
 KL_Q = dirichlet_q(40, 2)
-# Entries from v=212 on are clamped and v_max is 400; with t_decay on the
-# other settings flag v=2 of support_size as cancelled and have v_max 200.
+# The tables end at u_max: 19 for the first setting, 7 for the next three,
+# where t_decay flags v=2 of support_size as cancelled, and 546 for the
+# README tuning at n=1000, whose entries cancel from v=37 and clamp from
+# v=379 on.  The counts straddle each of these.
 CASES = [
     (PropertySpec("entropy"), EstimatorParams(500.0, 4.0, 2, t_decay=False)),
     (PropertySpec("support_size", k=50), EstimatorParams(150.0, 3.0, 1)),
     (PropertySpec("l1_distance", q=L1_Q), EstimatorParams(150.0, 3.0, 1)),
     (PropertySpec("kl_divergence", q=KL_Q), EstimatorParams(150.0, 3.0, 1)),
+    (PropertySpec("entropy"), derive_params(1000.0, PropertySpec("entropy"))),
 ]
 TABLES = [build_coefficient_tables(spec, params) for spec, params in CASES]
 
 counts = st.one_of(
-    st.just(0), st.integers(1, 6), st.integers(195, 230), st.integers(395, 410)
+    st.just(0), st.integers(1, 9), st.integers(17, 22), st.integers(35, 40),
+    st.integers(376, 382), st.integers(543, 550),
 )
 vectors = st.lists(counts, max_size=len(L1_Q))
 
 
 @given(case=st.integers(0, len(CASES) - 1), first=vectors, second=vectors,
        shared=st.booleans())
-@example(case=0, first=[220, 405, 2], second=[0, 0, 0, 9], shared=False)
+@example(case=0, first=[19, 20, 2], second=[0, 0, 0, 9], shared=False)
+@example(case=4, first=[379, 37, 547, 2, 546, 5], second=[0, 0, 0, 30], shared=False)
 @example(case=1, first=[2, 0, 3], second=[], shared=True)
 # Symbols seen only in the second stream on both sides of s0.
-@example(case=0, first=[5, 0, 0, 0, 220], second=[0, 1, 9, 2, 0], shared=False)
-@example(case=3, first=[2, 0, 0, 405], second=[0, 1, 5, 0], shared=False)
+@example(case=0, first=[5, 0, 0, 0, 20], second=[0, 1, 9, 2, 0], shared=False)
+@example(case=3, first=[2, 0, 0, 8], second=[0, 1, 5, 0], shared=False)
 # Second vector longer than the first, and the reverse.
 @example(case=1, first=[3, 1], second=[0, 2, 0, 7, 1], shared=False)
 @example(case=2, first=[3], second=[0, 0, 5, 1, 2], shared=False)
@@ -294,3 +300,13 @@ def test_matches_dict_reference(case, first, second, shared):
     got = amplified_estimate_detailed(SplitSample(h1, h2, params.rate), spec, params, TABLES[case])
     want = ref_amplified(d1, d2, params.rate, spec, params, TABLES[case])
     assert bits(got) == bits(want)
+
+
+def test_reference_sees_every_kind_of_read():
+    # The case-4 example above reads clean, cancelled and clamped entries
+    # and overflows past u_max; the support_size case flags v=2.
+    spec, params = CASES[4]
+    got = ref_amplified(as_dict([379, 37, 547, 2, 546, 5]), {3: 30}, params.rate, spec, params, TABLES[4])
+    assert (got.n_small, got.n_overflow, got.n_clamped, got.n_cancelled) == (5, 1, 2, 3)
+    spec, params = CASES[1]
+    assert ref_amplified({0: 2}, {}, params.rate, spec, params, TABLES[1]).n_cancelled == 1

@@ -50,7 +50,7 @@ def small_params(t_decay=False, rate=150.0, t=3.0, s0=1):
 
 
 def clamping_params():
-    # 185 entries from v=212 on hit the envelope; v_max is 400.
+    # 185 entries from v=212 on hit the envelope; v_max is 400, u_max 19.
     return EstimatorParams(500.0, 4.0, 2, t_decay=False)
 
 
@@ -306,16 +306,16 @@ class TestCoefficient:
 
 class TestLazyTable:
     @pytest.mark.parametrize(
-        "params, v_max, flagged, flag",
+        "params, flagged, flag",
         [
-            (clamping_params(), None, 212, "clamped"),
+            (clamping_params(), 212, "clamped"),
             # README tuning at n=1e5: entries cancel from v=37 on.
-            (derive_params(1e5, entropy()), 200, 47, "cancelled"),
+            (derive_params(1e5, entropy(), v_max=200), 47, "cancelled"),
         ],
     )
-    def test_weights_match_completed_table_bit_for_bit(self, params, v_max, flagged, flag):
-        completed = build_coefficient_table(entropy(), params, v_max)
-        fresh = build_coefficient_table(entropy(), params, v_max)
+    def test_weights_match_completed_table_bit_for_bit(self, params, flagged, flag):
+        completed = build_coefficient_table(entropy(), params)
+        fresh = build_coefficient_table(entropy(), params)
         vs = np.unique([1, 2, 17, 47, 200, flagged, completed.v_max])
         values = completed.values
         assert getattr(completed, flag)[flagged]
@@ -341,7 +341,7 @@ class TestLazyTable:
         tables = build_coefficient_tables(spec, params)
         amplified_estimate_detailed(sample, spec, params, tables)
         n1, n2 = sample.first.array, sample.second.array
-        read = set(n1[(n1 >= 1) & (n2 <= params.s0) & (n1 <= params.v_max)].tolist())
+        read = set(n1[(n1 >= 1) & (n2 <= params.s0) & (n1 <= params.u_max)].tolist())
         (table,) = tables.tables
         assert set(table.computed.tolist()) == read
         assert len(read) <= 100
@@ -419,18 +419,33 @@ class TestTableSet:
         with pytest.raises(ValueError):
             clamped[1] = True
 
-    @pytest.mark.parametrize("params, v_max, flagged", [
-        (clamping_params(), None, 212),
-        (derive_params(1e5, entropy()), 200, 47),
+    @pytest.mark.parametrize("params, flagged", [
+        (clamping_params(), 212),
+        (derive_params(1e5, entropy(), v_max=200), 47),
     ], ids=["clamped", "cancelled"])
-    def test_n_flagged_counts_the_flagged_entries_computed(self, params, v_max, flagged):
-        table = build_coefficient_table(entropy(), params, v_max)
+    def test_n_flagged_counts_the_flagged_entries_computed(self, params, flagged):
+        table = build_coefficient_table(entropy(), params)
         table.weights([1, 2, 17])
         assert table.n_flagged == 0
         table.weights([17, flagged, flagged + 1])
         assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled) > 0
         table.values  # completes the table
         assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled)
+
+    @pytest.mark.parametrize("params, length", [
+        (small_params(), 7),
+        (EstimatorParams(150.0, 3.0, 1, v_max=3), 3),
+        # The README's n=59948 cell: its tail had 17056 entries at v_max 16244.
+        (derive_params(59948, entropy()), 811),
+    ], ids=["u_max", "v_max", "readme"])
+    def test_tables_end_at_u_max(self, params, length):
+        assert length == min(params.v_max, params.u_max)
+        for spec in (entropy(), kl_divergence(make_distribution("zipf", 50).probs)):
+            tables = build_coefficient_tables(spec, params)
+            for table in tables.tables:
+                assert table.v_max == length
+                assert len(table._log_tail) == length + params.u_max + 1 == len(table._log_fact)
+        assert build_coefficient_table(entropy(), params).v_max == params.v_max
 
     @pytest.mark.parametrize("rates", [(1e5, 3e3, 200.0), (200.0, 3e3, 1e5)], ids=["large_first", "small_first"])
     def test_shared_log_factorials_match_gammaln(self, rates, monkeypatch):
@@ -517,22 +532,40 @@ class TestAmplified:
         assert detail.small_sum == 0.0
 
     def test_flag_counts_are_per_estimate(self):
-        params = clamping_params()
-        table = build_coefficient_table(entropy(), params)
+        # README tuning at n=1000: entries cancel from v=37 and clamp from
+        # v=379 on, both at or below u_max 546; the clamped ones cancel too.
+        params = derive_params(1000, entropy())
+        (table,) = build_coefficient_tables(entropy(), params).tables
         table.values
-        assert int(table.clamped.sum()) == 185
-        clamped, clean = 212, 17
-        assert table.clamped[clamped] and not table.clamped[clean]
-        reads_both = SplitSample(
-            hist(clamped, clean), hist(), rate=500.0
-        )
-        detail = amplified_estimate_detailed(reads_both, entropy(), params)
-        assert (detail.n_clamped, detail.n_cancelled) == (1, 0)
+        assert params.u_max == 546 == table.v_max
+        assert np.flatnonzero(table.clamped)[0] == 379 and np.flatnonzero(table.cancelled)[0] == 37
+        clamped, cancelled, clean = 379, 37, 17
+        assert not table.cancelled[clean]
+        reads_all = SplitSample(hist(clamped, cancelled, clean), hist(), rate=params.rate)
+        detail = amplified_estimate_detailed(reads_all, entropy(), params)
+        assert (detail.n_clamped, detail.n_cancelled) == (1, 2)
         reads_clean = SplitSample(
-            hist(clean, 2), hist(0, params.s0 + 1), rate=500.0
+            hist(clean, 2, clamped), hist(0, 0, params.s0 + 1), rate=params.rate
         )
         detail = amplified_estimate_detailed(reads_clean, entropy(), params)
         assert (detail.n_clamped, detail.n_cancelled) == (0, 0)
+
+    def test_counts_past_u_max_overflow(self):
+        # u_max 7: the weight at v=8 lacks the series' order-8 term and
+        # reads -470, against 0.256 at v=7.
+        params = small_params()
+        assert params.u_max == 7 < params.v_max
+        (table,) = build_coefficient_tables(entropy(), params).tables
+        at_bound = SplitSample(hist(7), hist(), rate=150.0)
+        detail = amplified_estimate_detailed(at_bound, entropy(), params)
+        assert (detail.small_sum, detail.n_overflow) == (table.weights(7), 0)
+        past = amplified_estimate_detailed(SplitSample(hist(8, 7), hist(), rate=150.0), entropy(), params)
+        assert (past.value, past.small_sum, past.n_small, past.n_overflow) == (detail.value, detail.small_sum, 2, 1)
+        # A longer table built on request is read no further.
+        longer = build_coefficient_tables(entropy(), params, v_max=params.v_max)
+        assert amplified_estimate_detailed(
+            SplitSample(hist(8), hist(), rate=150.0), entropy(), params, longer
+        ) == amplified_estimate_detailed(SplitSample(hist(8), hist(), rate=150.0), entropy(), params)
 
     def test_rate_mismatch_rejected(self):
         sample = SplitSample(hist(1), hist(), rate=100.0)

@@ -105,6 +105,8 @@ def _reference_from_args(args) -> np.ndarray | None:
     if args.q == "uniform":
         if args.k is None:
             raise UsageError("--q uniform requires --k")
+        if args.k < 1:
+            raise UsageError(f"--q uniform requires --k of at least 1, got {args.k}")
         return np.full(args.k, 1.0) / args.k
     return None
 

@@ -29,7 +29,7 @@ class TestMse:
         assert mse([2.0, 4.0], 3.0) == 1.0
 
     def test_direct_value(self):
-        assert mse([0.5, 1.5, 1.0], 1.0) == pytest.approx(1 / 6, rel=1e-12)
+        assert mse([0.5, 1.5, 1.0], 1.0) == pytest.approx(1 / 6, rel=1e-12, abs=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestRunExperiment:
         )
         (row,) = run_experiment(cfg)
         assert row.true_value == 0.0
-        assert row.mse == pytest.approx(row.mean_estimate**2, rel=1e-12)
+        assert row.mse == pytest.approx(row.mean_estimate**2, rel=1e-12, abs=0)
 
     def test_single_trial_mse_is_squared_error(self):
         cfg = ExperimentConfig(
@@ -138,7 +138,7 @@ class TestRunExperiment:
             trials=50, seed=21, estimators=("empirical",), poissonized=False,
         )
         (row,) = run_experiment(cfg)
-        assert row.true_value == pytest.approx(math.log(4), rel=1e-12)
+        assert row.true_value == pytest.approx(math.log(4), rel=1e-12, abs=0)
         assert row.mse < 1e-4
 
     def test_reproducible_and_thread_invariant(self):

@@ -280,7 +280,7 @@ class TestEstimate:
         path.write_text(f"{alias},3\n0,3\n", encoding="utf-8")
         assert run_cli(*argv, str(path)) == 0
         estimate = float(_parse_kv(capsys.readouterr().out)["estimate"])
-        assert estimate == pytest.approx(math.log(4), rel=1e-14)
+        assert estimate == pytest.approx(math.log(4), rel=1e-14, abs=0)
 
     def test_kl_ids_shared_across_streams(self, tmp_path, capsys):
         first, second = tmp_path / "c1.csv", tmp_path / "c2.csv"
@@ -305,7 +305,7 @@ class TestEstimate:
             "--estimator", "empirical",
         ) == 0
         estimate = float(_parse_kv(capsys.readouterr().out)["estimate"])
-        assert estimate == pytest.approx(math.log(2), rel=1e-14)
+        assert estimate == pytest.approx(math.log(2), rel=1e-14, abs=0)
 
     def test_nonpositive_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -333,7 +333,7 @@ class TestCoeffs:
         params = EstimatorParams(150.0, 3.0, 1, t_decay=False)
         tail = math.exp(log_poisson_tail_table(params.r, 2)[2])
         target = 3.0 * eval_fx_grid(entropy(), 1 / 450.0) * tail
-        assert v1 == pytest.approx(target, rel=1e-12)
+        assert v1 == pytest.approx(target, rel=1e-12, abs=0)
         assert v1 == build_coefficient_table(entropy(), params).weights(1)
         for line in lines[1:]:
             _, value, clamped = line.split(",")
@@ -483,6 +483,20 @@ class TestMalformedInput:
         assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["estimate", "coeffs"])
+    def test_q_uniform_needs_k_of_at_least_1(self, command, k, counts_file, tmp_path, capsys):
+        # --k -1 ended in numpy's "negative dimensions are not allowed" and
+        # --k 0 in "q must be a nonempty 1-D probability vector".
+        rest = {
+            "estimate": ("--counts", counts_file, "--estimator", "empirical"),
+            "coeffs": ("--alpha", "0.5", "--s0-mult", "2", "--rate", "1000", "--q-x", "0.5",
+                       "--out", str(tmp_path / "c.csv")),
+        }[command]
+        assert run_cli(command, "--property", "kl", "--q", "uniform", "--k", k, *rest) == 1
+        assert capsys.readouterr().err == f"error: --q uniform requires --k of at least 1, got {k}\n"
+        assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("family", ["zipf", "poisson", "dirichlet"])
     def test_infinite_family_parameter_named(self, family, tmp_path, capsys):

@@ -32,7 +32,7 @@ class TestMakeDistribution:
         d = make_distribution("geometric", 10000)
         # mass proportional to 0.01^(x-1) * 0.99
         np.testing.assert_allclose(d.probs[1] / d.probs[0], 0.01, rtol=1e-10)
-        assert d.probs[0] == pytest.approx(0.99, rel=1e-10)
+        assert d.probs[0] == pytest.approx(0.99, rel=1e-10, abs=0)
 
     def test_binomial_matches_scipy(self):
         # scipy.stats is the reference for both closed-form log-pmf families

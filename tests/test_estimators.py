@@ -84,7 +84,7 @@ class TestEmpirical:
     def test_entropy_two_symbols(self):
         oracle = 0.75 * math.log(4 / 3) + 0.25 * math.log(4)
         h = hist(3, 1)
-        assert empirical(h, entropy()) == pytest.approx(oracle, rel=1e-12)
+        assert empirical(h, entropy()) == pytest.approx(oracle, rel=1e-12, abs=0)
         assert oracle == pytest.approx(0.5623351, abs=5e-8)
 
     def test_support_size_single_symbol(self):
@@ -100,7 +100,7 @@ class TestModifiedEmpirical:
     def test_matches_empirical_when_rate_equals_total(self):
         h = hist(3, 1)
         assert modified_empirical(h, 4.0, entropy()) == pytest.approx(
-            empirical(h, entropy()), rel=1e-14
+            empirical(h, entropy()), rel=1e-14, abs=0
         )
 
     def test_clamps_ratios_above_one(self):
@@ -110,7 +110,7 @@ class TestModifiedEmpirical:
     def test_direct_value(self):
         h = hist(2, 2)
         oracle = 2 * 0.25 * math.log(4)
-        assert modified_empirical(h, 8.0, entropy()) == pytest.approx(oracle, rel=1e-12)
+        assert modified_empirical(h, 8.0, entropy()) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
@@ -127,14 +127,14 @@ class TestDeriveParams:
     def test_entropy_preset_at_e10(self):
         n = math.exp(10)
         p = derive_params(n, entropy())
-        assert p.t == pytest.approx(2 * 10**0.8 + 1, rel=1e-6)
+        assert p.t == pytest.approx(2 * 10**0.8 + 1, rel=1e-6, abs=0)
         assert p.t == pytest.approx(13.6190, abs=2e-4)
         assert p.s0 == 25
         assert p.rate == pytest.approx(n)
 
     def test_uniformity_preset_at_e10(self):
         p = derive_params(math.exp(10), distance_to_uniformity(100))
-        assert p.t == pytest.approx(10**0.7 + 1, rel=1e-9)
+        assert p.t == pytest.approx(10**0.7 + 1, rel=1e-9, abs=0)
         assert p.t == pytest.approx(6.0119, abs=1e-4)
         assert p.s0 == 6
         assert p.u_max == 83  # round(2*6*6.0119 + 12 - 1)
@@ -229,7 +229,7 @@ class TestCoefficient:
         tail = math.exp(log_poisson_tail_table(params.r, 2)[2])
         target = 3.0 * eval_fx_grid(entropy(), 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
-        assert value == pytest.approx(target, rel=1e-12)
+        assert value == pytest.approx(target, rel=1e-12, abs=0)
 
     def test_v1_closed_form_under_decay(self):
         # decay leaves v = 1 untouched
@@ -237,7 +237,7 @@ class TestCoefficient:
         tail = math.exp(log_poisson_tail_table(params.r, 2)[2])
         target = 3.0 * eval_fx_grid(entropy(), 1.0 / 450.0) * tail
         value = build_coefficient_table(entropy(), params).weights(1)
-        assert value == pytest.approx(target, rel=1e-12)
+        assert value == pytest.approx(target, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("n", [1000, 59948])
     def test_count_one_weight_matches_oracle_at_readme_rates(self, n):
@@ -258,7 +258,7 @@ class TestCoefficient:
         for v in (1, 2, 3, 5, 8, 13, 20):
             oracle = mp_entropy_coefficient(v, params)
             value = build_coefficient_table(entropy(), params).weights(v)
-            assert value == pytest.approx(oracle, rel=1e-9)
+            assert value == pytest.approx(oracle, rel=1e-9, abs=0)
 
     def test_matches_256bit_with_decay(self):
         params = small_params(t_decay=True)
@@ -481,7 +481,7 @@ class TestAmplified:
         sample = SplitSample(hist(1), hist(), rate=150.0)
         target = build_coefficient_table(entropy(), params).weights(1)
         assert amplified_estimate(sample, entropy(), params) == pytest.approx(
-            target, rel=1e-12
+            target, rel=1e-12, abs=0
         )
 
     def test_all_frequent_equals_modified_empirical(self):
@@ -490,7 +490,7 @@ class TestAmplified:
         second = hist(params.s0 + 1, params.s0 + 1)
         sample = SplitSample(first, second, rate=150.0)
         assert amplified_estimate(sample, entropy(), params) == pytest.approx(
-            modified_empirical(first, 150.0, entropy()), rel=1e-12
+            modified_empirical(first, 150.0, entropy()), rel=1e-12, abs=0
         )
 
     def test_all_rare_uses_only_the_table(self):
@@ -500,7 +500,7 @@ class TestAmplified:
         sample = SplitSample(first, hist(), rate=150.0)
         target = table.values[2] + table.values[5]
         detail = amplified_estimate_detailed(sample, entropy(), params)
-        assert detail.value == pytest.approx(target, rel=1e-12)
+        assert detail.value == pytest.approx(target, rel=1e-12, abs=0)
         assert detail.large_sum == 0.0
 
     def test_branch_partition(self):
@@ -515,9 +515,9 @@ class TestAmplified:
         table = build_coefficient_table(entropy(), params)
         small = table.values[1] + table.values[2]
         large = eval_fx_grid(entropy(), 40 / 150.0) + eval_fx_grid(entropy(), 0.0)
-        assert detail.small_sum == pytest.approx(small, rel=1e-12)
-        assert detail.large_sum == pytest.approx(large, rel=1e-12)
-        assert detail.value == pytest.approx(small + large, rel=1e-12)
+        assert detail.small_sum == pytest.approx(small, rel=1e-12, abs=0)
+        assert detail.large_sum == pytest.approx(large, rel=1e-12, abs=0)
+        assert detail.value == pytest.approx(small + large, rel=1e-12, abs=0)
 
     def test_symbols_absent_from_first_contribute_zero(self):
         params = small_params()
@@ -609,7 +609,7 @@ class TestAmplified:
             + build_coefficient_table(spec, params, q_x=0.25).weights(2)
             + build_coefficient_table(spec, params, q_x=0.25).weights(1)
         )
-        assert detail.small_sum == pytest.approx(target, rel=1e-12)
+        assert detail.small_sum == pytest.approx(target, rel=1e-12, abs=0)
 
     def test_deterministic(self):
         params = small_params()

@@ -57,14 +57,14 @@ class TestPoissonTail:
 
     def test_single_term_complement(self):
         (log_tail,) = log_poisson_tail_table(1.0, 0)
-        assert math.exp(log_tail) == pytest.approx(1 - math.exp(-1), rel=1e-14)
+        assert math.exp(log_tail) == pytest.approx(1 - math.exp(-1), rel=1e-14, abs=0)
 
     def test_deep_tail_series_oracle(self):
         # direct 64-term series in extended precision
         oracle = float(1 - _mp_poisson_cdf(5, 60))
         value = math.exp(log_poisson_tail_table(5.0, 60)[60])
         assert value < 1e-12
-        assert value == pytest.approx(oracle, rel=1e-6)
+        assert value == pytest.approx(oracle, rel=1e-6, abs=0)
 
     def test_negative_rate_or_j_max_refused(self):
         with pytest.raises(ValueError, match="rate"):
@@ -93,7 +93,7 @@ class TestPoissonTail:
     def test_log_tail_matches_mpmath_deep(self):
         for r, j in ((40, 300), (2, 80), (3454, 14000)):
             oracle = _mp_log_poisson_tails(r, j)[j]
-            assert log_poisson_tail_table(float(r), j)[j] == pytest.approx(oracle, rel=1e-10)
+            assert log_poisson_tail_table(float(r), j)[j] == pytest.approx(oracle, rel=1e-10, abs=0)
 
     def test_tails_far_below_the_mode_are_exactly_zero(self):
         # Each of these tails is 1 to within 1e-50; a rounding shift shared
@@ -197,7 +197,7 @@ class TestBessel:
         oracle = math.fsum(
             (-1) ** i / (math.factorial(i) * math.factorial(i + 2)) for i in range(30)
         )
-        assert bessel_f(1, 1.0) == pytest.approx(oracle, rel=1e-14)
+        assert bessel_f(1, 1.0) == pytest.approx(oracle, rel=1e-14, abs=0)
 
     def test_oscillatory_regime_bounded(self):
         assert abs(bessel_f(3, 100.0)) <= 1.0
@@ -248,7 +248,7 @@ class TestIntegrateExpPolyBessel:
         # Unscaled, the integral is e^-5 5^8 ~ 2632; scaled by 1/8! it stays
         # below 1, where the kernel's absolute error bound is tight.
         target = math.exp(-5.0) * 5.0**8 / math.factorial(8)
-        assert self.integral(8, 5.0) == pytest.approx(target, rel=1e-12)
+        assert self.integral(8, 5.0) == pytest.approx(target, rel=1e-12, abs=0)
 
     def test_large_error_estimate_raises(self, monkeypatch):
         monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **k: (0.065, 1e-3))
@@ -295,7 +295,7 @@ class TestAlternatingSum:
         sign, log_mag, cancelled = signed_log_sum_arrays(
             np.array([1, -1]), np.array([10.0, 10.0 + math.log1p(-1e-6)])
         )
-        assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9)
+        assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9, abs=0)
         assert not cancelled
 
     def test_randomized_against_mpmath(self):
@@ -314,7 +314,7 @@ class TestAlternatingSum:
                     continue
                 oracle = float(exact)
             sign, log_mag, _ = signed_log_sum_arrays(signs, mags)
-            assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9)
+            assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9, abs=0)
             checked += 1
         assert checked > 200
 
@@ -329,5 +329,5 @@ class TestAlternatingSum:
         sign, log_mag, cancelled = signed_log_sum_arrays(
             np.array([0, 1]), np.array([-math.inf, 0.0])
         )
-        assert sign * math.exp(log_mag) == pytest.approx(1.0, rel=1e-15)
+        assert sign * math.exp(log_mag) == pytest.approx(1.0, rel=1e-15, abs=0)
         assert not cancelled

@@ -48,7 +48,7 @@ class TestEvalFx:
             assert eval_fx_grid(spec, 0.0, 1.0 / 8) == 0.0
 
     def test_entropy_quarter(self):
-        assert eval_fx_grid(entropy(), 0.25) == pytest.approx(0.25 * math.log(4), rel=1e-12)
+        assert eval_fx_grid(entropy(), 0.25) == pytest.approx(0.25 * math.log(4), rel=1e-12, abs=0)
 
     def test_uniformity_offset_form(self):
         spec = distance_to_uniformity(10)
@@ -96,7 +96,7 @@ class TestEvalFx:
 class TestExactValue:
     def test_uniform_entropy(self):
         p = np.full(4, 0.25)
-        assert exact_value(entropy(), p) == pytest.approx(math.log(4), rel=1e-12)
+        assert exact_value(entropy(), p) == pytest.approx(math.log(4), rel=1e-12, abs=0)
 
     def test_uniform_distance_to_itself(self):
         p = np.full(4, 0.25)
@@ -104,14 +104,14 @@ class TestExactValue:
 
     def test_power_sum_uniform(self):
         p = np.full(10, 0.1)
-        assert exact_value(power_sum(2.0), p) == pytest.approx(0.1, rel=1e-12)
+        assert exact_value(power_sum(2.0), p) == pytest.approx(0.1, rel=1e-12, abs=0)
 
     def test_l1_equals_direct_distance(self):
         rng = np.random.default_rng(7)
         q = rng.dirichlet(np.ones(12))
         p = rng.dirichlet(np.ones(12))
         spec = l1_distance(q)
-        assert exact_value(spec, p) == pytest.approx(np.abs(p - q).sum(), rel=1e-12)
+        assert exact_value(spec, p) == pytest.approx(np.abs(p - q).sum(), rel=1e-12, abs=0)
 
     def test_l1_nonnegative_zero_iff_equal(self):
         rng = np.random.default_rng(11)
@@ -166,14 +166,14 @@ class TestExactValue:
 
 class TestLipschitz:
     def test_entropy_log_form(self):
-        assert lipschitz(entropy(), math.exp(-3)) == pytest.approx(3.0, rel=1e-12)
+        assert lipschitz(entropy(), math.exp(-3)) == pytest.approx(3.0, rel=1e-12, abs=0)
 
     def test_l1_is_one(self):
         assert lipschitz(l1_distance(np.full(4, 0.25)), 0.5) == 1.0
 
     def test_kl_uniform_reference(self):
         spec = kl_divergence(np.full(10, 0.1))
-        assert lipschitz(spec, 0.1) == pytest.approx(math.log(100), rel=1e-12)
+        assert lipschitz(spec, 0.1) == pytest.approx(math.log(100), rel=1e-12, abs=0)
 
     def test_support_size_capped(self):
         spec = support_size(100)

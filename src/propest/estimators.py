@@ -76,7 +76,7 @@ class EstimatorParams:
     The series truncation ``u_max`` and the tail level ``r`` are derived
     from ``t`` and ``s0``.  ``v_max`` (default ``max(4r, 200)``) is the
     length of :func:`build_coefficient_table`'s tables.  An estimate reads
-    no count past ``u_max``, so its tables hold ``min(v_max, u_max)``.
+    no count past ``u_max``, so its tables hold ``min(v_max, u_max)`` entries.
     """
 
     rate: float

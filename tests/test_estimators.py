@@ -435,7 +435,7 @@ class TestTableSet:
     @pytest.mark.parametrize("params, length", [
         (small_params(), 7),
         (EstimatorParams(150.0, 3.0, 1, v_max=3), 3),
-        # The README's n=59948 cell: its tail had 17056 entries at v_max 16244.
+        # The README's n=59948 cell: 811 entries and a 1623-entry tail.
         (derive_params(59948, entropy()), 811),
     ], ids=["u_max", "v_max", "readme"])
     def test_tables_end_at_u_max(self, params, length):

@@ -27,7 +27,6 @@ from .estimators import (
     derive_params,
     empirical,
     modified_empirical,
-    smoothed_h_hat,
 )
 from .properties import (
     PropertySpec,

@@ -58,7 +58,6 @@ from .estimators import (
     modified_empirical,
 )
 from .properties import KINDS, PropertySpec
-from .selfcheck import run_selfcheck
 
 __all__ = ["main"]
 
@@ -408,6 +407,12 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    try:
+        from .selfcheck import run_selfcheck
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "scipy":
+            raise
+        raise UsageError("selfcheck needs scipy (pip install scipy)") from None
     results = run_selfcheck(deep=args.deep)
     failures = 0
     for res in results:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import log1p, log_factorials
+
 __all__ = [
     "FAMILIES",
     "Family",
@@ -64,7 +66,12 @@ class Histogram:
         array = array.view()
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "total", int(array.sum()))
+        total = int(array.sum())
+        if array.size and array.max() > (2**63 - 1) // array.size:  # the int64 sum may have wrapped
+            total = sum(array.tolist())
+            if total >= 2**63:
+                raise ValueError("counts must total at most 2^63-1")
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_array(cls, count_vector: np.ndarray) -> "Histogram":
@@ -154,17 +161,13 @@ def make_distribution(
     elif family == "zipf":
         probs = _normalize_log(-value * np.log(np.arange(1, k + 1, dtype=np.float64)))
     elif family == "binomial":
-        # scipy.stats.binom's own log-pmf formula, without its import cost.
-        from scipy.special import gammaln, xlog1py, xlogy
-
-        x = np.arange(k, dtype=np.float64)
-        log_pmf = gammaln(k) - (gammaln(x + 1.0) + gammaln(k - x))
-        probs = _normalize_log(log_pmf + xlogy(x, value) + xlog1py(k - 1 - x, -value))
+        # scipy.stats.binom's log-pmf formula, with the bits of its gammaln and log1p.
+        x, log_fact = np.arange(k, dtype=np.float64), log_factorials(k)
+        log_pmf = log_fact[k - 1] - (log_fact + log_fact[::-1])
+        probs = _normalize_log(log_pmf + x * math.log(value) + (k - 1 - x) * log1p(-value))
     elif family == "poisson":
-        from scipy.special import gammaln, xlogy
-
         x = np.arange(k, dtype=np.float64)
-        probs = _normalize_log(xlogy(x, value) - gammaln(x + 1.0) - value)
+        probs = _normalize_log(x * math.log(value) - log_factorials(k) - value)
     else:  # geometric
         x = np.arange(1, k + 1, dtype=np.float64)
         probs = _normalize_log((x - 1.0) * math.log1p(-value) + math.log(value))

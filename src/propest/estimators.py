@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import SPLIT_MODES, Histogram, SplitSample
-from .numerics import (
-    integrate_poisson_kernel_bessel,
-    log_factorials,
-    log_poisson_tail_table,
-    signed_log_sum_arrays,
-)
+from .numerics import log_factorials, log_poisson_tail_table, signed_log_sum_arrays
 from .properties import KINDS, PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
 
 __all__ = [
@@ -43,7 +38,6 @@ __all__ = [
     "derive_params",
     "empirical",
     "modified_empirical",
-    "smoothed_h_hat",
 ]
 
 _LOG_DECAY = math.log(1.5)
@@ -547,74 +541,3 @@ def amplified_estimate(
 ) -> float:
     """Amplified estimate of ``f(p)`` from a split sample."""
     return amplified_estimate_detailed(sample, spec, params, tables).value
-
-
-# ---------------------------------------------------------------------------
-# smoothed-expectation oracle
-# ---------------------------------------------------------------------------
-
-_HHAT_TAIL_TOL = 1e-9
-
-
-def smoothed_h_hat(
-    spec: PropertySpec,
-    lam: float,
-    params: EstimatorParams,
-    q_x: float | None = None,
-) -> tuple[float, float]:
-    """Two independent evaluations of the smoothed per-symbol expectation.
-
-    Returns ``(series, quadrature)``: the weight power series
-    ``e^(-lam) * sum_v h_v lam^v`` truncated once its envelope tail drops
-    below 1e-9, and the order-by-order quadrature of the smoothed integral
-    on ``[0, r]``.  Each order ``u`` integrates the 1/u!-scaled kernel
-    :func:`~propest.numerics.integrate_poisson_kernel_bessel`, whose
-    integrand stays below 1 in magnitude, so its absolute error bound holds
-    at orders where the unscaled integral grows like ``u!``.  The two agree
-    for exact arithmetic; comparing them cross-checks the entire
-    coefficient pipeline.  Only meaningful with ``t_decay`` off and
-    practical for small parameter settings.
-    """
-    if params.t_decay:
-        raise ValueError(
-            "smoothed expectation identity requires params with t_decay=False"
-        )
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    if lam == 0.0:
-        return 0.0, 0.0
-    table = build_coefficient_table(spec, params, q_x=q_x)
-    qx, log_bound = table.q_x, table.log_clamp_bound
-    log_tail = log_poisson_tail_table(lam, params.v_max)
-    v_stop = min(max(16, 4 * params.s0), params.v_max)
-    while (
-        log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL)
-        and v_stop < params.v_max
-    ):
-        v_stop = min(2 * v_stop, params.v_max)
-    if log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL):
-        raise ValueError(
-            "params.v_max too small to truncate the series below the tail bound"
-        )
-
-    v = np.arange(1, v_stop + 1)
-    log_weight = v * math.log(lam) - lam - log_factorials(v_stop + 1)[v]
-    series = float(np.sum(table.weights(v) * np.exp(log_weight)))
-
-    t = params.t
-    y = lam * (t - 1.0)
-    total = 0.0
-    for u in range(1, params.u_max + 1):
-        f = float(eval_fx_grid(spec, np.array([u / (params.rate * t)]), qx)[0])
-        if f == 0.0:
-            continue
-        integral = integrate_poisson_kernel_bessel(u, y, upper=float(params.r))
-        if integral == 0.0:
-            continue
-        log_scale = u * math.log(t / (t - 1.0))
-        total += math.copysign(
-            math.exp(math.log(abs(f)) + log_scale + math.log(abs(integral))),
-            f * integral,
-        )
-    quadrature = math.exp(-lam) * total
-    return series, quadrature

@@ -4,27 +4,23 @@ Factorials, Poisson tail probabilities, and series terms routinely leave the
 range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
 moment.  Log factorials come from a port of Cephes ``lgam`` (Moshier 1989),
-the routine behind ``scipy.special.gammaln``, and hold the same bits.  Poisson
-tails come from one routine, :func:`log_poisson_tail_table`, a backward
-log-sum-exp over the log pmf normalised by its own computed mass.  The Bessel
-factor and the adaptive quadrature over it exist to cross-validate
-the coefficient machinery in :mod:`propest.estimators`; the estimators
-themselves never read them, so scipy (``scipy.special`` alone is most of a
-cold import) is imported only inside the functions that call it.
+the routine behind ``scipy.special.gammaln``, and hold the same bits; the
+binomial and poisson pmfs read them with :func:`log1p`, a port of Cephes
+``log1p``.  Poisson tails come from one routine,
+:func:`log_poisson_tail_table`, a backward log-sum-exp over the log pmf
+normalised by its own computed mass.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
-import warnings
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
-    "bessel_f",
-    "integrate_poisson_kernel_bessel",
+    "log1p",
     "log_factorials",
     "log_poisson_tail_table",
     "signed_log_sum_arrays",
@@ -33,13 +29,6 @@ __all__ = [
 #: An alternating sum whose result is below this fraction of its largest term
 #: has lost essentially all significance.
 CANCELLATION_RTOL = 1e-10
-
-_QUAD_ABS_TOL = 1e-9
-
-
-class ConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
 
 # Cephes lgam: log(sqrt(2 pi)) and the Stirling series coefficients, highest first.
 _LS2PI = 0.91893853320467274178
@@ -81,6 +70,32 @@ def _lgam_range(start: int, stop: int) -> np.ndarray:
     correction = np.where(x < 1000.0, poly, two_term) / x
     out[n_small:] = np.where(x > 1.0e8, q, q + correction)
     return out
+
+
+# Cephes log1p: numerator and denominator of its rational form, highest power first.
+_LOG1P_P = (
+    4.5270000862445199635215e-5, 4.9854102823193375972212e-1, 6.5787325942061044846969e0,
+    2.9911919328553073277375e1, 6.0949667980987787057556e1, 5.7112963590585538103336e1,
+    2.0039553499201281259648e1,
+)
+_LOG1P_Q = (
+    1.0, 1.5062909083469192043167e1, 8.3047565967967209469434e1, 2.2176239823732856465394e2,
+    3.0909872225312059774938e2, 2.1642788614495947685003e2, 6.0118660497603843919306e1,
+)
+
+
+def log1p(x: float) -> float:
+    """Cephes ``log1p(x)``, the routine behind ``scipy.special.log1p``, bit for bit.
+
+    ``math.log(1 + x)`` unless ``1 + x`` lies in ``[sqrt(1/2), sqrt(2)]``;
+    there a rational form, where ``math.log1p`` rounds some ``x`` differently.
+    """
+    z = 1.0 + x
+    if z < math.sqrt(0.5) or z > math.sqrt(2.0):
+        return math.log(z)
+    num, den = (functools.reduce(lambda acc, c: acc * x + c, coefs) for coefs in (_LOG1P_P, _LOG1P_Q))
+    z = x * x
+    return x + (-0.5 * z + x * (z * num / den))
 
 
 # log(i!) for i < len(_log_fact): one read-only array per process, replaced
@@ -129,53 +144,6 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
     log_pmf = i * math.log(r) - r - log_factorials(top + 1)
     running = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
     return running[1 : j_max + 2] - running[0]
-
-
-def bessel_f(u: int, y: float) -> float:
-    """Bessel function of the first kind ``J_{2u}(2*sqrt(y))``, from scipy."""
-    if u < 1 or u != int(u):
-        raise ValueError(f"u must be a positive integer, got {u!r}")
-    if y < 0:
-        raise ValueError(f"y must be nonnegative, got {y!r}")
-    from scipy.special import jv
-
-    return float(jv(2 * u, 2.0 * math.sqrt(y)))
-
-
-def integrate_poisson_kernel_bessel(u: int, y: float, upper: float) -> float:
-    """Integral of ``e^(-a) a^u / u! * J_{2u}(2*sqrt(a*y))`` over ``[0, upper]``.
-
-    Over ``[0, inf)`` the integral is ``e^(-y) y^u / u!``.  The integrand
-    never exceeds 1 in magnitude, so an absolute tolerance stays meaningful
-    at orders ``u`` where the integral without the ``1/u!`` reaches ``u!``.
-    Raises :class:`ConvergenceError` when the error estimate exceeds 1e-9.
-    """
-    if u < 1 or u != int(u):
-        raise ValueError(f"u must be a positive integer, got {u!r}")
-    if y < 0:
-        raise ValueError(f"y must be nonnegative, got {y!r}")
-    if not upper > 0:
-        raise ValueError(f"upper must be positive, got {upper!r}")
-    log_fact = math.lgamma(u + 1.0)
-
-    def integrand(a: float) -> float:
-        if a <= 0.0:
-            return 0.0
-        return math.exp(u * math.log(a) - a - log_fact) * bessel_f(u, a * y)
-
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            integrand, 0.0, float(upper), epsabs=1e-12, epsrel=1e-12, limit=400
-        )
-    if not err <= _QUAD_ABS_TOL:
-        raise ConvergenceError(
-            f"quadrature error estimate {err:.3e} exceeds {_QUAD_ABS_TOL:.1e} "
-            f"for u={u}, y={y}, upper={upper}"
-        )
-    return value
 
 
 def signed_log_sum_arrays(

@@ -6,20 +6,141 @@ against the coefficient power series (the Poisson-weighted sum of the table
 entries, so a corrupted weight fails it), and the analytic envelope on the
 coefficient magnitudes.  A corrupted build fails loudly here before it can
 corrupt benchmark numbers.
+
+The Bessel factor, its quadrature and the smoothed-expectation oracle live
+here too, so this is the one module that imports scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+from scipy.special import jv
 
-from . import numerics
-from .estimators import EstimatorParams, build_coefficient_table, smoothed_h_hat
-from .properties import entropy, support_coverage
+from .estimators import EstimatorParams, build_coefficient_table
+from .numerics import log_factorials, log_poisson_tail_table
+from .properties import PropertySpec, entropy, eval_fx_grid, support_coverage
 
-__all__ = ["CheckResult", "run_selfcheck"]
+__all__ = ["CheckResult", "ConvergenceError", "bessel_f", "integrate_poisson_kernel_bessel",
+           "run_selfcheck", "smoothed_h_hat"]
+
+_QUAD_ABS_TOL = 1e-9
+_HHAT_TAIL_TOL = 1e-9
+
+
+class ConvergenceError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+def bessel_f(u: int, y: float) -> float:
+    """Bessel function of the first kind ``J_{2u}(2*sqrt(y))``, from scipy."""
+    if u < 1 or u != int(u):
+        raise ValueError(f"u must be a positive integer, got {u!r}")
+    if y < 0:
+        raise ValueError(f"y must be nonnegative, got {y!r}")
+    return float(jv(2 * u, 2.0 * math.sqrt(y)))
+
+
+def integrate_poisson_kernel_bessel(u: int, y: float, upper: float) -> float:
+    """Integral of ``e^(-a) a^u / u! * J_{2u}(2*sqrt(a*y))`` over ``[0, upper]``.
+
+    Over ``[0, inf)`` the integral is ``e^(-y) y^u / u!``.  The integrand
+    never exceeds 1 in magnitude, so an absolute tolerance stays meaningful
+    at orders ``u`` where the integral without the ``1/u!`` reaches ``u!``.
+    Raises :class:`ConvergenceError` when the error estimate exceeds 1e-9.
+    """
+    if u < 1 or u != int(u):
+        raise ValueError(f"u must be a positive integer, got {u!r}")
+    if y < 0:
+        raise ValueError(f"y must be nonnegative, got {y!r}")
+    if not upper > 0:
+        raise ValueError(f"upper must be positive, got {upper!r}")
+    log_fact = math.lgamma(u + 1.0)
+
+    def integrand(a: float) -> float:
+        if a <= 0.0:
+            return 0.0
+        return math.exp(u * math.log(a) - a - log_fact) * bessel_f(u, a * y)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        value, err = quad(
+            integrand, 0.0, float(upper), epsabs=1e-12, epsrel=1e-12, limit=400
+        )
+    if not err <= _QUAD_ABS_TOL:
+        raise ConvergenceError(
+            f"quadrature error estimate {err:.3e} exceeds {_QUAD_ABS_TOL:.1e} "
+            f"for u={u}, y={y}, upper={upper}"
+        )
+    return value
+
+
+def smoothed_h_hat(
+    spec: PropertySpec,
+    lam: float,
+    params: EstimatorParams,
+    q_x: float | None = None,
+) -> tuple[float, float]:
+    """Two independent evaluations of the smoothed per-symbol expectation.
+
+    Returns ``(series, quadrature)``: the weight power series
+    ``e^(-lam) * sum_v h_v lam^v`` truncated once its envelope tail drops
+    below 1e-9, and the order-by-order quadrature of the smoothed integral
+    on ``[0, r]``.  Each order ``u`` integrates the 1/u!-scaled kernel
+    :func:`integrate_poisson_kernel_bessel`, whose integrand stays below 1
+    in magnitude, so its absolute error bound holds at orders where the
+    unscaled integral grows like ``u!``.  The two agree
+    for exact arithmetic; comparing them cross-checks the entire
+    coefficient pipeline.  Only meaningful with ``t_decay`` off and
+    practical for small parameter settings.
+    """
+    if params.t_decay:
+        raise ValueError(
+            "smoothed expectation identity requires params with t_decay=False"
+        )
+    if lam < 0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    if lam == 0.0:
+        return 0.0, 0.0
+    table = build_coefficient_table(spec, params, q_x=q_x)
+    qx, log_bound = table.q_x, table.log_clamp_bound
+    log_tail = log_poisson_tail_table(lam, params.v_max)
+    v_stop = min(max(16, 4 * params.s0), params.v_max)
+    while (
+        log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL)
+        and v_stop < params.v_max
+    ):
+        v_stop = min(2 * v_stop, params.v_max)
+    if log_bound + log_tail[v_stop] >= math.log(_HHAT_TAIL_TOL):
+        raise ValueError(
+            "params.v_max too small to truncate the series below the tail bound"
+        )
+
+    v = np.arange(1, v_stop + 1)
+    log_weight = v * math.log(lam) - lam - log_factorials(v_stop + 1)[v]
+    series = float(np.sum(table.weights(v) * np.exp(log_weight)))
+
+    t = params.t
+    y = lam * (t - 1.0)
+    total = 0.0
+    for u in range(1, params.u_max + 1):
+        f = float(eval_fx_grid(spec, np.array([u / (params.rate * t)]), qx)[0])
+        if f == 0.0:
+            continue
+        integral = integrate_poisson_kernel_bessel(u, y, upper=float(params.r))
+        if integral == 0.0:
+            continue
+        log_scale = u * math.log(t / (t - 1.0))
+        total += math.copysign(
+            math.exp(math.log(abs(f)) + log_scale + math.log(abs(integral))),
+            f * integral,
+        )
+    quadrature = math.exp(-lam) * total
+    return series, quadrature
 
 
 @dataclass(frozen=True)
@@ -46,7 +167,7 @@ def check_quadrature_identity(deep: bool = False) -> CheckResult:
         inv_fact = 1.0 / math.factorial(u)
         for y in ys:
             target = math.exp(-y) * y**u * inv_fact
-            value = numerics.integrate_poisson_kernel_bessel(u, y, upper=u + y + 50.0)
+            value = integrate_poisson_kernel_bessel(u, y, upper=u + y + 50.0)
             worst = max(worst, abs(value - target) / max(inv_fact, target))
     return CheckResult(
         name="quadrature_identity",

@@ -29,12 +29,10 @@ from propest.estimators import (
     _log_clamp_bound,
     build_coefficient_table,
     empirical,
-    smoothed_h_hat,
 )
 from propest import estimators
-from propest.numerics import integrate_poisson_kernel_bessel
 from propest.properties import entropy, support_size
-from propest.selfcheck import check_series_quadrature
+from propest.selfcheck import check_series_quadrature, integrate_poisson_kernel_bessel, smoothed_h_hat
 
 SEED = 29
 

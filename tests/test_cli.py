@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import propest.numerics
+import propest.selfcheck
 from propest import cli
 from propest.cli import main
 from propest.distributions import FAMILIES
@@ -375,6 +375,10 @@ MALFORMED = {
     "count_above_int64": (
         "estimate", "--property", "entropy", "--counts", "{huge}", "--estimator", "empirical",
     ),
+    # Four counts of 2^62: the int64 total wrapped to 0 and the estimate read 0.
+    "counts_total_above_int64": (
+        "estimate", "--property", "entropy", "--counts", "{quad}", "--estimator", "empirical",
+    ),
     "kl_id_above_int64": ("estimate", *KL_MANUAL, "--counts", "{huge_id}", "--rate", "1000"),
     "q_file_shorter_than_ids": (
         "estimate", "--property", "kl", "--q-file", "{q2}", "--alpha", "0.5",
@@ -472,7 +476,7 @@ class TestMalformedInput:
         files = {"counts": counts_file, "out": str(tmp_path / "out.csv")}
         for name, text in (
             ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"), ("qnan", "0.5\nnan\n"), ("pair", "0,3\n1,1\n"),
-            ("huge", "a,99999999999999999999\n"), ("huge_id", "0,3\n99999999999999999999,1\n"),
+            ("huge", "a,99999999999999999999\n"), ("quad", "".join(f"s{i},{2**62}\n" for i in range(4))), ("huge_id", "0,3\n99999999999999999999,1\n"),
             ("ten", "".join(f"s{i},1\n" for i in range(10))),
         ):
             files[name] = str(tmp_path / f"{name}.txt")
@@ -595,24 +599,25 @@ class TestSelfcheck:
         assert "[FAIL]" not in out
 
     def test_corrupted_build_detected(self, monkeypatch, capsys):
-        real = propest.numerics.bessel_f
+        real = propest.selfcheck.bessel_f
         monkeypatch.setattr(
-            propest.numerics, "bessel_f", lambda u, y: -real(u, y)
+            propest.selfcheck, "bessel_f", lambda u, y: -real(u, y)
         )
         assert run_cli("selfcheck") == 2
         assert "[FAIL]" in capsys.readouterr().out
 
     def test_raising_check_reported_as_failure(self, monkeypatch, capsys):
         def diverge(u, y, upper):
-            raise propest.numerics.ConvergenceError("forced divergence")
+            raise propest.selfcheck.ConvergenceError("forced divergence")
 
-        monkeypatch.setattr(propest.numerics, "integrate_poisson_kernel_bessel", diverge)
+        # smoothed_h_hat, behind the series check, integrates through the same kernel.
+        monkeypatch.setattr(propest.selfcheck, "integrate_poisson_kernel_bessel", diverge)
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
-        assert lines[0].startswith("[FAIL] quadrature_identity: ConvergenceError")
-        assert "forced divergence" in lines[0]
-        assert all(line.startswith("[PASS] ") for line in lines[1:])
+        for line, name in zip(lines, ("quadrature_identity", "series_quadrature_consistency")):
+            assert line == f"[FAIL] {name}: ConvergenceError: forced divergence"
+        assert lines[2].startswith("[PASS] coefficient_bound: ")
 
 
 @pytest.fixture(scope="module")
@@ -796,6 +801,8 @@ def old_read_counts(path, spec, ids):
 
 
 def old_histogram(counts, spec, ids):
+    if sum(counts.values()) > 2**63 - 1:  # an int64 total would wrap
+        raise OverflowError
     array = np.zeros(len(ids) if spec.q is None else len(spec.q), dtype=np.int64)
     array[list(counts)] = list(counts.values())
     return array
@@ -813,11 +820,16 @@ def read_streams(read, histogram, paths, spec, rejections=(cli.UsageError,)):
 
 
 def assert_reads_like_reference(paths, spec):
-    # The old reader let counts above 2^63-1 through to an OverflowError.
+    # The old reader let counts above 2^63-1, or a total above it, through to an
+    # OverflowError.
     want = read_streams(
         old_read_counts, old_histogram, paths, spec, (cli.UsageError, OverflowError)
     )
-    got = read_streams(cli._read_counts, cli._histogram, paths, spec)
+    try:
+        got = read_streams(cli._read_counts, cli._histogram, paths, spec)
+    except ValueError as exc:  # Histogram's refusal, not a UsageError
+        assert str(exc) == "counts must total at most 2^63-1"
+        got = None
     if want is None:
         assert got is None
     else:

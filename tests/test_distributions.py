@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from propest.distributions import (
@@ -16,6 +17,7 @@ from propest.distributions import (
     sample_histogram,
     split_sample,
 )
+from propest.numerics import log1p
 
 
 class TestMakeDistribution:
@@ -114,6 +116,9 @@ class TestMakeDistribution:
         ("poisson", {"mean": 5.0}, "11c3071d920bb6c46edf01f15d45c485fc5497117d0d5e49221280abbf1d5bea"),
         ("zipf", {"power": 2.0}, "d5491d0017cdd5b8bb609952a69d684b5570884a4dc9df0d0798f5deadb3dad1"),
         ("binomial", {"prob": 0.5}, "21306dd7aadea13e33902ef7521625ec7efe16f55e427f7e3e9a5c20a2476c5e"),
+        # Recorded while scipy's log1p computed these; math.log1p moves both, math.log(1 + x) the second.
+        ("binomial", None, "f7f4baf74e63716c8bfd3025d132d0ac0e96f5a01719159b2f0c6da5e8175462"),
+        ("binomial", {"prob": 0.16}, "564097e2f685812b7b3e90d2cccb186ab3604d30f7fa87494d6e671ae3c05c66"),
         ("dirichlet", {"concentration": 1.0},
          "011edd346f627a07680ca7156964a2873f4f0e433361757d4ebfa72b76e04df2"),
     ]
@@ -122,6 +127,12 @@ class TestMakeDistribution:
     def test_vector_bits_pinned(self, family, params, digest):
         probs = make_distribution(family, 1000, params, rng=np.random.default_rng(11)).probs
         assert hashlib.sha256(probs.tobytes()).hexdigest() == digest
+
+    def test_log1p_port_matches_scipy_bits(self):
+        # The binomial pmf reads log1p(-prob); math.log1p rounds some of the grid differently.
+        grid = np.linspace(-0.999, 0.5, 300001)
+        ported = np.array([log1p(x) for x in grid.tolist()])
+        np.testing.assert_array_equal(ported.view(np.int64), sp_special.log1p(grid).view(np.int64))
 
 
 class TestHistogram:
@@ -148,8 +159,15 @@ class TestHistogram:
         with pytest.raises(ValueError, match=r"^counts must be integers in 0\.\.2\^63-1$"):
             Histogram(bad)
 
+    @pytest.mark.parametrize("copies", [2, 4])
+    def test_total_above_int64_refused(self, copies):
+        # The int64 sum wrapped: to 0 at four copies, to -2^63 at two.
+        with pytest.raises(ValueError, match=r"^counts must total at most 2\^63-1$"):
+            Histogram(np.full(copies, 2**62, dtype=np.int64))
+
     def test_largest_counts_accepted(self):
         assert Histogram(np.array([2**63 - 1], dtype=np.uint64)).total == 2**63 - 1
+        assert Histogram(np.array([2**62, 2**62 - 1, 0])).total == 2**63 - 1
         assert Histogram(np.array([2.0**63 - 1024, 0.0])).array[0] == 2**63 - 1024
 
     def test_from_array(self):

@@ -27,7 +27,6 @@ from propest.estimators import (
     derive_params,
     empirical,
     modified_empirical,
-    smoothed_h_hat,
 )
 from propest.numerics import log_poisson_tail_table
 from propest.properties import (
@@ -39,6 +38,7 @@ from propest.properties import (
     support_coverage,
     support_size,
 )
+from propest.selfcheck import smoothed_h_hat
 
 
 def hist(*counts):

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import propest
+from propest.distributions import FAMILIES
 
 MODULES = sorted(
     f"propest.{info.name}"
@@ -66,14 +67,17 @@ def test_exports_are_defined(name):
 
 
 # Run in a fresh interpreter with the working directory holding the count
-# files; prints the scipy modules loaded after the command-line calls.
+# files; prints the exit codes and the scipy modules loaded after the
+# command-line calls.
 _CLI_PATH_SCRIPT = """
 import sys
 import propest, propest.cli
 from propest.cli import main
+from propest.distributions import FAMILIES
 calls = [
-    ["simulate", "--property", "entropy", "--dist", "zipf", "--k", "200", "--n-grid", "400,1000",
-     "--trials", "2", "--estimators", "amplified,empirical,empirical_plus", "--out", "sim.csv"],
+    *(["simulate", "--property", "entropy", "--dist", family, "--k", "200", "--n-grid", "400,1000",
+       "--trials", "2", "--estimators", "amplified,empirical,empirical_plus", "--out", "sim.csv",
+       "--dump-dist", "dist.txt"] for family in FAMILIES),
     ["estimate", "--property", "entropy", "--counts", "c1.csv", "--counts2", "c2.csv", "--rate", "300"],
     ["estimate", "--property", "support_size", "--k", "50", "--counts", "c1.csv", "--rate", "300"],
     ["estimate", "--property", "kl", "--q", "uniform", "--k", "50", "--counts", "c1.csv", "--rate", "300",
@@ -84,35 +88,45 @@ codes = [main(argv) for argv in calls]
 print(codes, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
+# One simulate per family, three estimates and coeffs.
+_ALL_EXIT_0 = str([0] * (len(FAMILIES) + 4))
 
-def test_import_and_cli_paths_leave_scipy_unloaded(subprocess_env, tmp_path):
-    # scipy.special alone is most of a cold import: the package imports no
-    # scipy module until a binomial or poisson family, smoothed_h_hat or the
-    # self-check reads one.
+
+def _run_cli_paths(env, tmp_path, script):
     for name, seed in (("c1.csv", 1), ("c2.csv", 2)):
         counts = np.random.default_rng(seed).poisson(6.0, 50)
         (tmp_path / name).write_text("".join(f"{i},{c}\n" for i, c in enumerate(counts)), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI_PATH_SCRIPT], capture_output=True, text=True, check=True,
-        env=subprocess_env, cwd=tmp_path,
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
     )
-    assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_import_and_cli_paths_leave_scipy_unloaded(subprocess_env, tmp_path):
+    # scipy.special alone is most of a cold import: the package imports no
+    # scipy module until the self-check reads one.
+    proc = _run_cli_paths(subprocess_env, tmp_path, _CLI_PATH_SCRIPT)
+    assert proc.stdout.strip().splitlines()[-1] == f"{_ALL_EXIT_0} []"
+
+
+def test_cli_paths_run_without_scipy(subprocess_env, tmp_path):
+    # A None entry makes every scipy import fail, as on an install without
+    # scipy: only selfcheck needs it, and it says so in one line.
+    script = f"import sys\nsys.modules['scipy'] = None\n{_CLI_PATH_SCRIPT}print(main(['selfcheck']))\n"
+    proc = _run_cli_paths(subprocess_env, tmp_path, script)
+    assert proc.stdout.strip().splitlines()[-2:] == [f"{_ALL_EXIT_0} ['scipy']", "1"]
+    assert proc.stderr.count("error:") == 1
+    assert proc.stderr.splitlines()[-1] == "error: selfcheck needs scipy (pip install scipy)"
 
 
 @pytest.mark.parametrize("call", [
-    "from propest.distributions import make_distribution\n"
-    "p = make_distribution('binomial', 40).probs\n"
-    "assert abs(p.sum() - 1) < 1e-12 and p.argmax() == 12",
-    "from propest.distributions import make_distribution\n"
-    "p = make_distribution('poisson', 40, {'mean': 5.0}).probs\n"
-    "assert abs(p.sum() - 1) < 1e-12 and p.argmax() in (4, 5)",
-    "from propest.estimators import EstimatorParams, smoothed_h_hat\n"
+    "from propest.estimators import EstimatorParams\n"
     "from propest.properties import entropy\n"
+    "from propest.selfcheck import smoothed_h_hat\n"
     "series, quad = smoothed_h_hat(entropy(), 0.5, EstimatorParams(150.0, 3.0, 1, t_decay=False))\n"
     "assert abs(series - quad) < 1e-5",
     "from propest.selfcheck import run_selfcheck\n"
     "assert all(check.passed for check in run_selfcheck())",
-], ids=["binomial", "poisson", "smoothed_h_hat", "selfcheck"])
+], ids=["smoothed_h_hat", "selfcheck"])
 def test_scipy_special_is_imported_where_it_is_read(subprocess_env, call):
     code = (
         "import sys, propest, propest.cli\n"

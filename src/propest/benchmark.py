@@ -116,8 +116,11 @@ class ExperimentConfig:
     t_decay: bool = True
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if not (math.isfinite(self.trials) and self.trials == int(self.trials) >= 1):
+            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        object.__setattr__(self, "trials", int(self.trials))
+        if not all(math.isfinite(n) and n == int(n) for n in self.n_grid):
+            raise ValueError(f"n_grid entries must be integers, got {self.n_grid!r}")
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")
@@ -219,10 +222,10 @@ def realized_distribution(cfg: ExperimentConfig) -> Distribution:
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     """Run the full sweep and aggregate one row per (n, estimator) cell.
 
-    A cell whose parameters cannot be derived is marked failed (nan
-    aggregates, ``error`` set) instead of aborting the sweep.  The
-    distribution, including a Dirichlet draw, is
-    :func:`realized_distribution`, fixed once per experiment.
+    A cell that raises ValueError anywhere (while its parameters are derived,
+    its sample is sized or its trials run) is marked failed (nan aggregates,
+    ``error`` set) and the sweep goes on.  The distribution, including a
+    Dirichlet draw, is :func:`realized_distribution`, fixed once per experiment.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
@@ -230,39 +233,26 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     truth = exact_value(cfg.spec, dist.probs)
 
     rows: list[ResultRow] = []
-    for n in cfg.n_grid:
-        for estimator in cfg.estimators:
-            base = dict(
-                property=cfg.spec.kind,
-                distribution=cfg.family,
-                k=cfg.k,
-                n=n,
-                estimator=estimator,
-                trials=cfg.trials,
-                true_value=truth,
-                seed=cfg.seed,
-            )
-            try:
-                run = _make_trial_fn(cfg, dist, n, estimator)
-            except ValueError as exc:
-                rows.append(
-                    ResultRow(
-                        mse=math.nan, mean_estimate=math.nan, error=str(exc), **base
-                    )
+    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread unless mapped over
+        each_trial = pool.map if threads > 1 else map
+        for n in cfg.n_grid:
+            for estimator in cfg.estimators:
+                base = dict(
+                    property=cfg.spec.kind,
+                    distribution=cfg.family,
+                    k=cfg.k,
+                    n=n,
+                    estimator=estimator,
+                    trials=cfg.trials,
+                    true_value=truth,
+                    seed=cfg.seed,
                 )
-                continue
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    estimates = list(pool.map(run, range(cfg.trials)))
-            else:
-                estimates = [run(trial) for trial in range(cfg.trials)]
-            rows.append(
-                ResultRow(
-                    mse=mse(estimates, truth),
-                    mean_estimate=float(np.mean(estimates)),
-                    **base,
-                )
-            )
+                try:
+                    estimates = list(each_trial(_make_trial_fn(cfg, dist, n, estimator), range(cfg.trials)))
+                except ValueError as exc:
+                    rows.append(ResultRow(mse=math.nan, mean_estimate=math.nan, error=str(exc), **base))
+                    continue
+                rows.append(ResultRow(mse=mse(estimates, truth), mean_estimate=float(np.mean(estimates)), **base))
     return rows
 
 

@@ -9,11 +9,11 @@ equivalent to drawing ``Poisson(n)`` i.i.d. symbols and tallying them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import log1p, log_factorials
+from .numerics import _lgam_range, log1p
 
 __all__ = [
     "FAMILIES",
@@ -47,31 +47,36 @@ class Distribution:
 class Histogram:
     """Counts of one sample stream: ``array[x]`` is the count of symbol id ``x``.
 
-    ``array`` is a read-only ``int64`` view of the given vector (an ``int64``
-    vector is not copied); ``total`` is its sum.
+    ``array`` is a read-only ``int64`` view of the given integer vector (an
+    ``int64`` vector is not copied); ``total`` is its sum, taken when read.
     """
 
     array: np.ndarray
-    total: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         given = np.asarray(self.array)
         if given.ndim != 1:
             raise ValueError("counts must be a 1-D vector indexed by symbol id")
-        # Refused before the cast to int64, which would wrap or warn on them.
-        if given.size and (given.min() < 0 or given.dtype.kind in "fu" and not given.max() < 2**63
-                           or given.dtype.kind == "f" and not np.array_equal(given, np.trunc(given))):
+        if not given.size:
+            given = np.zeros(0, np.int64)
+        elif given.dtype.kind not in "biu":
             raise ValueError("counts must be integers in 0..2^63-1")
         array = given.astype(np.int64, copy=False)
+        # Negative exactly when a count is (a uint64 count >= 2^63 wraps negative in
+        # the cast); otherwise at least the largest count.
+        bits = int(np.bitwise_or.reduce(array))
+        if bits < 0:
+            raise ValueError("counts must be integers in 0..2^63-1")
+        if bits * array.size > 2**63 - 1 and sum(array.tolist()) >= 2**63:
+            raise ValueError("counts must total at most 2^63-1")  # the int64 sum would wrap
         array = array.view()
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
-        total = int(array.sum())
-        if array.size and array.max() > (2**63 - 1) // array.size:  # the int64 sum may have wrapped
-            total = sum(array.tolist())
-            if total >= 2**63:
-                raise ValueError("counts must total at most 2^63-1")
-        object.__setattr__(self, "total", total)
+
+    @property
+    def total(self) -> int:
+        """The sum of the counts, at most 2^63-1."""
+        return int(self.array.sum())
 
     @classmethod
     def from_array(cls, count_vector: np.ndarray) -> "Histogram":
@@ -162,12 +167,12 @@ def make_distribution(
         probs = _normalize_log(-value * np.log(np.arange(1, k + 1, dtype=np.float64)))
     elif family == "binomial":
         # scipy.stats.binom's log-pmf formula, with the bits of its gammaln and log1p.
-        x, log_fact = np.arange(k, dtype=np.float64), log_factorials(k)
+        x, log_fact = np.arange(k, dtype=np.float64), _lgam_range(1, k + 1)
         log_pmf = log_fact[k - 1] - (log_fact + log_fact[::-1])
         probs = _normalize_log(log_pmf + x * math.log(value) + (k - 1 - x) * log1p(-value))
     elif family == "poisson":
         x = np.arange(k, dtype=np.float64)
-        probs = _normalize_log(x * math.log(value) - log_factorials(k) - value)
+        probs = _normalize_log(x * math.log(value) - _lgam_range(1, k + 1) - value)
     else:  # geometric
         x = np.arange(1, k + 1, dtype=np.float64)
         probs = _normalize_log((x - 1.0) * math.log1p(-value) + math.log(value))

@@ -106,6 +106,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="threads"):
             run_experiment(cfg, threads=threads)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_grid", (1000.7, 2000.2)), ("n_grid", (100, math.nan)), ("trials", 2.5), ("trials", math.inf),
+    ])
+    def test_non_integers_refused(self, field, value):
+        # A fractional grid point was truncated; a fractional trial count passed and broke range().
+        given = dict(spec=entropy(), family="uniform", k=4, n_grid=(100,), trials=2, seed=0)
+        with pytest.raises(ValueError, match=f"^{field} "):
+            ExperimentConfig(**{**given, field: value})
+
+    def test_integral_floats_become_ints(self):
+        cfg = ExperimentConfig(spec=entropy(), family="uniform", k=4, n_grid=(100.0, np.int64(200)),
+                               trials=2.0, seed=0, estimators=("empirical",))
+        assert cfg.n_grid == (100, 200) and cfg.trials == 2
+        assert all(type(v) is int for v in (*cfg.n_grid, cfg.trials))
+        assert results_to_csv(run_experiment(cfg)).splitlines()[1].split(",")[5] == "2"
+
     def test_trials_positive(self):
         with pytest.raises(ValueError):
             ExperimentConfig(

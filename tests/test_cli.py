@@ -100,6 +100,20 @@ class TestSimulate:
         assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 0
         assert run_cli(*args, "--strict", "--out", str(tmp_path / "y.csv")) == 2
 
+    def test_plug_in_cell_of_no_sample_fails_alone(self, tmp_path, capsys):
+        # empirical_plus samples round(n * sqrt(log n)) = 0 at n=1; amplified refuses n=1.
+        out = tmp_path / "z.csv"
+        args = (
+            "simulate", "--property", "entropy", "--dist", "zipf", "--k", "100", "--n-grid", "1,200",
+            "--trials", "2", "--estimators", "amplified,empirical_plus",
+        )
+        assert run_cli(*args, "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [(r[3], r[4], r[6]) for r in rows[:2]] == [("1", "amplified", "nan"), ("1", "empirical_plus", "nan")]
+        assert all(r[6] != "nan" for r in rows[2:]) and len(rows) == 4
+        assert "sample size must be positive, got 0" in capsys.readouterr().err
+        assert run_cli(*args, "--strict", "--out", str(tmp_path / "y.csv")) == 2
+
     def test_dump_dist(self, tmp_path):
         out = tmp_path / "r.csv"
         dump = tmp_path / "probs.csv"

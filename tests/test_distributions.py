@@ -17,6 +17,7 @@ from propest.distributions import (
     sample_histogram,
     split_sample,
 )
+from propest import numerics
 from propest.numerics import log1p
 
 
@@ -123,6 +124,13 @@ class TestMakeDistribution:
          "011edd346f627a07680ca7156964a2873f4f0e433361757d4ebfa72b76e04df2"),
     ]
 
+    def test_pmfs_leave_the_shared_log_factorials_alone(self, monkeypatch):
+        # Each pmf reads its own k log-factorials; the process-wide array stays as it is.
+        monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
+        for family in ("binomial", "poisson"):
+            make_distribution(family, 50_000)
+        assert len(numerics._log_fact) == 0
+
     @pytest.mark.parametrize("family, params, digest", PINNED)
     def test_vector_bits_pinned(self, family, params, digest):
         probs = make_distribution(family, 1000, params, rng=np.random.default_rng(11)).probs
@@ -153,9 +161,12 @@ class TestHistogram:
     @pytest.mark.parametrize("bad", [
         np.array([np.inf, 1.0]), np.array([np.nan]), np.array([2.0**63]), np.array([-1e30]),
         np.array([0.5]), np.array([2**63], dtype=np.uint64), np.array([3, -1]),
+        np.array([2.0**63 - 1024, 0.0]), np.array([3.0]), [2**64], ["1", "2"], [1 + 2j, 3], [None],
+        np.array([2**64 - 1], dtype=np.uint64), np.array([-1], dtype=np.int8),
     ])
     def test_bad_counts_one_message_no_warning(self, bad):
-        # The cast to int64 warned on inf and wrapped a uint64 2^63, then called them negative.
+        # Only integer dtypes are counts, integral floats included.  A cast to int64 would
+        # warn on inf or drop an imaginary part, and wrap a uint64 2^63 to a negative count.
         with pytest.raises(ValueError, match=r"^counts must be integers in 0\.\.2\^63-1$"):
             Histogram(bad)
 
@@ -168,7 +179,18 @@ class TestHistogram:
     def test_largest_counts_accepted(self):
         assert Histogram(np.array([2**63 - 1], dtype=np.uint64)).total == 2**63 - 1
         assert Histogram(np.array([2**62, 2**62 - 1, 0])).total == 2**63 - 1
-        assert Histogram(np.array([2.0**63 - 1024, 0.0])).array[0] == 2**63 - 1024
+
+    @pytest.mark.parametrize("given, total", [
+        (np.array([3, 0, 120], dtype=np.int8), 123),
+        (np.array([7, 2**31 - 1], dtype=np.int32), 2**31 + 6),
+        (np.array([True, False, True]), 2),
+        (np.array([2**63 - 2, 1, 0], dtype=np.uint64), 2**63 - 1),
+        (np.array([]), 0),
+    ])
+    def test_integer_dtypes_accepted(self, given, total):
+        h = Histogram(given)
+        assert h.array.dtype == np.int64 and h.array.tolist() == given.astype(np.int64).tolist()
+        assert h.total == total and isinstance(h.total, int)
 
     def test_from_array(self):
         given = np.array([0, 3, 0, 1])

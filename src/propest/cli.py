@@ -15,24 +15,27 @@ flows from ``--seed`` (default 1729), so reruns are byte-identical.
 Count files (``estimate --counts/--counts2``) hold one ``symbol,count`` pair
 a line, with exactly one comma.  Blank lines, an optional ``symbol,count``
 header and spaces around either field are ignored.  Counts are integers in
-1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1.  support_size and
-dist_to_uniform take at most ``--k`` distinct symbols over both files; more
-exit 1, as the estimators refuse a symbol id of ``k`` or above.  A file is
-checked one rule at a time (commas, integer counts, count range, symbol ids,
-duplicates); the first rule that fails is reported at its first offending
-line, numbered as in the file.  Count files and ``--q-file`` are UTF-8, with
-or without a byte-order mark.  One reader parses every count file: unless
-the file is plain (ASCII, no padding, no blank line), it strips each line
-and field and drops blank lines; then one numpy pass over the bytes checks
-the commas and reads every count and l1/kl id of 1..18 digits.  ``int()``
-reads the fields only when some field is not of that form.
+1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1, other symbols are
+opaque labels.  support_size and dist_to_uniform take at most ``--k``
+distinct symbols over both files; more exit 1 (``count files hold N
+distinct symbols, more than --k K``).  A file is checked one rule at a time
+(commas, integer counts, count range, symbol ids, duplicates); the first
+rule that fails is reported at its first offending line, numbered as in the
+file.  Count files and ``--q-file`` are UTF-8, with or without a byte-order
+mark; a byte that is not exits 1 with ``FILE: line N: not UTF-8``.  One
+reader parses every count file: unless the file is plain (ASCII, no
+padding, no blank line), it strips each line and field and drops blank
+lines; then one numpy pass over the bytes checks the commas, reads every
+count and l1/kl id of 1..18 digits, and matches opaque labels by their
+UTF-8 bytes.  A label's id is its rank by first appearance, over
+``--counts`` and then ``--counts2``.  ``int()`` reads the fields only when
+some field is not of that form.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from typing import NoReturn
@@ -131,6 +134,9 @@ def _read_text(path: str, what: str) -> str:
             return f.read()
     except OSError as exc:
         raise UsageError(f"cannot read {what}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # exc.object: the bytes read, after any byte-order mark
+        line = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise UsageError(f"{path}: line {line}: not UTF-8") from None
 
 
 def _is_int(text: str) -> bool:
@@ -141,18 +147,23 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a count file (format in the module docstring) to int64 ``(ids, counts)``.
+# No opaque label seen yet: the labels before the first count file.
+_NO_LABELS = np.zeros(0, dtype="S1")
+
+
+def _read_counts(path: str, spec: PropertySpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Parse a count file (format in the module docstring) to int64 ``(ids, counts)`` and the labels seen.
 
     l1/kl symbols are integer ids indexing q, so ``5``, ``05`` and ``+5``
-    are one symbol.  Other labels are opaque: each new one gets the next id
-    in ``ids``, which both streams share.
+    are one symbol.  Other labels are opaque: ``labels`` holds the keys
+    (:func:`_keys`) of those already seen, in id order, and each new label
+    gets the next id; the labels returned are ``labels`` followed by the new ones.
     """
     text = _read_text(path, "counts file")
     head, _, rest = text.lstrip().partition("\n")  # head: the first line that is not blank
     body = (rest if head.rstrip().lower().replace(" ", "") == "symbol,count" else text).removesuffix("\n")
     if not body.strip():
-        return (np.zeros(0, dtype=np.int64),) * 2
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), labels
     b = np.frombuffer(body.encode(), dtype=np.uint8)
     nl = b == ord("\n")
     # A plain body (ASCII, no byte up to 0x20 but line breaks, no blank line: no line break
@@ -175,6 +186,7 @@ def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, 
     if len(seps) % 2 == 0 or (b[commas] != ord(",")).any() or (b[breaks] != ord("\n")).any():
         lines = body.split("\n")
         fail((line.count(",") != 1 for line in lines), lines, lambda s: "expected 'symbol,count'")
+    starts = np.insert(breaks + 1, 0, 0)  # of the symbols, which end at the commas
 
     def column(j: int) -> list[str]:
         """The symbols (``j`` 0) or counts (1) as text."""
@@ -199,19 +211,22 @@ def _read_counts(path: str, spec: PropertySpec, ids: dict) -> tuple[np.ndarray, 
     counts = parse(1, commas + 1, np.append(breaks, len(b)), 1, 2**63 - 1,
                    lambda s: f"count {s!r} not an integer", lambda s: f"count {s!r} outside 1..2^63-1")
     if spec.q is None:
-        syms = column(0)
-        new = dict.fromkeys(itertools.filterfalse(ids.__contains__, syms))
-        ids.update(zip(new, itertools.count(len(ids))))
-        x = np.fromiter(map(ids.__getitem__, syms), np.int64, len(syms))
+        # Ids by first appearance: the labels seen before come first, so they keep theirs.
+        keys = np.concatenate([labels, _keys(b, starts, commas)])
+        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first = np.zeros(len(keys), dtype=bool)
+        first[at] = True  # where each label first appears
+        x = (np.cumsum(first) - 1)[at][inverse[len(labels):]]
+        labels = keys[first]
     else:
-        x = parse(0, np.insert(breaks + 1, 0, 0), commas, 0, len(spec.q) - 1,
+        x = parse(0, starts, commas, 0, len(spec.q) - 1,
                   lambda s: f"{spec.kind} requires integer symbol ids indexing q",
                   lambda s: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q")
     if np.bincount(x).max() > 1:
         repeated = np.ones(len(x), dtype=bool)
         repeated[np.unique(x, return_index=True)[1]] = False
         fail(repeated, column(0), lambda s: f"duplicate symbol {s!r}")
-    return x, counts
+    return x, counts, labels
 
 
 def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -219,17 +234,41 @@ def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray |
     lengths = ends - starts
     if lengths.min() < 1 or (width := int(lengths.max())) > 18:
         return None
-    at = ends[:, None] + np.arange(-width, 0)  # each row right-aligned, padded on the left
-    digits = b[np.maximum(at, 0)] - ord("0")  # uint8, so a byte below '0' wraps above 9
-    digits[at < starts[:, None]] = 0
-    if (digits > 9).any():
-        return None
-    return digits.astype(np.int64) @ 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    values = np.zeros(len(starts), dtype=np.int64)
+    for p in range(width, 0, -1):  # the digit p places before each field's end, 0 before its start
+        digit = b.take(ends - p, mode="clip") - ord("0")  # uint8, so a byte below '0' wraps above 9
+        digit[lengths < p] = 0
+        if (digit > 9).any():
+            return None
+        values *= 10
+        values += digit
+    return values
 
 
-def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, ids: dict) -> Histogram:
+def _keys(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Keys of the fields ``b[starts[i]:ends[i]]``: equal keys, equal bytes.
+
+    A key is the field's bytes and the byte after it (the comma that ends a
+    symbol), zero-padded to one ``S`` width.  numpy strips an ``S`` value's
+    trailing zero bytes, so without that last nonzero byte ``a`` and
+    ``a\\x00`` would be one key.  When padding every field to the longest
+    would take over 8 bytes a byte of ``b`` (a few long labels), the keys are
+    those bytes unpadded, one ``bytes`` object each in an object array.
+    """
+    lengths = ends - starts
+    width = int(lengths.max()) + 1
+    if len(starts) * width > 8 * len(b):
+        data = b.tobytes()
+        return np.array([data[i:j] for i, j in zip(starts.tolist(), (ends + 1).tolist())], dtype=object)
+    keys = np.zeros((len(starts), width), dtype=np.uint8)
+    for p in range(width):
+        keys[:, p] = b.take(starts + p, mode="clip") * (p <= lengths)
+    return keys.view(f"S{width}").ravel()
+
+
+def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, labels: np.ndarray) -> Histogram:
     x, counts = read
-    array = np.zeros(len(ids) if spec.q is None else len(spec.q), dtype=np.int64)
+    array = np.zeros(len(labels) if spec.q is None else len(spec.q), dtype=np.int64)
     array[x] = counts
     return Histogram(array)
 
@@ -353,16 +392,20 @@ def cmd_estimate(args) -> int:
         raise UsageError(f"{args.estimator} requires --rate")
     spec = _spec_from_args(kind, args)
     params = _amplified_params_from_args(args, args.rate, spec) if args.estimator == "amplified" else None
-    ids: dict = {}
     paths = [path for path in (args.counts, args.counts2) if path is not None]
-    reads = [_read_counts(path, spec, ids) for path in paths]
+    reads, labels = [], _NO_LABELS
+    for path in paths:
+        x, counts, labels = _read_counts(path, spec, labels)
+        reads.append((x, counts))
     # A stream of rate n totals Poisson(n) counts; a rate <= 0 is the estimator's to refuse.
     if args.rate is not None and args.rate > 0:
         for path, (_, counts) in zip(paths, reads):
             if counts.sum(dtype=np.float64) > args.rate + 10 * math.sqrt(args.rate):
                 raise UsageError(f"{path}: total count {sum(counts.tolist())} is more than 10 standard "
                                  f"deviations above --rate {_fmt(args.rate)}")
-    hists = [_histogram(read, spec, ids) for read in reads]  # after both reads: len(ids) long
+    if spec.k is not None and len(labels) > spec.k:
+        raise UsageError(f"count files hold {len(labels)} distinct symbols, more than --k {spec.k}")
+    hists = [_histogram(read, spec, labels) for read in reads]  # after both reads: len(labels) long
     first, second = hists[0], hists[-1]
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
 

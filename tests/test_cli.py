@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -771,6 +772,39 @@ def test_malformed_q_file_names_the_line(tmp_path, counts_file, capsys):
     assert capsys.readouterr().err == f"error: {q}: line 3: probability 'x' not a number\n"
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 is reported at its line, numbered as the file's other faults are."""
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff,1\n", 1),
+        (b"\xef\xbb\xbfsymbol,count\r\n\r\na,1\rb\xe9,2\n", 4),
+    ], ids=["first_byte", "byte_order_mark_and_mixed_line_breaks"])
+    def test_counts_file(self, data, line, tmp_path, capsys):
+        # It exited with "'utf-8' codec can't decode byte 0xff in position 0", naming no file.
+        path = tmp_path / "counts.csv"
+        path.write_bytes(data)
+        assert run_cli("estimate", *ENTROPY_EMPIRICAL, "--counts", str(path)) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {line}: not UTF-8\n"
+
+    def test_q_file(self, tmp_path, counts_file, capsys):
+        q = tmp_path / "q.txt"
+        q.write_bytes(b"0.5\n\n0.5\xff\n")
+        assert run_cli("estimate", "--property", "kl", "--q-file", str(q), "--counts", counts_file,
+                       "--estimator", "empirical") == 1
+        assert capsys.readouterr().err == f"error: {q}: line 3: not UTF-8\n"
+
+
+@pytest.mark.parametrize("prop", ["support_size", "uniformity"])
+def test_more_labels_than_k_counted_as_labels(prop, tmp_path, capsys):
+    # The library's refusal named symbol ids (0..0) that the files never gave.
+    first, second = tmp_path / "c1.csv", tmp_path / "c2.csv"
+    first.write_text("a,3\n", encoding="utf-8")
+    second.write_text("b,2\n", encoding="utf-8")
+    assert run_cli("estimate", "--property", prop, "--k", "1", "--counts", str(first),
+                   "--counts2", str(second), "--rate", "200") == 1
+    assert capsys.readouterr().err == "error: count files hold 2 distinct symbols, more than --k 1\n"
+
+
 def old_symbol_id(sym, spec, ids):
     if spec.q is None:
         return ids.setdefault(sym, len(ids))
@@ -822,25 +856,38 @@ def old_histogram(counts, spec, ids):
     return array
 
 
-def read_streams(read, histogram, paths, spec, rejections=(cli.UsageError,)):
-    """Both streams as ``cmd_estimate`` reads them: ``(vectors, ids)``, or None if rejected."""
+def reference_streams(paths, spec):
+    """Both streams as the line-by-line reader read them: ``(vectors, labels)``, or None if rejected.
+
+    ``labels`` lists the opaque labels' ``(label, id)`` pairs in id order.
+    """
     ids = {}
     try:
-        reads = [read(path, spec, ids) for path in paths]
-        vectors = [histogram(r, spec, ids) for r in reads]
-    except rejections:
+        reads = [old_read_counts(path, spec, ids) for path in paths]
+        vectors = [old_histogram(r, spec, ids) for r in reads]
+    except (cli.UsageError, OverflowError):  # it let counts above 2^63-1, or a total above it, overflow
         return None
-    return [np.asarray(getattr(v, "array", v)) for v in vectors], list(ids.items())
+    return vectors, list(ids.items())
+
+
+def read_streams(paths, spec):
+    """Both streams as ``cmd_estimate`` reads them, in the form of :func:`reference_streams`."""
+    reads, labels = [], cli._NO_LABELS
+    try:
+        for path in paths:
+            x, counts, labels = cli._read_counts(path, spec, labels)
+            reads.append((x, counts))
+        vectors = [cli._histogram(r, spec, labels).array for r in reads]
+    except cli.UsageError:
+        return None
+    # A label's key is its UTF-8 bytes and one byte more.
+    return vectors, [(key[:-1].decode(), i) for i, key in enumerate(labels.tolist())]
 
 
 def assert_reads_like_reference(paths, spec):
-    # The old reader let counts above 2^63-1, or a total above it, through to an
-    # OverflowError.
-    want = read_streams(
-        old_read_counts, old_histogram, paths, spec, (cli.UsageError, OverflowError)
-    )
+    want = reference_streams(paths, spec)
     try:
-        got = read_streams(cli._read_counts, cli._histogram, paths, spec)
+        got = read_streams(paths, spec)
     except ValueError as exc:  # Histogram's refusal, not a UsageError
         assert str(exc) == "counts must total at most 2^63-1"
         got = None
@@ -856,8 +903,10 @@ def assert_reads_like_reference(paths, spec):
 Q_LEN = 6
 pads = st.sampled_from(["", " ", "\t", "\x1c", "\u2028"])
 kl_ids = st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(0, Q_LEN - 1))
-# A small alphabet, so that the two streams share labels.
-labels = st.sampled_from(["a", "b", "c d", "", "5", "05", "+5"])
+# A small alphabet, so that the two streams share labels.  Its labels that
+# differ only by a trailing zero byte or by Unicode normalisation must stay
+# apart.
+labels = st.sampled_from(["a", "b", "c d", "", "5", "05", "+5", "a\x00", "\x00", "\u00e9", "e\u0301"])
 good_counts = st.one_of(
     st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(1, 50)),
     st.sampled_from(["1_000", str(2**63 - 1)]),
@@ -918,6 +967,27 @@ def test_reader_matches_line_by_line_reference(stream_paths, case, two_streams):
         path.write_text(text, encoding="utf-8", newline="")
     paths = stream_paths if two_streams else stream_paths[:1]
     assert_reads_like_reference(paths, spec)
+
+
+def test_long_label_read_without_padding(stream_paths):
+    """One long label among short ones is read like the reference, in memory in proportion to the file."""
+    lines = [f"s{i},1" for i in range(1000)]
+    lines[3] = "x" * 20000 + ",2"
+    long, short = "\n".join(lines), "s5,1\ny,2\ns7,3\n"
+    spec = PropertySpec("entropy")
+    for texts in ((long, short), (short, long)):
+        for path, text in zip(stream_paths, texts):
+            path.write_text(text, encoding="utf-8", newline="")
+        assert_reads_like_reference(stream_paths, spec)
+    stream_paths[0].write_text(long, encoding="utf-8", newline="")
+    tracemalloc.start()
+    try:
+        x, counts, labels = cli._read_counts(str(stream_paths[0]), spec, cli._NO_LABELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(x, np.arange(1000)) and counts[3] == 2 and len(labels) == 1000
+    assert peak < 2_000_000  # padding the 1000 labels to the longest would take 20 MB
 
 
 PLAIN_Q_LEN = 500
@@ -1016,7 +1086,7 @@ def test_plain_file_read_in_the_byte_pass(stream_paths, case):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_digits", digits)
-        cli._read_counts(str(stream_paths[0]), spec, {})
+        cli._read_counts(str(stream_paths[0]), spec, cli._NO_LABELS)
     assert read == [True] * (1 + kl)  # counts, and l1/kl ids
 
 

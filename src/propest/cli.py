@@ -103,6 +103,8 @@ def _reference_from_args(args) -> np.ndarray | None:
                     vals.append(float(line))
                 except ValueError:
                     raise UsageError(f"{args.q_file}: line {i}: probability {line!r} not a number") from None
+                if not math.isfinite(vals[-1]):
+                    raise UsageError(f"{args.q_file}: line {i}: probability {line!r} not finite")
         return np.array(vals)
     if args.q == "uniform":
         if args.k is None:

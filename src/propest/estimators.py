@@ -10,11 +10,14 @@ of that expectation as a power series in the unknown per-symbol mean, so that
 tail factor of level ``r`` attenuates high orders, and the orders themselves
 are truncated at ``u_max``.  All weights are evaluated in signed log space and
 clamped to an analytic envelope, since the raw terms overflow doubles long
-before the weights themselves become relevant.
+before the weights themselves become relevant.  A property's weights live in
+one :class:`CoefficientTables`, a row per reference mass, computed when first
+read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -45,7 +48,8 @@ _DECAY_FLOOR = 1.5
 
 MIN_TOTAL_N = 150.0
 MIN_T = 2.5
-# Ceiling on v_max + u_max, the length of the longest arrays a table allocates.
+# Ceiling on max(2r, v_max + u_max), past which a table's log Poisson tail and
+# log factorials, the longest arrays it allocates, would run.
 MAX_TABLE_SIZE = 10**7
 
 # Weights are clamped to at most 1e100 in magnitude, whatever the envelope.
@@ -102,6 +106,8 @@ class EstimatorParams:
             raise ParameterError(f"v_max must be a positive integer, got {self.v_max!r}")
         if self.v_max + self.u_max > MAX_TABLE_SIZE:
             raise ParameterError(f"v_max + u_max = {self.v_max + self.u_max} exceeds {MAX_TABLE_SIZE}")
+        if 2 * self.r > MAX_TABLE_SIZE:
+            raise ParameterError(f"Poisson tail reach 2r = {2 * self.r} exceeds {MAX_TABLE_SIZE}")
 
     def t_at(self, v: int) -> float:
         """Effective amplification used for the coefficient at count ``v``.
@@ -179,18 +185,6 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
     return min(bound, _LOG_CLAMP_CEILING)
 
 
-def _shared_state(spec: PropertySpec, params: EstimatorParams, length: int) -> tuple:
-    """What every table of ``(spec, params)``, ``length`` entries long, shares.
-
-    The log weight envelope, the log Poisson tail at level ``r`` and the
-    log factorials, both up to ``length + params.u_max``, the largest
-    ``v + u`` such a table reads; both are bit for bit prefixes of longer ones.
-    """
-    j_max = length + params.u_max
-    log_tail = log_poisson_tail_table(float(params.r), j_max)
-    return _log_clamp_bound(spec, params), log_tail, log_factorials(j_max + 1)
-
-
 def _coefficient_signed_log(
     spec: PropertySpec,
     v: int,
@@ -218,92 +212,130 @@ def _coefficient_signed_log(
     return signed_log_sum_arrays(signs, log_mag)
 
 
+class CoefficientTables:
+    """Small-branch weights ``h_v * v!`` of a property, a row per reference mass, each computed on first read.
+
+    The rows are ``masses`` (for l1/kl the distinct values of ``q``,
+    ascending), or one row for a kind without ``q``.  Row entries are the
+    weights at counts ``0..v_max``; count 0 weighs 0 (an unseen symbol
+    contributes nothing).  The rows share the log envelope
+    ``log_clamp_bound``, and the log Poisson tail at level ``r`` and the log
+    factorials up to ``v_max + u_max``, the largest ``v + u`` a row reads;
+    both are bit for bit prefixes of longer ones.  Weights and their flags
+    are ``(rows, v_max + 1)`` arrays held flat, entry ``(row, v)`` at key
+    ``row * (v_max + 1) + v``, computed under one lock so that concurrent
+    estimates can share the set.  ``tables`` views each row as a
+    :class:`CoefficientTable`.
+    """
+
+    def __init__(
+        self, spec: PropertySpec, params: EstimatorParams, v_max: int, masses: np.ndarray | None = None
+    ) -> None:
+        self.spec, self.params, self.v_max, self.unique_q = spec, params, v_max, masses
+        j_max = v_max + params.u_max
+        self.log_clamp_bound = _log_clamp_bound(spec, params)
+        self.log_tail = log_poisson_tail_table(float(params.r), j_max)
+        self.log_fact = log_factorials(j_max + 1)
+        self._q_x = [None] if masses is None else masses.tolist()
+        size = len(self._q_x) * (v_max + 1)
+        self._values = np.zeros(size)
+        self._clamped, self._cancelled, self._computed = np.zeros((3, size), dtype=bool)
+        self._computed[:: v_max + 1] = True
+        self._n_flagged = np.zeros(len(self._q_x), dtype=np.int64)  # per row
+        self._lock = threading.Lock()
+
+    def read(self, rows, v: np.ndarray) -> tuple[np.ndarray, int, int]:
+        """The weights at ``(rows, v)``, and how many of them are clamped and cancelled.
+
+        ``rows`` is one row or an array aligned with the counts ``v``.  Only
+        the entries not computed yet are computed, and kept.
+        """
+        keys = v if len(self._q_x) == 1 else rows * (self.v_max + 1) + v
+        with self._lock:
+            missing = keys[~self._computed[keys]]
+            if missing.size:
+                self._compute(np.unique(missing))
+            weights = self._values[keys]
+        if not self._n_flagged.any():
+            return weights, 0, 0
+        # Every entry at keys is computed, so its flags are final.
+        return weights, int(np.count_nonzero(self._clamped[keys])), int(np.count_nonzero(self._cancelled[keys]))
+
+    def _compute(self, keys: np.ndarray) -> None:
+        width = self.v_max + 1
+        for key in keys.tolist():
+            row, v = divmod(key, width)
+            sign, log_mag, cancel = _coefficient_signed_log(
+                self.spec, v, self.params, self._q_x[row], self.log_tail, self.log_fact
+            )
+            self._cancelled[key] = cancel
+            if sign == 0:
+                continue
+            if log_mag > self.log_clamp_bound:
+                log_mag = self.log_clamp_bound
+                self._clamped[key] = True
+            self._values[key] = sign * math.exp(log_mag)
+        self._computed[keys] = True
+        flagged = keys[self._clamped[keys] | self._cancelled[keys]]
+        if flagged.size:
+            self._n_flagged += np.bincount(flagged // width, minlength=len(self._n_flagged))
+
+    @functools.cached_property
+    def tables(self) -> tuple[CoefficientTable, ...]:
+        return tuple(CoefficientTable(self, row) for row in range(len(self._q_x)))
+
+    def table_for_symbols(self, symbols: np.ndarray) -> np.ndarray:
+        """The row of each symbol; for l1/kl ``symbols`` may also be a boolean mask over ``q``."""
+        if self.unique_q is None:
+            return np.zeros(len(symbols), dtype=np.int64)
+        return np.searchsorted(self.unique_q, self.spec.q[symbols])
+
+
 class CoefficientTable:
-    """Small-branch weights ``h_v * v!`` for counts ``1..v_max``, filled on first read.
+    """Row ``row`` of a :class:`CoefficientTables`: the weights at reference mass ``q_x``.
 
     :meth:`weights` computes only the entries it is asked for and keeps them.
-    Only ``values`` completes the table: reading it computes every entry
+    Only ``values`` completes the row: reading it computes every entry
     still missing.  ``clamped`` and ``cancelled`` are read-only views of the
     flags computed so far, marking counts whose weight hit the envelope or
     lost all significance to cancellation; ``computed`` says which entries
     those are, and every entry at ``v`` is final once ``weights(v)`` returns.
     ``n_flagged`` counts the computed entries marked clamped or cancelled.
-    ``values[0]`` is 0 (an unseen symbol contributes nothing).  Entries are
-    computed under a per-table lock, so concurrent estimates can share one
-    table.  ``shared`` is :func:`_shared_state`, computed once per table set.
     """
 
-    def __init__(
-        self,
-        spec: PropertySpec,
-        params: EstimatorParams,
-        v_max: int,
-        shared: tuple,
-        q_x: float | None = None,
-    ) -> None:
-        self.spec = spec
-        self.params = params
-        self.q_x = q_x
-        self.log_clamp_bound, self._log_tail, self._log_fact = shared
-        self._values = np.zeros(v_max + 1)
-        self._clamped = np.zeros(v_max + 1, dtype=bool)
-        self._cancelled = np.zeros(v_max + 1, dtype=bool)
-        self._computed = np.zeros(v_max + 1, dtype=bool)
-        self._computed[0] = True
-        self.n_flagged = 0
-        self._lock = threading.Lock()
-
-    @property
-    def v_max(self) -> int:
-        return len(self._values) - 1
+    def __init__(self, tables: CoefficientTables, row: int) -> None:
+        self.spec, self.params, self.v_max = tables.spec, tables.params, tables.v_max
+        self.log_clamp_bound, self.q_x = tables.log_clamp_bound, tables._q_x[row]
+        self._tables, self._row = tables, row
+        self._span = slice(row * (self.v_max + 1), (row + 1) * (self.v_max + 1))
 
     def weights(self, v):
-        """``values[v]`` for counts ``v`` in ``0..v_max``.
+        """``values[v]`` for counts ``v`` in ``0..v_max``, computing only those missing."""
+        return self._tables.read(self._row, np.asarray(v))[0]
 
-        Computes only the entries of ``v`` not computed yet, and keeps them.
-        """
-        v = np.asarray(v)
-        with self._lock:
-            missing = v[~self._computed[v]]
-            if missing.size:
-                self._compute(np.unique(missing))
-            return self._values[v]
-
-    def _compute(self, vs: np.ndarray) -> None:
-        for v in vs.tolist():
-            sign, log_mag, cancel = _coefficient_signed_log(
-                self.spec, v, self.params, self.q_x, self._log_tail, self._log_fact
-            )
-            self._cancelled[v] = cancel
-            if sign == 0:
-                continue
-            if log_mag > self.log_clamp_bound:
-                log_mag = self.log_clamp_bound
-                self._clamped[v] = True
-            self._values[v] = sign * math.exp(log_mag)
-        self._computed[vs] = True
-        self.n_flagged += int(np.count_nonzero(self._clamped[vs] | self._cancelled[vs]))
+    @property
+    def n_flagged(self) -> int:
+        return int(self._tables._n_flagged[self._row])
 
     @property
     def computed(self) -> np.ndarray:
         """The counts ``v >= 1`` whose entries have been computed so far."""
-        with self._lock:
-            return np.flatnonzero(self._computed[1:]) + 1
+        with self._tables._lock:
+            return np.flatnonzero(self._tables._computed[self._span][1:]) + 1
 
     @property
     def values(self) -> np.ndarray:
-        """Every weight, read-only; the table is complete once this returns."""
-        with self._lock:
-            self._compute(np.flatnonzero(~self._computed))
-        return _read_only(self._values)
+        """Every weight, read-only; the row is complete once this returns."""
+        self.weights(np.arange(self.v_max + 1))
+        return _read_only(self._tables._values[self._span])
 
     @property
     def clamped(self) -> np.ndarray:
-        return _read_only(self._clamped)
+        return _read_only(self._tables._clamped[self._span])
 
     @property
     def cancelled(self) -> np.ndarray:
-        return _read_only(self._cancelled)
+        return _read_only(self._tables._cancelled[self._span])
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -329,55 +361,30 @@ def build_coefficient_table(
 ) -> CoefficientTable:
     """Table of ``h_v * v!`` for ``v = 1..params.v_max``, by default past ``u_max``.
 
+    The single row of a one-row :class:`CoefficientTables` at mass ``q_x``.
     Weights past ``u_max`` serve the coefficient dump and the self-checks,
     never an estimate.  Each entry is computed when first read.
     """
-    shared = _shared_state(spec, params, params.v_max)
-    return CoefficientTable(spec, params, params.v_max, shared, _resolve_context(spec, q_x))
-
-
-@dataclass(frozen=True)
-class CoefficientTables:
-    """Weight tables for every distinct reference mass of a property.
-
-    Symmetric properties share a single table.  For l1/kl one table is built
-    per distinct value of ``q``, deduplicated.
-    """
-
-    spec: PropertySpec
-    params: EstimatorParams
-    tables: tuple[CoefficientTable, ...]
-    unique_q: np.ndarray | None = None
-
-    def table_for_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Index of the table owning each symbol.
-
-        For l1/kl ``symbols`` may also be a boolean mask over ``q``.
-        """
-        if self.unique_q is None:
-            return np.zeros(len(symbols), dtype=np.int64)
-        return np.searchsorted(self.unique_q, self.spec.q[symbols])
+    q_x = _resolve_context(spec, q_x)
+    masses = None if q_x is None else np.array([q_x])
+    return CoefficientTables(spec, params, params.v_max, masses).tables[0]
 
 
 def build_coefficient_tables(
     spec: PropertySpec, params: EstimatorParams, v_max: int | None = None
 ) -> CoefficientTables:
-    """The table set an estimate needs, each ``v_max`` (default ``min(params.v_max, u_max)``) long.
+    """The table set an estimate needs, its rows ``v_max`` (default ``min(params.v_max, u_max)``) long.
 
-    The tables share one envelope, log Poisson tail and log-factorial array.
+    For l1/kl one row per distinct value of ``q``; one row for every other kind.
     """
     v_max = min(params.v_max, params.u_max) if v_max is None else v_max
     if not 1 <= v_max <= params.v_max:
         raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    shared = _shared_state(spec, params, v_max)
     if spec.q is None:
-        return CoefficientTables(spec, params, (CoefficientTable(spec, params, v_max, shared),))
-    unique_q = np.unique(spec.q)
-    tables = tuple(
-        CoefficientTable(spec, params, v_max, shared, _resolve_context(spec, float(qx)))
-        for qx in unique_q
-    )
-    return CoefficientTables(spec, params, tables, unique_q)
+        return CoefficientTables(spec, params, v_max)
+    masses = np.unique(spec.q)
+    _resolve_context(spec, float(masses[-1]))  # q is nonnegative; its largest mass must not pass 1
+    return CoefficientTables(spec, params, v_max, masses)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +469,9 @@ def amplified_estimate_detailed(
     table weight at the first-stream count (zero for unseen symbols, and
     zero with an overflow tick for counts beyond the table or ``u_max``,
     past which weights mean nothing).  The others contribute the plug-in
-    value ``f_x(N_x / rate)``.  ``tables``, if given, fit ``spec`` and ``params``.
+    value ``f_x(N_x / rate)``.  ``tables``, if given, fit ``spec`` and ``params``;
+    the small branch reads them in one :meth:`CoefficientTables.read`, at
+    each symbol's row (its reference mass, for l1/kl) and count.
 
     Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
     the order of its terms: the symbols seen in the first stream, ascending,
@@ -490,29 +499,12 @@ def amplified_estimate_detailed(
     # np.compress gathers through a dense, irregular mask several times
     # faster than boolean indexing does.
     v_small = np.compress(small, c1)
-    read_max = min(tables.tables[0].v_max, params.u_max)
+    read_max = min(tables.v_max, params.u_max)
     overflow = int(np.count_nonzero(v_small > read_max))
+    pick = v_small <= read_max if overflow else slice(None)
+    rows = 0 if tables.unique_q is None else tables.table_for_symbols(small)[pick]
     weights = np.zeros(len(v_small) + only2_small)
-    seen_weights = weights[: len(v_small)]
-    if len(tables.tables) == 1:
-        picks = [(tables.tables[0], v_small <= read_max if overflow else slice(None))]
-    else:
-        # Group the symbols by owning table, so that only the tables owning
-        # one are visited, and each visit gathers its own symbols only.
-        idx = np.flatnonzero(v_small <= read_max)
-        owner = tables.table_for_symbols(small)[idx]
-        order = np.argsort(owner, kind="stable")
-        owners, starts = np.unique(owner[order], return_index=True)
-        picks = zip([tables.tables[j] for j in owners.tolist()], np.split(idx[order], starts[1:]))
-    n_clamped = n_cancelled = 0
-    for table, pick in picks:
-        v = v_small[pick]
-        seen_weights[pick] = table.weights(v)
-        if not table.n_flagged:
-            continue
-        # weights() has computed every entry at v, so its flags are final.
-        n_clamped += int(np.count_nonzero(table.clamped[v]))
-        n_cancelled += int(np.count_nonzero(table.cancelled[v]))
+    weights[: len(v_small)][pick], n_clamped, n_cancelled = tables.read(rows, v_small[pick])
     small_sum = float(weights.sum())
 
     large_values = eval_fx_many(spec, large, np.compress(large, c1) / params.rate)

@@ -772,6 +772,16 @@ def test_malformed_q_file_names_the_line(tmp_path, counts_file, capsys):
     assert capsys.readouterr().err == f"error: {q}: line 3: probability 'x' not a number\n"
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-Infinity"])
+def test_non_finite_q_file_probability_names_the_line(text, tmp_path, counts_file, capsys):
+    # It exited with "q must sum to 1 within 1e-12", naming no line.
+    q = tmp_path / "q.txt"
+    q.write_text(f"0.5\n\n{text}\n0.5\n", encoding="utf-8")
+    assert run_cli("estimate", "--property", "kl", "--q-file", str(q), "--counts", counts_file,
+                   "--estimator", "empirical") == 1
+    assert capsys.readouterr().err == f"error: {q}: line 3: probability {text!r} not finite\n"
+
+
 class TestNotUtf8:
     """A byte that is not UTF-8 is reported at its line, numbered as the file's other faults are."""
 

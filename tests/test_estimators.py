@@ -168,11 +168,13 @@ class TestDeriveParams:
         with pytest.raises(ParameterError):
             EstimatorParams(rate, t, s0)
 
-    @pytest.mark.parametrize("s0, v_max", [(10**20, None), (1, 10**11)])
+    @pytest.mark.parametrize("s0, v_max", [(10**20, None), (1, 10**11), (200_000, 10)])
     def test_table_size_rejected_before_allocation(self, s0, v_max):
-        # s0 = 1e20 ended in numpy's bare "Maximum allowed size exceeded", and
-        # v_max = 1e11 asked for ~800 GB of log factorials
-        with pytest.raises(ParameterError, match=r"v_max \+ u_max = \d+ exceeds 10000000$"):
+        # s0 = 1e20 ended in numpy's bare "Maximum allowed size exceeded",
+        # v_max = 1e11 asked for ~800 GB of log factorials, and s0 = 2e5 at
+        # v_max = 10 passed, although its Poisson tail runs past 2r = 1.6e7
+        reach = r"Poisson tail reach 2r = 16000000" if v_max == 10 else r"v_max \+ u_max = \d+"
+        with pytest.raises(ParameterError, match=rf"^{reach} exceeds 10000000$"):
             EstimatorParams(1000.0, 3.0, s0, v_max=v_max)
 
     def test_preset_tables_far_below_the_ceiling(self):
@@ -347,38 +349,51 @@ class TestLazyTable:
         assert len(read) <= 100
 
     def test_concurrent_reads_compute_each_entry_once(self, monkeypatch):
+        # One entropy table, then a kl set whose every read spans its three masses.
         params = clamping_params()
-        reference = build_coefficient_table(entropy(), params).values
+        kl = kl_divergence(np.array([0.5, 0.3, 0.2]))
+        masses = (0.2, 0.3, 0.5)
+        reference = {qx: build_coefficient_table(kl, params, q_x=qx).values for qx in masses}
+        reference[None] = build_coefficient_table(entropy(), params).values
         calls = []
 
-        def counted(spec, v, *args):
-            calls.append(v)
-            return signed_log(spec, v, *args)
+        def counted(spec, v, params, qx, *args):
+            calls.append((qx, v))
+            return signed_log(spec, v, params, qx, *args)
 
         signed_log = estimators._coefficient_signed_log
         monkeypatch.setattr(estimators, "_coefficient_signed_log", counted)
         table = build_coefficient_table(entropy(), params)
+        tables = build_coefficient_tables(kl, params, v_max=params.v_max)
         chunks = [np.arange(1 + i, 401, 7) for i in range(7)] * 2
-        out = [None] * len(chunks)
+        for qxs, read in (
+            ((None,), table.weights),
+            (masses, lambda v: tables.read(np.repeat([0, 1, 2], len(v)), np.tile(v, 3))[0]),
+        ):
+            calls.clear()
+            out = [None] * len(chunks)
 
-        def read(i):
-            out[i] = table.weights(chunks[i])
+            def run(i):
+                out[i] = read(chunks[i])
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=read, args=(i,)) for i in range(len(chunks))]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert sorted(calls) == list(range(1, 401))
-        for v, w in zip(chunks, out):
-            assert w.tobytes() == reference[v].tobytes()
-        assert table.values.tobytes() == reference.tobytes()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(chunks))]
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(th.is_alive() for th in threads)
+            assert sorted(calls) == [(qx, v) for qx in qxs for v in range(1, 401)]
+            for v, w in zip(chunks, out):
+                assert w.tobytes() == np.concatenate([reference[qx][v] for qx in qxs]).tobytes()
+        assert table.values.tobytes() == reference[None].tobytes()
+        np.testing.assert_array_equal(tables.unique_q, masses)
+        for row, qx in enumerate(masses):
+            assert tables.tables[row].values.tobytes() == reference[qx].tobytes()
 
 
 class TestTableSet:
@@ -393,21 +408,17 @@ class TestTableSet:
         assert len(tables.tables) == 50
         assert len(calls) == 1
 
-    def test_estimate_visits_only_the_tables_it_reads(self, monkeypatch):
+    def test_estimate_visits_only_the_tables_it_reads(self):
         spec = kl_divergence(make_distribution("zipf", 50).probs)
         params = small_params()
         tables = build_coefficient_tables(spec, params)
-        visited = []
-        weights = estimators.CoefficientTable.weights
-        monkeypatch.setattr(
-            estimators.CoefficientTable, "weights",
-            lambda table, v: visited.append(table) or weights(table, v),
-        )
         # Symbols 0 and 7 are small, symbol 3 large; all three masses differ.
         sample = SplitSample(hist(2, 0, 0, 5, 0, 0, 0, 1), hist(0, 0, 0, 4), rate=150.0)
         amplified_estimate_detailed(sample, spec, params, tables)
-        owners = tables.table_for_symbols(np.array([0, 7]))
-        assert visited == [tables.tables[j] for j in sorted(owners)]
+        read = dict(zip(tables.table_for_symbols(np.array([0, 7])).tolist(), ([2], [1])))
+        assert len(read) == 2
+        for row, table in enumerate(tables.tables):
+            assert table.computed.tolist() == read.get(row, [])
 
     def test_reading_flags_computes_nothing(self):
         table = build_coefficient_table(entropy(), clamping_params())
@@ -442,9 +453,8 @@ class TestTableSet:
         assert length == min(params.v_max, params.u_max)
         for spec in (entropy(), kl_divergence(make_distribution("zipf", 50).probs)):
             tables = build_coefficient_tables(spec, params)
-            for table in tables.tables:
-                assert table.v_max == length
-                assert len(table._log_tail) == length + params.u_max + 1 == len(table._log_fact)
+            assert {table.v_max for table in tables.tables} == {length}
+            assert len(tables.log_tail) == length + params.u_max + 1 == len(tables.log_fact)
         assert build_coefficient_table(entropy(), params).v_max == params.v_max
 
     @pytest.mark.parametrize("rates", [(1e5, 3e3, 200.0), (200.0, 3e3, 1e5)], ids=["large_first", "small_first"])
@@ -457,7 +467,8 @@ class TestTableSet:
                 params = derive_params(rate, spec)
                 for length in (1, params.u_max, params.v_max):
                     j_max = length + params.u_max
-                    _, log_tail, log_fact = estimators._shared_state(spec, params, length)
+                    tables = build_coefficient_tables(spec, params, length)
+                    log_tail, log_fact = tables.log_tail, tables.log_fact
                     assert np.array_equal(log_fact, gammaln(np.arange(j_max + 1, dtype=np.float64) + 1.0))
                     assert np.array_equal(log_tail, direct_log_poisson_tail_table(float(params.r), j_max))
 

@@ -342,7 +342,8 @@ def cmd_simulate(args) -> int:
     estimators = tuple(tok.strip() for tok in args.estimators.split(","))
     _check_read(args, {"--property": {kind}, "--dist": {args.dist}, "--estimator": set(estimators)})
     spec = _spec_from_args(kind, args)
-    k = args.k if args.k is not None else (1000 if spec.kind == "support_coverage" else 10000)
+    default_k = len(spec.q) if spec.q is not None else 1000 if spec.kind == "support_coverage" else 10000
+    k = args.k if args.k is not None else default_k
     if args.n_grid is not None:
         n_grid = _parse_n_grid(args.n_grid)
     elif spec.kind == "support_coverage":

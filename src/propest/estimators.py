@@ -11,8 +11,8 @@ tail factor of level ``r`` attenuates high orders, and the orders themselves
 are truncated at ``u_max``.  All weights are evaluated in signed log space and
 clamped to an analytic envelope, since the raw terms overflow doubles long
 before the weights themselves become relevant.  A property's weights live in
-one :class:`CoefficientTables`, a row per reference mass, computed when first
-read.
+one :class:`CoefficientTables`, computed when first read: a row per distinct
+reference mass when ``q`` has several, one row otherwise.
 """
 
 from __future__ import annotations
@@ -215,79 +215,92 @@ def _coefficient_signed_log(
 class CoefficientTables:
     """Small-branch weights ``h_v * v!`` of a property, a row per reference mass, each computed on first read.
 
-    The rows are ``masses`` (for l1/kl the distinct values of ``q``,
-    ascending), or one row for a kind without ``q``.  Row entries are the
-    weights at counts ``0..v_max``; count 0 weighs 0 (an unseen symbol
-    contributes nothing).  The rows share the log envelope
-    ``log_clamp_bound``, and the log Poisson tail at level ``r`` and the log
-    factorials up to ``v_max + u_max``, the largest ``v + u`` a row reads;
-    both are bit for bit prefixes of longer ones.  Weights and their flags
-    are ``(rows, v_max + 1)`` arrays held flat, entry ``(row, v)`` at key
-    ``row * (v_max + 1) + v``, computed under one lock so that concurrent
+    The rows are ``masses``: for l1/kl the distinct values of ``q``,
+    ascending, and for any other kind ``None``, one row without a mass.  A
+    kind that reads ``q`` needs masses, each in [0, 1]; any other kind
+    refuses them.  ``unique_q`` holds the masses of a set with several rows
+    and is ``None`` for a one-row set, whose entries are keyed by count
+    alone.  Row entries are the weights at counts ``0..v_max``; count 0
+    weighs 0 (an unseen symbol contributes nothing).  The rows share the log
+    envelope ``log_clamp_bound``, and the log Poisson tail at level ``r`` and
+    the log factorials up to ``v_max + u_max``, the largest ``v + u`` a row
+    reads; both are bit for bit prefixes of longer ones.  Weights and their
+    flags are ``(rows, v_max + 1)`` arrays held flat, entry ``(row, v)`` at
+    key ``row * (v_max + 1) + v``, computed under one lock so that concurrent
     estimates can share the set.  ``tables`` views each row as a
     :class:`CoefficientTable`.
     """
 
     def __init__(
-        self, spec: PropertySpec, params: EstimatorParams, v_max: int, masses: np.ndarray | None = None
+        self, spec: PropertySpec, params: EstimatorParams, v_max: int, masses: np.ndarray | list | None = None
     ) -> None:
-        self.spec, self.params, self.v_max, self.unique_q = spec, params, v_max, masses
+        if spec.q is None:
+            if masses is not None:
+                raise ValueError(f"{spec.kind} weights do not depend on a reference mass q_x")
+            self._q_x = [None]
+        elif masses is None:
+            raise ValueError(f"{spec.kind} weights depend on the reference mass q_x")
+        else:
+            masses = np.asarray(masses, dtype=float)
+            outside = masses[~((masses >= 0.0) & (masses <= 1.0))]
+            if outside.size:
+                raise ValueError(f"reference mass q_x must be in [0, 1], got {outside[-1].item()!r}")
+            self._q_x = masses.tolist()
+        self.spec, self.params, self.v_max = spec, params, v_max
+        self.unique_q = masses if len(self._q_x) > 1 else None
         j_max = v_max + params.u_max
         self.log_clamp_bound = _log_clamp_bound(spec, params)
         self.log_tail = log_poisson_tail_table(float(params.r), j_max)
         self.log_fact = log_factorials(j_max + 1)
-        self._q_x = [None] if masses is None else masses.tolist()
         size = len(self._q_x) * (v_max + 1)
         self._values = np.zeros(size)
         self._clamped, self._cancelled, self._computed = np.zeros((3, size), dtype=bool)
         self._computed[:: v_max + 1] = True
-        self._n_flagged = np.zeros(len(self._q_x), dtype=np.int64)  # per row
+        self._flagged = False  # whether any entry computed so far is clamped or cancelled
         self._lock = threading.Lock()
 
     def read(self, rows, v: np.ndarray) -> tuple[np.ndarray, int, int]:
         """The weights at ``(rows, v)``, and how many of them are clamped and cancelled.
 
-        ``rows`` is one row or an array aligned with the counts ``v``.  Only
-        the entries not computed yet are computed, and kept.
+        ``rows`` is one row or an array aligned with the counts ``v``; a
+        one-row set ignores it.  Only the entries not computed yet are
+        computed, and kept.
         """
-        keys = v if len(self._q_x) == 1 else rows * (self.v_max + 1) + v
+        keys = v if self.unique_q is None else rows * (self.v_max + 1) + v
         with self._lock:
             missing = keys[~self._computed[keys]]
             if missing.size:
                 self._compute(np.unique(missing))
             weights = self._values[keys]
-        if not self._n_flagged.any():
+        if not self._flagged:
             return weights, 0, 0
         # Every entry at keys is computed, so its flags are final.
         return weights, int(np.count_nonzero(self._clamped[keys])), int(np.count_nonzero(self._cancelled[keys]))
 
     def _compute(self, keys: np.ndarray) -> None:
-        width = self.v_max + 1
         for key in keys.tolist():
-            row, v = divmod(key, width)
+            row, v = divmod(key, self.v_max + 1)
             sign, log_mag, cancel = _coefficient_signed_log(
                 self.spec, v, self.params, self._q_x[row], self.log_tail, self.log_fact
             )
             self._cancelled[key] = cancel
+            self._flagged = self._flagged or cancel
             if sign == 0:
                 continue
             if log_mag > self.log_clamp_bound:
                 log_mag = self.log_clamp_bound
-                self._clamped[key] = True
+                self._clamped[key] = self._flagged = True
             self._values[key] = sign * math.exp(log_mag)
         self._computed[keys] = True
-        flagged = keys[self._clamped[keys] | self._cancelled[keys]]
-        if flagged.size:
-            self._n_flagged += np.bincount(flagged // width, minlength=len(self._n_flagged))
 
     @functools.cached_property
     def tables(self) -> tuple[CoefficientTable, ...]:
         return tuple(CoefficientTable(self, row) for row in range(len(self._q_x)))
 
     def table_for_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """The row of each symbol; for l1/kl ``symbols`` may also be a boolean mask over ``q``."""
+        """The row of each symbol; ``symbols`` may also be a boolean mask (over ``q``, for l1/kl)."""
         if self.unique_q is None:
-            return np.zeros(len(symbols), dtype=np.int64)
+            return np.zeros(np.count_nonzero(symbols) if symbols.dtype == bool else len(symbols), dtype=np.int64)
         return np.searchsorted(self.unique_q, self.spec.q[symbols])
 
 
@@ -300,22 +313,16 @@ class CoefficientTable:
     flags computed so far, marking counts whose weight hit the envelope or
     lost all significance to cancellation; ``computed`` says which entries
     those are, and every entry at ``v`` is final once ``weights(v)`` returns.
-    ``n_flagged`` counts the computed entries marked clamped or cancelled.
     """
 
     def __init__(self, tables: CoefficientTables, row: int) -> None:
-        self.spec, self.params, self.v_max = tables.spec, tables.params, tables.v_max
-        self.log_clamp_bound, self.q_x = tables.log_clamp_bound, tables._q_x[row]
+        self.v_max, self.log_clamp_bound, self.q_x = tables.v_max, tables.log_clamp_bound, tables._q_x[row]
         self._tables, self._row = tables, row
         self._span = slice(row * (self.v_max + 1), (row + 1) * (self.v_max + 1))
 
     def weights(self, v):
         """``values[v]`` for counts ``v`` in ``0..v_max``, computing only those missing."""
         return self._tables.read(self._row, np.asarray(v))[0]
-
-    @property
-    def n_flagged(self) -> int:
-        return int(self._tables._n_flagged[self._row])
 
     @property
     def computed(self) -> np.ndarray:
@@ -344,18 +351,6 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return view
 
 
-def _resolve_context(spec: PropertySpec, q_x: float | None) -> float | None:
-    if spec.q is None:
-        if q_x is not None:
-            raise ValueError(f"{spec.kind} weights do not depend on a reference mass q_x")
-        return None
-    if q_x is None:
-        raise ValueError(f"{spec.kind} weights depend on the reference mass q_x")
-    if not 0.0 <= q_x <= 1.0:
-        raise ValueError(f"reference mass q_x must be in [0, 1], got {q_x!r}")
-    return float(q_x)
-
-
 def build_coefficient_table(
     spec: PropertySpec, params: EstimatorParams, q_x: float | None = None
 ) -> CoefficientTable:
@@ -365,9 +360,7 @@ def build_coefficient_table(
     Weights past ``u_max`` serve the coefficient dump and the self-checks,
     never an estimate.  Each entry is computed when first read.
     """
-    q_x = _resolve_context(spec, q_x)
-    masses = None if q_x is None else np.array([q_x])
-    return CoefficientTables(spec, params, params.v_max, masses).tables[0]
+    return CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x]).tables[0]
 
 
 def build_coefficient_tables(
@@ -380,11 +373,7 @@ def build_coefficient_tables(
     v_max = min(params.v_max, params.u_max) if v_max is None else v_max
     if not 1 <= v_max <= params.v_max:
         raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    if spec.q is None:
-        return CoefficientTables(spec, params, v_max)
-    masses = np.unique(spec.q)
-    _resolve_context(spec, float(masses[-1]))  # q is nonnegative; its largest mass must not pass 1
-    return CoefficientTables(spec, params, v_max, masses)
+    return CoefficientTables(spec, params, v_max, None if spec.q is None else np.unique(spec.q))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +460,7 @@ def amplified_estimate_detailed(
     past which weights mean nothing).  The others contribute the plug-in
     value ``f_x(N_x / rate)``.  ``tables``, if given, fit ``spec`` and ``params``;
     the small branch reads them in one :meth:`CoefficientTables.read`, at
-    each symbol's row (its reference mass, for l1/kl) and count.
+    each symbol's count and, when ``q`` has several masses, its row.
 
     Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
     the order of its terms: the symbols seen in the first stream, ascending,

@@ -13,7 +13,6 @@ Run with ``pytest tests/test_acceptance.py -v`` for the per-criterion lines.
 import math
 import time
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -34,6 +33,8 @@ from propest import estimators
 from propest.properties import entropy, support_size
 from propest.selfcheck import check_series_quadrature, integrate_poisson_kernel_bessel, smoothed_h_hat
 
+from oracles import mp_entropy_coefficient
+
 SEED = 29
 
 SMALL = dict(rate=150.0, t=3.0, s0=1)
@@ -41,28 +42,6 @@ SMALL = dict(rate=150.0, t=3.0, s0=1)
 
 def small_params(t_decay=False):
     return EstimatorParams(t_decay=t_decay, **SMALL)
-
-
-def mp_entropy_coefficient(v, params):
-    """Direct 256-bit evaluation of the count-v weight for entropy."""
-    with mp.workprec(256):
-        t = mp.mpf(params.t_at(v))
-        rate = mp.mpf(params.rate)
-        r = params.r
-        total = mp.mpf(0)
-        for u in range(1, min(params.u_max, v) + 1):
-            p = u / (rate * t)
-            if p > 1:
-                p = mp.mpf(1)
-            f = -p * mp.log(p) if p > 0 else mp.mpf(0)
-            tail = 1 - mp.exp(-mp.mpf(r)) * mp.fsum(
-                mp.mpf(r) ** j / mp.factorial(j) for j in range(v + u + 1)
-            )
-            total += (
-                f * t**u * (t - 1) ** (v - u) * mp.binomial(v, u)
-                * (-1) ** (v - u) * tail
-            )
-        return float(total)
 
 
 def test_criterion_1_integral_identity():

@@ -78,6 +78,23 @@ class TestSimulate:
         assert run_cli(*args, "--threads", "4", "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_q_file_gives_the_support_size(self, tmp_path, capsys):
+        q = tmp_path / "q.txt"
+        q.write_text("0.5\n0.3\n0.2\n", encoding="utf-8")
+        args = (
+            "simulate", "--property", "kl", "--q-file", str(q), "--dist", "uniform",
+            "--n-grid", "1000,3000", "--trials", "3", "--seed", "2",
+            "--estimators", "amplified,empirical", "--alpha", "0.5", "--s0-mult", "2",
+        )
+        derived, given = tmp_path / "derived.csv", tmp_path / "given.csv"
+        assert run_cli(*args, "--out", str(derived)) == 0
+        assert run_cli(*args, "--k", "3", "--out", str(given)) == 0
+        assert derived.read_bytes() == given.read_bytes()
+        assert derived.read_text(encoding="utf-8").splitlines()[1].startswith("kl_divergence,uniform,3,1000,")
+        capsys.readouterr()
+        assert run_cli(*args, "--k", "4", "--out", str(tmp_path / "other.csv")) == 1
+        assert capsys.readouterr().err == "error: dimension mismatch: p has 4 entries, q has 3\n"
+
     def test_coverage_preset_grid(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run_cli(

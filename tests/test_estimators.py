@@ -9,7 +9,6 @@ import math
 import sys
 import threading
 
-import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -40,6 +39,8 @@ from propest.properties import (
 )
 from propest.selfcheck import smoothed_h_hat
 
+from oracles import mp_entropy_coefficient
+
 
 def hist(*counts):
     return Histogram(np.array(counts, dtype=np.int64))
@@ -52,32 +53,6 @@ def small_params(t_decay=False, rate=150.0, t=3.0, s0=1):
 def clamping_params():
     # 185 entries from v=212 on hit the envelope; v_max is 400, u_max 19.
     return EstimatorParams(500.0, 4.0, 2, t_decay=False)
-
-
-def mp_entropy_coefficient(v, params):
-    """256-bit direct evaluation of the count-v weight for entropy."""
-    with mp.workprec(256):
-        t = mp.mpf(params.t_at(v))
-        rate = mp.mpf(params.rate)
-        r = params.r
-        total = mp.mpf(0)
-        for u in range(1, min(params.u_max, v) + 1):
-            p = u / (rate * t)
-            if p > 1:
-                p = mp.mpf(1)
-            f = -p * mp.log(p) if p > 0 else mp.mpf(0)
-            tail = 1 - mp.exp(-mp.mpf(r)) * mp.fsum(
-                mp.mpf(r) ** j / mp.factorial(j) for j in range(v + u + 1)
-            )
-            total += (
-                f
-                * t**u
-                * (t - 1) ** (v - u)
-                * mp.binomial(v, u)
-                * (-1) ** (v - u)
-                * tail
-            )
-        return float(total)
 
 
 class TestEmpirical:
@@ -298,6 +273,8 @@ class TestCoefficient:
         spec = l1_distance(np.full(6, 1.0 / 6))
         tables = build_coefficient_tables(spec, small_params())
         assert len(tables.tables) == 1
+        assert tables.unique_q is None
+        assert tables.tables[0].q_x == 1.0 / 6
 
     def test_distinct_reference_masses_get_tables(self):
         spec = l1_distance(np.array([0.5, 0.25, 0.25]))
@@ -420,6 +397,32 @@ class TestTableSet:
         for row, table in enumerate(tables.tables):
             assert table.computed.tolist() == read.get(row, [])
 
+    @pytest.mark.parametrize("spec", [kl_divergence(np.full(8, 0.125)), entropy()], ids=["uniform_kl", "entropy"])
+    def test_one_row_set_gives_a_mask_one_row_per_selected_symbol(self, spec):
+        tables = build_coefficient_tables(spec, small_params())
+        assert tables.unique_q is None
+        mask = np.array([True, False, False, True, True, False, False, False])
+        rows = tables.table_for_symbols(mask)
+        np.testing.assert_array_equal(rows, tables.table_for_symbols(np.flatnonzero(mask)))
+        np.testing.assert_array_equal(rows, [0, 0, 0])
+
+    def test_one_mass_kl_estimate_matches_the_set_at_that_mass(self, monkeypatch):
+        k, params = 8, small_params()
+        spec = kl_divergence(np.full(k, 1.0) / k)
+        sample = SplitSample(hist(2, 1, 0, 5, 3, 0, 1, 1), hist(0, 1, 2, 4, 0, 1, 0, 0), rate=150.0)
+        at_mass = estimators.CoefficientTables(spec, params, min(params.v_max, params.u_max), [1 / k])
+
+        def refuse(self, symbols):
+            raise AssertionError("a one-row set needs no row lookup")
+
+        monkeypatch.setattr(estimators.CoefficientTables, "table_for_symbols", refuse)
+        default = amplified_estimate_detailed(sample, spec, params)
+        explicit = amplified_estimate_detailed(sample, spec, params, at_mass)
+        assert default.n_small == explicit.n_small == 6
+        assert math.isfinite(default.value) and default.small_sum != 0.0
+        assert np.float64(default.value).tobytes() == np.float64(explicit.value).tobytes()
+        assert np.float64(default.small_sum).tobytes() == np.float64(explicit.small_sum).tobytes()
+
     def test_reading_flags_computes_nothing(self):
         table = build_coefficient_table(entropy(), clamping_params())
         table.weights([17, 212])
@@ -430,18 +433,21 @@ class TestTableSet:
         with pytest.raises(ValueError):
             clamped[1] = True
 
-    @pytest.mark.parametrize("params, flagged", [
-        (clamping_params(), 212),
-        (derive_params(1e5, entropy(), v_max=200), 47),
+    @pytest.mark.parametrize("params, flagged, flag", [
+        (clamping_params(), 212, "clamped"),
+        (derive_params(1e5, entropy(), v_max=200), 47, "cancelled"),
     ], ids=["clamped", "cancelled"])
-    def test_n_flagged_counts_the_flagged_entries_computed(self, params, flagged):
-        table = build_coefficient_table(entropy(), params)
-        table.weights([1, 2, 17])
-        assert table.n_flagged == 0
-        table.weights([17, flagged, flagged + 1])
-        assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled) > 0
-        table.values  # completes the table
-        assert table.n_flagged == np.count_nonzero(table.clamped | table.cancelled)
+    def test_read_counts_only_the_flagged_entries_it_reads(self, params, flagged, flag):
+        tables = build_coefficient_tables(entropy(), params, v_max=params.v_max)
+        (table,) = tables.tables
+        assert tables.read(0, np.array([1, 2, 17]))[1:] == (0, 0)
+        tables.read(0, np.array([flagged, flagged + 1]))
+        assert getattr(table, flag)[flagged]
+        # Once some entry is flagged, a read of unflagged entries still counts none.
+        assert tables.read(0, np.array([1, 2, 17]))[1:] == (0, 0)
+        v = np.array([17, flagged, flagged, flagged + 1])
+        counts = np.count_nonzero(table.clamped[v]), np.count_nonzero(table.cancelled[v])
+        assert tables.read(0, v)[1:] == counts
 
     @pytest.mark.parametrize("params, length", [
         (small_params(), 7),

@@ -119,6 +119,10 @@ class ExperimentConfig:
         if not (math.isfinite(self.trials) and self.trials == int(self.trials) >= 1):
             raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
+        # The seed is written to the CSV, so it must be the integer every trial draws from.
+        if not (isinstance(self.seed, int) or (math.isfinite(self.seed) and self.seed == int(self.seed))):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not all(math.isfinite(n) and n == int(n) for n in self.n_grid):
             raise ValueError(f"n_grid entries must be integers, got {self.n_grid!r}")
         grid = tuple(int(n) for n in self.n_grid)

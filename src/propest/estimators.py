@@ -104,6 +104,7 @@ class EstimatorParams:
             object.__setattr__(self, "v_max", max(4 * self.r, 200))
         if not 1 <= self.v_max < math.inf or self.v_max != int(self.v_max):
             raise ParameterError(f"v_max must be a positive integer, got {self.v_max!r}")
+        object.__setattr__(self, "v_max", int(self.v_max))
         if self.v_max + self.u_max > MAX_TABLE_SIZE:
             raise ParameterError(f"v_max + u_max = {self.v_max + self.u_max} exceeds {MAX_TABLE_SIZE}")
         if 2 * self.r > MAX_TABLE_SIZE:
@@ -368,12 +369,13 @@ def build_coefficient_tables(
 ) -> CoefficientTables:
     """The table set an estimate needs, its rows ``v_max`` (default ``min(params.v_max, u_max)``) long.
 
-    For l1/kl one row per distinct value of ``q``; one row for every other kind.
+    For l1/kl one row per distinct value of ``q``, 0 included: a seen symbol of
+    mass 0 is refused at its own row.  One row for every other kind.
     """
     v_max = min(params.v_max, params.u_max) if v_max is None else v_max
-    if not 1 <= v_max <= params.v_max:
+    if not (1 <= v_max <= params.v_max and v_max == int(v_max)):
         raise ValueError(f"v_max must be in 1..{params.v_max}, got {v_max!r}")
-    return CoefficientTables(spec, params, v_max, None if spec.q is None else np.unique(spec.q))
+    return CoefficientTables(spec, params, int(v_max), None if spec.q is None else np.unique(spec.q))
 
 
 # ---------------------------------------------------------------------------

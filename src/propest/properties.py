@@ -47,9 +47,10 @@ class Kind:
     ``reads``: the spec parameters it requires, the only ones a spec of it
     accepts.  ``fx(spec, p, qx)``: the offset ``f_x`` at ``p`` in [0, 1], given
     reference masses ``qx`` if it reads ``q``.  ``lipschitz(spec, h)``: the
-    constant on ``[h, 1]``.  ``report_offset``: the mass the offset form
-    subtracts.  ``preset``: the amplified estimator's ``(c, e, m)`` for
-    ``t = c * log(n)^e + 1`` and ``s0 = round(m * log(n)^0.2)``; None: no preset.
+    constant on ``[h, 1]``, KL's taken over the positive masses of ``q``.
+    ``report_offset``: the mass the offset form subtracts.  ``preset``: the
+    amplified estimator's ``(c, e, m)`` for ``t = c * log(n)^e + 1`` and
+    ``s0 = round(m * log(n)^0.2)``; None: no preset.
     """
 
     reads: tuple[str, ...]
@@ -76,13 +77,6 @@ def _kl_fx(spec, p, qx):
     return out
 
 
-def _kl_lipschitz(spec, h):
-    qmin = float(spec.q.min())
-    if qmin <= 0:
-        raise ValueError("KL smoothness undefined when q has zero entries")
-    return -math.log(h * qmin)
-
-
 KINDS = {
     "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0)),
     "support_size": Kind(("k",), lambda spec, p, qx: (p > 0).astype(np.float64) / spec.k,
@@ -93,7 +87,7 @@ KINDS = {
     "dist_to_uniform": Kind(("k",), lambda spec, p, qx: np.abs(p - 1.0 / spec.k) - 1.0 / spec.k,
                             report_offset=1.0, preset=(1.0, 0.7, 4.0)),
     "l1_distance": Kind(("q",), lambda spec, p, qx: np.abs(p - qx) - qx, report_offset=1.0),
-    "kl_divergence": Kind(("q",), _kl_fx, _kl_lipschitz),
+    "kl_divergence": Kind(("q",), _kl_fx, lambda spec, h: -math.log(h * spec.q[spec.q > 0].min())),
 }
 
 
@@ -240,9 +234,11 @@ def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
 def lipschitz(spec: PropertySpec, h: float) -> float:
     """Lipschitz-type constant of the property on ``[h, 1]``.
 
-    Table values: ``-log h`` for entropy, ``-log(h * min_x q_x)`` for KL,
-    ``min(1, 1/(k h))`` for support size, and 1 for the remaining kinds.
-    Feeds the coefficient clamp of the amplified estimator.
+    Table values: ``-log h`` for entropy, ``-log(h * min q_x)`` for KL over
+    the positive masses ``q_x`` (a zero mass is refused only where it is
+    seen, by KL's ``f_x``), ``min(1, 1/(k h))`` for support size, and 1 for
+    the remaining kinds.  Feeds the coefficient clamp of the amplified
+    estimator.
     """
     if not 0 < h <= 1:
         raise ValueError(f"h must be in (0, 1], got {h!r}")

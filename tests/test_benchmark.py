@@ -108,9 +108,11 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("n_grid", (1000.7, 2000.2)), ("n_grid", (100, math.nan)), ("trials", 2.5), ("trials", math.inf),
+        ("seed", 1.5), ("seed", math.nan),
     ])
     def test_non_integers_refused(self, field, value):
-        # A fractional grid point was truncated; a fractional trial count passed and broke range().
+        # A fractional grid point was truncated; a fractional trial count passed and broke range();
+        # a fractional seed drew every trial from its integer part and was written as given.
         given = dict(spec=entropy(), family="uniform", k=4, n_grid=(100,), trials=2, seed=0)
         with pytest.raises(ValueError, match=f"^{field} "):
             ExperimentConfig(**{**given, field: value})
@@ -121,6 +123,22 @@ class TestConfigValidation:
         assert cfg.n_grid == (100, 200) and cfg.trials == 2
         assert all(type(v) is int for v in (*cfg.n_grid, cfg.trials))
         assert results_to_csv(run_experiment(cfg)).splitlines()[1].split(",")[5] == "2"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_grid", (0, 100), "n_grid entries must be positive"),
+        ("split_mode", "bogus", "unknown split mode 'bogus'"),
+    ], ids=["n_grid_zero", "split_mode"])
+    def test_refused_with_message(self, field, value, message):
+        given = dict(spec=entropy(), family="uniform", k=4, n_grid=(100,), trials=2, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**{**given, field: value})
+
+    def test_integral_float_seed_writes_the_same_csv(self):
+        given = dict(spec=entropy(), family="zipf", k=20, n_grid=(200,), trials=3,
+                     estimators=("amplified", "empirical"), alpha=0.5, s0_mult=2.0)
+        integral_float, integer = ExperimentConfig(**given, seed=7.0), ExperimentConfig(**given, seed=7)
+        assert type(integral_float.seed) is int
+        assert results_to_csv(run_experiment(integral_float)) == results_to_csv(run_experiment(integer))
 
     def test_trials_positive(self):
         with pytest.raises(ValueError):

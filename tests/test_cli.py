@@ -799,6 +799,45 @@ def test_non_finite_q_file_probability_names_the_line(text, tmp_path, counts_fil
     assert capsys.readouterr().err == f"error: {q}: line 3: probability {text!r} not finite\n"
 
 
+class TestZeroReferenceMass:
+    """A final ``0`` line in the q file of the CI step: it used to exit 1 with
+    "KL smoothness undefined when q has zero entries"."""
+
+    Q5 = "0.4\n0.3\n0.2\n0.05\n0.05\n"
+    MANUAL = ("--property", "kl", "--alpha", "0.5", "--s0-mult", "2", "--rate", "200")
+
+    def _q_files(self, tmp_path):
+        paths = tmp_path / "q5.txt", tmp_path / "q6.txt"
+        for path, text in zip(paths, (self.Q5, self.Q5 + "0\n")):
+            path.write_text(text, encoding="utf-8")
+        return paths
+
+    def _counts(self, tmp_path, name, text):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+
+    def test_estimate_and_coeffs_match_the_reference_without_the_zero(self, tmp_path, capsys):
+        streams = ("--counts", self._counts(tmp_path, "skew1.csv", "0,120\n1,60\n2,15\n3,3\n4,2\n"),
+                   "--counts2", self._counts(tmp_path, "skew2.csv", "0,118\n1,62\n2,2\n3,1\n4,4\n"))
+        replies, tables = [], []
+        for q in self._q_files(tmp_path):
+            assert run_cli("estimate", *self.MANUAL, "--q-file", str(q), *streams) == 0
+            replies.append(capsys.readouterr())
+            out = tmp_path / f"coeffs_{q.stem}.csv"
+            assert run_cli("coeffs", *self.MANUAL, "--q-file", str(q), "--q-x", "0.2", "--out", str(out)) == 0
+            tables.append(out.read_bytes())
+        assert replies[0] == replies[1] and replies[0].out.startswith("estimate=0.1336350319506870")
+        assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("second", ["", "5,50\n"], ids=["small_branch", "large_branch"])
+    def test_count_on_the_zero_mass_exits_1(self, second, tmp_path, capsys):
+        _, q6 = self._q_files(tmp_path)
+        streams = ("--counts", self._counts(tmp_path, "c1.csv", "0,120\n1,60\n5,1\n"),
+                   "--counts2", self._counts(tmp_path, "c2.csv", "0,118\n1,62\n" + second))
+        assert run_cli("estimate", *self.MANUAL, "--q-file", str(q6), *streams) == 1
+        assert capsys.readouterr().err == "error: KL divergence undefined: q_x = 0 with p_x > 0\n"
+
+
 class TestNotUtf8:
     """A byte that is not UTF-8 is reported at its line, numbered as the file's other faults are."""
 

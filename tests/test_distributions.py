@@ -293,3 +293,8 @@ class TestSplitSample:
         d = make_distribution("uniform", 2)
         with pytest.raises(ValueError):
             split_sample(d, 10, mode="bogus", rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("budget", [0, -5.0, math.nan])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match=f"^budget must be positive, got {budget!r}$"):
+            split_sample(make_distribution("uniform", 2), budget, rng=np.random.default_rng(0))

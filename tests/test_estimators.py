@@ -199,6 +199,33 @@ class TestDeriveParams:
         p = small_params()
         assert p.v_max == max(4 * p.r, 200)
 
+    @pytest.mark.parametrize("manual, message", [
+        (dict(alpha=0.5), "manual tuning requires both alpha and s0_mult"),
+        (dict(alpha=1.5, s0_mult=4.0), r"alpha must be in \[0, 1\], got 1.5"),
+        (dict(alpha=0.5, s0_mult=0.0), "s0_mult must be positive, got 0.0"),
+        (dict(alpha=0.5, s0_mult=4.0, split_mode="bogus"), "unknown split mode 'bogus'"),
+    ], ids=["alpha_alone", "alpha_above_one", "s0_mult_zero", "split_mode"])
+    def test_manual_tuning_refusals(self, manual, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            derive_params(1000.0, entropy(), preset=False, **manual)
+
+    @pytest.mark.parametrize("v_max", [0, 2.5, math.nan])
+    def test_v_max_must_be_a_positive_integer(self, v_max):
+        with pytest.raises(ParameterError, match=f"^v_max must be a positive integer, got {v_max!r}$"):
+            EstimatorParams(1000.0, 3.0, 2, v_max=v_max)
+
+    @pytest.mark.parametrize("make", [
+        lambda v_max: EstimatorParams(1000.0, 3.0, 2, v_max=v_max),
+        lambda v_max: derive_params(1000.0, entropy(), preset=False, alpha=0.5, s0_mult=2.0, v_max=v_max),
+    ], ids=["EstimatorParams", "derive_params"])
+    def test_integral_float_v_max_is_an_int(self, make):
+        # 300.0 passed validation and the first table read raised "slice indices must be integers".
+        params = make(300.0)
+        assert type(params.v_max) is int and params == make(300)
+        assert build_coefficient_table(entropy(), params).values.tobytes() == (
+            build_coefficient_table(entropy(), make(300)).values.tobytes()
+        )
+
 
 class TestCoefficient:
     def test_v1_closed_form(self):
@@ -486,6 +513,58 @@ def direct_log_poisson_tail_table(r, j_max):
     log_pmf = i * math.log(r) - r - gammaln(i + 1.0)
     running = np.logaddexp.accumulate(log_pmf[::-1])[::-1]
     return running[1 : j_max + 2] - running[0]
+
+
+class TestSetLength:
+    @pytest.mark.parametrize("v_max", [0, 10.5, 201, math.nan])
+    def test_refused_outside_1_to_params_v_max(self, v_max):
+        with pytest.raises(ValueError, match=rf"^v_max must be in 1\.\.200, got {v_max!r}$"):
+            build_coefficient_tables(entropy(), small_params(), v_max)
+
+    def test_integral_float_read_as_int(self):
+        # 10.0 passed the range check and the first read raised "slice indices must be integers".
+        tables = build_coefficient_tables(entropy(), small_params(), 10.0)
+        assert type(tables.v_max) is int and tables.v_max == 10
+        v = np.arange(11)
+        expected = build_coefficient_tables(entropy(), small_params(), 10).read(0, v)
+        assert tables.read(0, v)[0].tobytes() == expected[0].tobytes()
+
+
+class TestZeroReferenceMass:
+    """KL to a reference with zero masses: only a seen symbol of mass 0 is refused."""
+
+    @staticmethod
+    def _with_zeros(x):
+        """``x`` with zeros inserted at ids 1 and 4, so that every later id moves."""
+        return np.insert(np.asarray(x), [1, 3], 0)
+
+    def test_zero_masses_change_no_bit(self):
+        q = make_distribution("zipf", 50).probs
+        qz = self._with_zeros(q)
+        assert np.flatnonzero(qz == 0).tolist() == [1, 4]
+        params = derive_params(2000.0, kl_divergence(q), preset=False, alpha=0.5, s0_mult=2.0)
+        for seed in range(5):
+            sample = split_sample(make_distribution("zipf", 50), 2000, rng=np.random.default_rng(seed))
+            padded = SplitSample(Histogram(self._with_zeros(sample.first.array)),
+                                 Histogram(self._with_zeros(sample.second.array)), sample.rate)
+            detail = amplified_estimate_detailed(sample, kl_divergence(q), params)
+            assert detail.n_small and detail.n_large
+            assert amplified_estimate_detailed(padded, kl_divergence(qz), params) == detail
+        assert build_coefficient_table(kl_divergence(qz), params, q_x=q[7]).values.tobytes() == (
+            build_coefficient_table(kl_divergence(q), params, q_x=q[7]).values.tobytes()
+        )
+
+    @pytest.mark.parametrize("second", [0, 5], ids=["small_branch", "large_branch"])
+    def test_seen_zero_mass_refused(self, second):
+        spec = kl_divergence(np.array([0.5, 0.5, 0.0]))
+        sample = SplitSample(hist(3, 2, 1), hist(1, 0, second), rate=150.0)
+        with pytest.raises(ValueError, match=r"^KL divergence undefined: q_x = 0 with p_x > 0$"):
+            amplified_estimate(sample, spec, small_params())
+        # Unseen in the first stream, the zero-mass symbol adds an exact zero.
+        unseen = SplitSample(hist(3, 2), hist(1, 0, second), rate=150.0)
+        dropped = SplitSample(hist(3, 2), hist(1), rate=150.0)
+        expected = amplified_estimate(dropped, kl_divergence(np.array([0.5, 0.5])), small_params())
+        assert amplified_estimate(unseen, spec, small_params()) == expected
 
 
 class TestAmplified:

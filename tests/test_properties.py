@@ -143,6 +143,10 @@ class TestExactValue:
         with pytest.raises(ValueError):
             exact_value(entropy(), np.array([0.5, 0.6]))
 
+    def test_p_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="^p must be a 1-D probability vector$"):
+            exact_value(entropy(), np.full((2, 2), 0.25))
+
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_kinds_permutation_invariant(self, k, seed):
@@ -175,6 +179,12 @@ class TestLipschitz:
         spec = kl_divergence(np.full(10, 0.1))
         assert lipschitz(spec, 0.1) == pytest.approx(math.log(100), rel=1e-12, abs=0)
 
+    def test_kl_over_the_positive_masses(self):
+        # A zero mass used to refuse the constant: "KL smoothness undefined when q has zero entries".
+        spec = kl_divergence(np.array([0.5, 0.0, 0.3, 0.2, 0.0]))
+        assert lipschitz(spec, 0.1) == lipschitz(kl_divergence(np.array([0.5, 0.3, 0.2])), 0.1)
+        assert lipschitz(spec, 0.1) == -math.log(0.1 * 0.2)
+
     def test_support_size_capped(self):
         spec = support_size(100)
         assert lipschitz(spec, 1.0) == pytest.approx(0.01)
@@ -201,6 +211,16 @@ class TestSpecValidation:
     def test_reference_must_be_normalized(self):
         with pytest.raises(ValueError):
             l1_distance(np.array([0.5, 0.6]))
+
+    @pytest.mark.parametrize("q, message", [
+        (None, "kl_divergence requires a reference distribution q"),
+        (np.zeros(0), "q must be a nonempty 1-D probability vector"),
+        (np.full((2, 2), 0.25), "q must be a nonempty 1-D probability vector"),
+        (np.array([1.5, -0.5]), "q must be nonnegative"),
+    ], ids=["missing", "empty", "matrix", "negative"])
+    def test_reference_refusals(self, q, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PropertySpec("kl_divergence", q=q)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,11 @@ def mse(estimates: Sequence[float], truth: float) -> float:
     return float(np.mean(diff * diff))
 
 
+def _is_integer(x) -> bool:
+    """Whether ``x`` is an int, of any size, or a finite number of integer value."""
+    return isinstance(x, int) or (math.isfinite(x) and x == int(x))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One benchmark sweep: a property, a distribution, and an n-grid.
@@ -116,15 +121,16 @@ class ExperimentConfig:
     t_decay: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.trials) and self.trials == int(self.trials) >= 1):
-            raise ValueError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_integer(self.trials) and 1 <= self.trials < 2**63):
+            raise ValueError(f"trials must be an integer in 1..2^63-1, got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
         # The seed is written to the CSV, so it must be the integer every trial draws from.
-        if not (isinstance(self.seed, int) or (math.isfinite(self.seed) and self.seed == int(self.seed))):
+        if not _is_integer(self.seed):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        if not all(math.isfinite(n) and n == int(n) for n in self.n_grid):
-            raise ValueError(f"n_grid entries must be integers, got {self.n_grid!r}")
+        # Trial seeds read n modulo 2^64, and sample sizes go through floats.
+        if not all(_is_integer(n) and n < 2**63 for n in self.n_grid):
+            raise ValueError(f"n_grid entries must be integers below 2^63, got {self.n_grid!r}")
         grid = tuple(int(n) for n in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])) or not grid:
             raise ValueError("n_grid must be nonempty and strictly increasing")

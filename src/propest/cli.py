@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error or invalid input (any ``ValueError``,
 reported as one ``error:`` line), 2 runtime or check failure, or an output
-file that cannot be written (one ``error:`` line naming it).  All randomness
-flows from ``--seed`` (default 1729), so reruns are byte-identical.
+file or standard output that cannot be written (one ``error:`` line naming
+it).  All randomness flows from ``--seed`` (default 1729), so reruns are
+byte-identical.
 
 Count files (``estimate --counts/--counts2``) hold one ``symbol,count`` pair
 a line, with exactly one comma.  Blank lines, an optional ``symbol,count``
@@ -35,8 +36,10 @@ some field is not of that form.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys
 from typing import NoReturn
 
@@ -122,10 +125,10 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
             lo, hi, pts = int(lo_s), int(hi_s), int(pts_s)
             if hi <= lo or pts < 2:
                 raise ValueError("need lo < hi and points >= 2")
-            grid = np.unique(np.round(np.geomspace(lo, hi, pts)).astype(int))
-            return tuple(int(n) for n in grid)
+            grid = np.unique(np.round(np.geomspace(float(lo), float(hi), pts)))
+            return tuple(int(n) for n in grid.tolist())  # Python ints: an int64 cast would wrap past 2^63
         return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"malformed --n-grid {text!r}: {exc}") from exc
 
 
@@ -139,6 +142,16 @@ def _read_text(path: str, what: str) -> str:
     except UnicodeDecodeError as exc:  # exc.object: the bytes read, after any byte-order mark
         line = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
         raise UsageError(f"{path}: line {line}: not UTF-8") from None
+
+
+def _write_output(path: str, lines) -> None:
+    """Write the strings ``lines`` to ``path``; an ``OSError`` in opening, writing or closing it names ``path``."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.writelines(lines)
+    except OSError as exc:
+        exc.filename = path
+        raise
 
 
 def _is_int(text: str) -> bool:
@@ -370,12 +383,8 @@ def cmd_simulate(args) -> int:
     rows = run_experiment(cfg, threads=args.threads)
 
     if args.dump_dist:
-        with open(args.dump_dist, "w", encoding="utf-8", newline="") as f:
-            for p in realized_distribution(cfg).probs:
-                f.write(_fmt(p) + "\n")
-
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write(results_to_csv(rows))
+        _write_output(args.dump_dist, (_fmt(p) + "\n" for p in realized_distribution(cfg).probs))
+    _write_output(args.out, [results_to_csv(rows)])
 
     failed = [row for row in rows if row.error is not None]
     for row in failed:
@@ -445,10 +454,8 @@ def cmd_coeffs(args) -> int:
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.
     values, clamped = table.values, table.clamped
-    with open(args.out, "w", encoding="utf-8", newline="") as f:
-        f.write("v,h_v_times_vfact,clamped\n")
-        for v in range(1, table.v_max + 1):
-            f.write(f"{v},{_fmt(values[v])},{int(clamped[v])}\n")
+    rows = (f"{v},{_fmt(values[v])},{int(clamped[v])}\n" for v in range(1, table.v_max + 1))
+    _write_output(args.out, ["v,h_v_times_vfact,clamped\n", *rows])
     return 0
 
 
@@ -572,12 +579,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # input files raise UsageError, so an output file failed
-        print(f"error: cannot write {exc.filename}: {exc}", file=sys.stderr)
+    except OSError as exc:  # input files raise UsageError and output files set filename
+        if exc.filename is None:  # standard output: its buffer goes to the null device, not to a flush at exit
+            with contextlib.suppress(OSError, ValueError):
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {exc.filename or 'standard output'}: {exc}", file=sys.stderr)
         return 2
 
 

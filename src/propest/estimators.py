@@ -12,7 +12,9 @@ are truncated at ``u_max``.  All weights are evaluated in signed log space and
 clamped to an analytic envelope, since the raw terms overflow doubles long
 before the weights themselves become relevant.  A property's weights live in
 one :class:`CoefficientTables`, computed when first read: a row per distinct
-reference mass when ``q`` has several, one row otherwise.
+reference mass when ``q`` has several, one row otherwise.  A read computes
+all its missing entries, across rows, in one array pass, with the bits of
+each entry computed alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import SPLIT_MODES, Histogram, SplitSample
-from .numerics import log_factorials, log_poisson_tail_table, signed_log_sum_arrays
+from .numerics import log_factorials, log_poisson_tail_table, signed_log_sums
 from .properties import KINDS, PropertySpec, eval_fx_grid, eval_fx_many, lipschitz
 
 __all__ = [
@@ -54,6 +56,9 @@ MAX_TABLE_SIZE = 10**7
 
 # Weights are clamped to at most 1e100 in magnitude, whatever the envelope.
 _LOG_CLAMP_CEILING = math.log(1e100)
+
+# Terms in one chunk of the grid that computes a table's weights: a bound on its memory.
+_GRID_TERMS = 1 << 16
 
 
 class ParameterError(ValueError):
@@ -186,31 +191,45 @@ def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
     return min(bound, _LOG_CLAMP_CEILING)
 
 
-def _coefficient_signed_log(
+def _coefficient_signed_logs(
     spec: PropertySpec,
-    v: int,
     params: EstimatorParams,
-    qx: float | None,
+    v: np.ndarray,
+    q_x: np.ndarray | None,
     log_tail: np.ndarray,
     log_fact: np.ndarray,
-) -> tuple[int, float, bool]:
-    """Signed-log weight ``h_v * v!`` before clamping, plus cancellation flag."""
-    t = params.t_at(v)
-    u = np.arange(1, min(params.u_max, v) + 1)
-    f = eval_fx_grid(spec, u / (params.rate * t), qx)
-    with np.errstate(divide="ignore"):
-        log_mag = (
-            np.log(np.abs(f))
-            + u * math.log(t / (t - 1.0))
-            + v * math.log(t - 1.0)
-            + log_fact[v]
-            - log_fact[v - u]
-            - log_fact[u]
-            + log_tail[v + u]
-        )
-    parity = np.where((v - u) % 2 == 0, 1, -1)
-    signs = np.sign(f).astype(np.int64) * parity
-    return signed_log_sum_arrays(signs, log_mag)
+) -> list[tuple[int, float, bool]]:
+    """Signed-log weights ``h_v * v!`` at counts ``v`` before clamping, plus cancellation flags.
+
+    ``q_x`` holds each entry's reference mass if the kind reads one.  All
+    terms form one flat grid, entry ``i`` the segment ``u = 1..min(u_max,
+    v[i])``, in chunks of about ``_GRID_TERMS`` terms.  Each term takes its
+    operands in the one-entry order, so batching moves no bit.
+    """
+    t = [params.t_at(x) for x in v.tolist()]
+    nt, log_ratio, log_tm1 = np.array([(params.rate * x, math.log(x / (x - 1.0)), math.log(x - 1.0)) for x in t]).T
+    lengths = np.minimum(v, params.u_max)
+    starts = np.cumsum(lengths) - lengths
+    firsts = np.flatnonzero(np.diff((starts + lengths - 1) // _GRID_TERMS, prepend=-1)).tolist()
+    out = []
+    for a, b in zip(firsts, firsts[1:] + [len(v)]):
+        seg = np.repeat(np.arange(a, b), lengths[a:b])
+        u = np.arange(starts[a] + 1, starts[a] + 1 + len(seg)) - starts[seg]
+        vu = v[seg]
+        f = eval_fx_grid(spec, u / nt[seg], None if q_x is None else q_x[seg])
+        with np.errstate(divide="ignore"):
+            log_mag = (
+                np.log(np.abs(f))
+                + u * log_ratio[seg]
+                + vu * log_tm1[seg]
+                + log_fact[vu]
+                - log_fact[vu - u]
+                - log_fact[u]
+                + log_tail[vu + u]
+            )
+        signs = np.sign(f).astype(np.int64) * np.where((vu - u) % 2 == 0, 1, -1)
+        out += signed_log_sums(signs, log_mag, lengths[a:b])
+    return out
 
 
 class CoefficientTables:
@@ -238,7 +257,6 @@ class CoefficientTables:
         if spec.q is None:
             if masses is not None:
                 raise ValueError(f"{spec.kind} weights do not depend on a reference mass q_x")
-            self._q_x = [None]
         elif masses is None:
             raise ValueError(f"{spec.kind} weights depend on the reference mass q_x")
         else:
@@ -246,8 +264,8 @@ class CoefficientTables:
             outside = masses[~((masses >= 0.0) & (masses <= 1.0))]
             if outside.size:
                 raise ValueError(f"reference mass q_x must be in [0, 1], got {outside[-1].item()!r}")
-            self._q_x = masses.tolist()
-        self.spec, self.params, self.v_max = spec, params, v_max
+        self.spec, self.params, self.v_max, self._masses = spec, params, v_max, masses
+        self._q_x = [None] if masses is None else masses.tolist()
         self.unique_q = masses if len(self._q_x) > 1 else None
         j_max = v_max + params.u_max
         self.log_clamp_bound = _log_clamp_bound(spec, params)
@@ -279,11 +297,10 @@ class CoefficientTables:
         return weights, int(np.count_nonzero(self._clamped[keys])), int(np.count_nonzero(self._cancelled[keys]))
 
     def _compute(self, keys: np.ndarray) -> None:
-        for key in keys.tolist():
-            row, v = divmod(key, self.v_max + 1)
-            sign, log_mag, cancel = _coefficient_signed_log(
-                self.spec, v, self.params, self._q_x[row], self.log_tail, self.log_fact
-            )
+        rows, v = np.divmod(keys, self.v_max + 1)
+        q_x = None if self.spec.q is None else self._masses[rows]
+        signed_logs = _coefficient_signed_logs(self.spec, self.params, v, q_x, self.log_tail, self.log_fact)
+        for key, (sign, log_mag, cancel) in zip(keys.tolist(), signed_logs):
             self._cancelled[key] = cancel
             self._flagged = self._flagged or cancel
             if sign == 0:

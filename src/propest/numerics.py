@@ -8,7 +8,9 @@ the routine behind ``scipy.special.gammaln``, and hold the same bits; the
 binomial and poisson pmfs read them with :func:`log1p`, a port of Cephes
 ``log1p``.  Poisson tails come from one routine,
 :func:`log_poisson_tail_table`, a backward log-sum-exp over the log pmf
-normalised by its own computed mass.  Nothing here imports scipy.
+normalised by its own computed mass.  :func:`signed_log_sums` sums many
+series at once, one segment each, with the bits of each summed alone.
+Nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "log1p",
     "log_factorials",
     "log_poisson_tail_table",
-    "signed_log_sum_arrays",
+    "signed_log_sums",
 ]
 
 #: An alternating sum whose result is below this fraction of its largest term
@@ -146,28 +148,28 @@ def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:
     return running[1 : j_max + 2] - running[0]
 
 
-def signed_log_sum_arrays(
-    signs: np.ndarray, log_mags: np.ndarray
-) -> tuple[int, float, bool]:
-    """Sum of terms given as sign/log-magnitude arrays.
+def signed_log_sums(signs: np.ndarray, log_mags: np.ndarray, lengths) -> list[tuple[int, float, bool]]:
+    """Sums of terms given as sign/log-magnitude arrays, one per segment of ``lengths`` terms.
 
-    Positive and negative groups are combined after shifting by the largest
-    magnitude, so the result is exact up to one rounding of the grouped sums.
-    Returns ``(sign, log_magnitude, cancelled)`` where ``cancelled`` reports a
-    result below ``CANCELLATION_RTOL`` times the largest term.
+    Each segment gives ``(sign, log_magnitude, cancelled)``: its positive and
+    negative groups are combined after shifting by its largest magnitude, and
+    ``cancelled`` reports a result below ``CANCELLATION_RTOL`` times that
+    term.  A segment without a nonzero sign gives ``(0, -inf, False)``.
+    Each group is numpy's pairwise sum of the segment's slice
+    (``np.add.reduceat`` adds in sequence) and each log libm's, so a
+    segment has the bits it has when summed alone.
     """
-    signs = np.asarray(signs)
-    log_mags = np.asarray(log_mags, dtype=np.float64)
     live = signs != 0
-    if not live.any():
-        return 0, -math.inf, False
-    shift = float(log_mags[live].max())
-    scaled = np.zeros(len(log_mags))
-    scaled[live] = np.exp(log_mags[live] - shift)
-    pos = float(np.sum(np.where(signs > 0, scaled, 0.0)))
-    neg = float(np.sum(np.where(signs < 0, scaled, 0.0)))
-    diff = pos - neg
-    cancelled = abs(diff) < CANCELLATION_RTOL
-    if diff == 0.0:
-        return 0, -math.inf, cancelled
-    return (1 if diff > 0 else -1), shift + math.log(abs(diff)), cancelled
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    # A trailing -inf keeps reduceat's indices in range; an empty segment's shift is not its own.
+    shift = np.maximum.reduceat(np.append(np.where(live, log_mags, -math.inf), -math.inf), bounds[:-1])
+    scaled = np.exp(np.subtract(log_mags, np.repeat(shift, lengths), out=np.full(len(live), -math.inf), where=live))
+    pos, neg = np.where(signs > 0, scaled, 0.0), np.where(signs < 0, scaled, 0.0)
+    out = []
+    bounds = bounds.tolist()
+    for a, b, top in zip(bounds, bounds[1:], shift.tolist()):
+        diff = float(np.add.reduce(pos[a:b])) - float(np.add.reduce(neg[a:b]))
+        cancelled = a < b and top > -math.inf and abs(diff) < CANCELLATION_RTOL
+        sign = 0 if diff == 0.0 else 1 if diff > 0 else -1
+        out.append((sign, top + math.log(abs(diff)) if sign else -math.inf, cancelled))
+    return out

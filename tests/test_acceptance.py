@@ -98,15 +98,17 @@ def test_criterion_3_coefficient_correctness():
 def test_criterion_4_corrupted_weight_fails_series_quadrature(monkeypatch):
     start = time.time()
     assert check_series_quadrature().passed
-    real = estimators._coefficient_signed_log
+    real = estimators._coefficient_signed_logs
     gaps = {}
     for bad_v in (1, 3, 8, 16):
-        def corrupted(spec, v, *args, bad_v=bad_v):
-            sign, log_mag, cancelled = real(spec, v, *args)
+        def corrupted(spec, params, v, *args, bad_v=bad_v):
             # one entry off by a relative 1e-2
-            return sign, log_mag + (math.log1p(1e-2) if v == bad_v else 0.0), cancelled
+            return [
+                (sign, log_mag + (math.log1p(1e-2) if count == bad_v else 0.0), cancelled)
+                for count, (sign, log_mag, cancelled) in zip(v.tolist(), real(spec, params, v, *args))
+            ]
 
-        monkeypatch.setattr(estimators, "_coefficient_signed_log", corrupted)
+        monkeypatch.setattr(estimators, "_coefficient_signed_logs", corrupted)
         result = check_series_quadrature()
         assert not result.passed, f"v={bad_v} corrupted, check passed: {result.detail}"
         gaps[bad_v] = result.detail.split()[4]  # "worst |series - quadrature| GAP (...)"

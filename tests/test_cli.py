@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import random
 import subprocess
 import sys
@@ -349,6 +350,13 @@ class TestEstimate:
 
 
 class TestCoeffs:
+    def test_entropy_at_rate_1000_pinned(self, tmp_path):
+        # The full default table, past u_max = 546 and with 1976 clamped rows, byte for
+        # byte; the numpy-only CI job compares its own dump with the same file.
+        out = tmp_path / "coeffs.csv"
+        assert run_cli("coeffs", "--property", "entropy", "--rate", "1000", "--out", str(out)) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / "coeffs_entropy_rate1000.csv").read_bytes()
+
     def test_v1_closed_form_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "c1.csv", tmp_path / "c2.csv"
         args = (
@@ -499,6 +507,12 @@ MALFORMED = {
     "threads_0": (*SIM_ENTROPY, "--threads", "0", *SIM_OUT),
     "threads_negative": (*SIM_ENTROPY, "--threads", "-3", *SIM_OUT),
     "repeated_estimator": (*SIM_ENTROPY, "--estimators", "empirical,empirical", *SIM_OUT),
+    # Integers past a float's range ended in an OverflowError traceback.
+    "trials_huge": (*SIM_ENTROPY, "--trials", "9" * 400, *SIM_OUT),
+    "n_grid_huge": (*SIM_ENTROPY, "--n-grid", "1000," + "9" * 400, *SIM_OUT),
+    "n_grid_range_huge": (*SIM_ENTROPY, "--n-grid", "1000:" + "9" * 400 + ":3", *SIM_OUT),
+    # numpy's geomspace took an end past int64 as an object and raised TypeError.
+    "n_grid_range_past_int64": (*SIM_ENTROPY, "--n-grid", f"1000:{10**30}:3", *SIM_OUT),
 }
 
 
@@ -558,6 +572,29 @@ class TestUnwritableOutput:
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: cannot write {missing}: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("case", sorted(UNWRITABLE))
+    def test_full_device_is_named(self, case, tmp_path, capsys):
+        # Opening /dev/full succeeds and writing to it fails: the error once read "cannot write None".
+        argv = [arg.format(missing="/dev/full", out=tmp_path / "out.csv") for arg in UNWRITABLE[case]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write /dev/full: ")
+
+    def test_closed_standard_output_is_named(self, counts_file, subprocess_env):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "propest", *(arg.format(counts=counts_file) for arg in ESTIMATE_EMPIRICAL)],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=subprocess_env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write standard output: "), proc.stderr
 
 
 # Flags the parser does not register, so argparse rejects them.

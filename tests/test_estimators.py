@@ -34,12 +34,13 @@ from propest.properties import (
     eval_fx_grid,
     kl_divergence,
     l1_distance,
+    power_sum,
     support_coverage,
     support_size,
 )
 from propest.selfcheck import smoothed_h_hat
 
-from oracles import mp_entropy_coefficient
+from oracles import mp_entropy_coefficient, per_entry_table
 
 
 def hist(*counts):
@@ -361,12 +362,12 @@ class TestLazyTable:
         reference[None] = build_coefficient_table(entropy(), params).values
         calls = []
 
-        def counted(spec, v, params, qx, *args):
-            calls.append((qx, v))
-            return signed_log(spec, v, params, qx, *args)
+        def counted(spec, params, v, q_x, *args):
+            calls.extend(zip([None] * len(v) if q_x is None else q_x.tolist(), v.tolist()))
+            return signed_logs(spec, params, v, q_x, *args)
 
-        signed_log = estimators._coefficient_signed_log
-        monkeypatch.setattr(estimators, "_coefficient_signed_log", counted)
+        signed_logs = estimators._coefficient_signed_logs
+        monkeypatch.setattr(estimators, "_coefficient_signed_logs", counted)
         table = build_coefficient_table(entropy(), params)
         tables = build_coefficient_tables(kl, params, v_max=params.v_max)
         chunks = [np.arange(1 + i, 401, 7) for i in range(7)] * 2
@@ -398,6 +399,52 @@ class TestLazyTable:
         np.testing.assert_array_equal(tables.unique_q, masses)
         for row, qx in enumerate(masses):
             assert tables.tables[row].values.tobytes() == reference[qx].tobytes()
+
+
+def batched_cases():
+    """Table sets across the kinds, reference masses, rates and tunings, for the bit comparison."""
+    q = np.array([0.4, 0.2, 0.2, 0.1, 0.05, 0.05])
+    kinds = {
+        "entropy": entropy(), "support_size": support_size(1000), "support_coverage": support_coverage(2000.0),
+        "power_sum": power_sum(2.0), "dist_to_uniform": distance_to_uniformity(1000),
+        "l1_distance": l1_distance(q), "kl_divergence": kl_divergence(q),
+    }
+    for n in (150, 1000, 59948):
+        for name, spec in kinds.items():
+            tuning = {"preset": False, "alpha": 0.5, "s0_mult": 2.0} if spec.q is not None else {}
+            for t_decay in (True, False):
+                yield f"{name}-{n}-{t_decay}", spec, derive_params(n, spec, t_decay=t_decay, **tuning), None
+    manual = derive_params(1000, entropy(), preset=False, alpha=0.3, s0_mult=1.0, t_decay=False)
+    yield "entropy-manual", entropy(), manual, None
+    yield "entropy-past-u_max", entropy(), clamping_params(), clamping_params().v_max
+    yield "entropy-150-past-u_max", entropy(), derive_params(150, entropy()), 600
+
+
+class TestBatchedWeights:
+    def test_every_entry_has_the_bits_of_the_per_entry_evaluation(self):
+        # Each set is read in two overlapping chunks of (row, count) entries, then completed.
+        flagged = {"clamped": 0, "cancelled": 0}
+        for case, spec, params, v_max in batched_cases():
+            tables = build_coefficient_tables(spec, params, v_max)
+            rows = len(tables.tables)
+            keys = np.arange(rows * tables.v_max)
+            row, v = keys // tables.v_max, keys % tables.v_max + 1
+            third = len(keys) // 3
+            for chunk in (slice(0, 2 * third), slice(third, None)):
+                tables.read(row[chunk], v[chunk])
+            for r, table in enumerate(tables.tables):
+                np.testing.assert_array_equal(table.computed, np.arange(1, tables.v_max + 1))
+                values, clamped, cancelled = per_entry_table(tables, r)
+                assert table.values.tobytes() == values.tobytes(), case
+                assert table.clamped.tobytes() == clamped.tobytes(), case
+                assert table.cancelled.tobytes() == cancelled.tobytes(), case
+                flagged["clamped"] += int(clamped.sum())
+                flagged["cancelled"] += int(cancelled.sum())
+            assert tables.read(row, v)[1:] == (
+                sum(int(t.clamped.sum()) for t in tables.tables),
+                sum(int(t.cancelled.sum()) for t in tables.tables),
+            ), case
+        assert flagged["clamped"] > 0 and flagged["cancelled"] > 0, flagged
 
 
 class TestTableSet:

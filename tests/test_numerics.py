@@ -20,9 +20,11 @@ from propest import numerics, selfcheck
 from propest.numerics import (
     log_factorials,
     log_poisson_tail_table,
-    signed_log_sum_arrays,
+    signed_log_sums,
 )
 from propest.selfcheck import ConvergenceError, bessel_f, integrate_poisson_kernel_bessel
+
+from oracles import signed_log_sum_arrays
 
 
 def _mp_poisson_cdf(r, j, terms=None):
@@ -272,16 +274,14 @@ class TestIntegrateExpPolyBessel:
 
 
 class TestAlternatingSum:
-    """Signed sums in log space, through ``signed_log_sum_arrays``."""
+    """Signed sums in log space, through ``signed_log_sums``: one segment, then several."""
 
     def test_empty_is_exact_zero(self):
-        empty = signed_log_sum_arrays(np.array([], dtype=np.int64), np.array([]))
-        assert empty == (0, -math.inf, False)
+        empty = signed_log_sums(np.array([], dtype=np.int64), np.array([]), [0])
+        assert empty == [(0, -math.inf, False)]
 
     def test_exact_cancellation(self):
-        sign, log_mag, cancelled = signed_log_sum_arrays(
-            np.array([1, -1]), np.array([1.0, 1.0])
-        )
+        ((sign, log_mag, cancelled),) = signed_log_sums(np.array([1, -1]), np.array([1.0, 1.0]), [2])
         assert (sign, log_mag) == (0, -math.inf)
         assert cancelled
 
@@ -289,8 +289,8 @@ class TestAlternatingSum:
         # e^10 - e^10 * (1 - 1e-6), oracle in extended precision
         with mp.workprec(256):
             oracle = float(mp.e**10 - mp.e**10 * (1 - mp.mpf("1e-6")))
-        sign, log_mag, cancelled = signed_log_sum_arrays(
-            np.array([1, -1]), np.array([10.0, 10.0 + math.log1p(-1e-6)])
+        ((sign, log_mag, cancelled),) = signed_log_sums(
+            np.array([1, -1]), np.array([10.0, 10.0 + math.log1p(-1e-6)]), [2]
         )
         assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9, abs=0)
         assert not cancelled
@@ -310,21 +310,45 @@ class TestAlternatingSum:
                 if abs(exact) <= mp.mpf("1e-8") * max_term:
                     continue
                 oracle = float(exact)
-            sign, log_mag, _ = signed_log_sum_arrays(signs, mags)
+            ((sign, log_mag, _),) = signed_log_sums(signs, mags, [count])
             assert sign * math.exp(log_mag) == pytest.approx(oracle, rel=1e-9, abs=0)
             checked += 1
         assert checked > 200
 
     def test_signed_log_sum_reports_flag(self):
         # 1 - (1 - 1e-12) is nonzero but below 1e-10 of the largest term.
-        sign, _, cancelled = signed_log_sum_arrays(
-            np.array([1, -1]), np.array([0.0, math.log1p(-1e-12)])
-        )
+        ((sign, _, cancelled),) = signed_log_sums(np.array([1, -1]), np.array([0.0, math.log1p(-1e-12)]), [2])
         assert sign == 1 and cancelled
 
     def test_zero_terms_ignored(self):
-        sign, log_mag, cancelled = signed_log_sum_arrays(
-            np.array([0, 1]), np.array([-math.inf, 0.0])
-        )
+        ((sign, log_mag, cancelled),) = signed_log_sums(np.array([0, 1]), np.array([-math.inf, 0.0]), [2])
         assert sign * math.exp(log_mag) == pytest.approx(1.0, rel=1e-15, abs=0)
         assert not cancelled
+
+    def test_segments_sum_as_if_alone(self):
+        # Segments of 3, 0, 1, 2 and 5 terms; the one of 2 has no nonzero sign.
+        signs = np.array([1, -1, 1, -1, 0, 0, 1, 1, -1, -1, 1])
+        mags = np.array([2.0, 1.0, 0.5, 3.0, -math.inf, 7.0, 1.0, 1.0, 0.0, 2.0, 1.5])
+        lengths = [3, 0, 1, 2, 5]
+        sums = signed_log_sums(signs, mags, lengths)
+        assert len(sums) == 5
+        assert sums[1] == sums[3] == (0, -math.inf, False)
+        start = 0
+        for length, (sign, log_mag, cancelled) in zip(lengths, sums):
+            alone = signed_log_sums(signs[start:start + length], mags[start:start + length], [length])
+            assert alone == [(sign, log_mag, cancelled)]
+            start += length
+        terms = [s * math.exp(m) for s, m in zip(signs[:3], mags[:3])]
+        assert sums[0][0] * math.exp(sums[0][1]) == pytest.approx(math.fsum(terms), rel=1e-14, abs=0)
+        assert sums[2] == (-1, 3.0, False)
+        assert not sums[4][2]
+
+    def test_random_segments_match_the_one_segment_reference_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        lengths = rng.integers(0, 300, size=400)
+        lengths[::7] = rng.integers(0, 9, size=len(lengths[::7]))
+        signs = rng.choice([-1, 0, 1], p=[0.45, 0.1, 0.45], size=lengths.sum())
+        mags = rng.uniform(-40.0, 40.0, size=lengths.sum())
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        expected = [signed_log_sum_arrays(signs[a:b], mags[a:b]) for a, b in zip(bounds, bounds[1:])]
+        assert signed_log_sums(signs, mags, lengths) == expected

@@ -9,7 +9,7 @@ equivalent to drawing ``Poisson(n)`` i.i.d. symbols and tallying them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,16 +31,24 @@ __all__ = [
 SPLIT_MODES = {"two_stream": 1.0, "thinned": 0.5, "shared": 1.0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """An explicit probability vector over symbols ``0..k-1``."""
+    """An explicit probability vector over symbols ``0..k-1``.
+
+    ``constant_mass`` is the one mass of a vector whose masses are all exactly
+    equal (uniform), else ``None``; the samplers draw such a vector at one
+    scalar rate.  Distributions compare by identity.
+    """
 
     probs: np.ndarray
+    constant_mass: float | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=np.float64).copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+        constant = probs.size > 0 and bool((probs == probs.flat[0]).all())
+        object.__setattr__(self, "constant_mass", float(probs.flat[0]) if constant else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,6 +188,19 @@ def make_distribution(
     return Distribution(probs)
 
 
+def _poisson_counts(dist: Distribution, n: float, rng: np.random.Generator) -> np.ndarray:
+    """Independent ``Poisson(n * p_x)`` counts, one per symbol.
+
+    A distribution of one constant mass is drawn with numpy's scalar-rate call,
+    which skips the rate array's broadcast loop.  Both calls draw each count with
+    the same generator routine in symbol order, so they return the same counts and
+    leave ``rng`` in the same state (tier-1 pins this).
+    """
+    if dist.constant_mass is None:
+        return rng.poisson(dist.probs * float(n))
+    return rng.poisson(dist.constant_mass * float(n), size=dist.probs.size)
+
+
 def sample_histogram(
     dist: Distribution,
     n: float,
@@ -190,12 +211,16 @@ def sample_histogram(
     """Draw one count histogram of expected (or exact) size ``n``.
 
     Poissonized mode draws independent ``Poisson(n * p_x)`` counts per
-    symbol; fixed mode draws exactly ``n`` i.i.d. symbols.
+    symbol, at one scalar rate when every mass is equal (the same bits as
+    the rate vector; see :func:`_poisson_counts`); fixed mode draws exactly
+    ``n`` i.i.d. symbols, and refuses an ``n`` past 2^63-1.
     """
     if not n > 0:
         raise ValueError(f"sample size must be positive, got {n!r}")
     if poissonized:
-        counts = rng.poisson(dist.probs * float(n))
+        counts = _poisson_counts(dist, n, rng)
+    elif not n <= 2**63 - 1:
+        raise ValueError(f"fixed sample size must be at most 2^63-1, got {n!r}")
     else:
         counts = rng.multinomial(int(round(n)), dist.probs)
     return Histogram(counts)
@@ -216,6 +241,8 @@ def split_sample(
     coin, so each side has rate ``budget / 2``.  ``shared`` reuses a single
     rate-``budget`` stream as both sides; the sides are then fully dependent,
     which trades theory for sample thrift.  Side rates: :data:`SPLIT_MODES`.
+    Every mode draws its Poisson counts as :func:`sample_histogram` does, at
+    one scalar rate for a distribution of one constant mass, with the same bits.
     """
     if mode not in SPLIT_MODES:
         raise ValueError(f"unknown split mode {mode!r}; choose from {tuple(SPLIT_MODES)}")
@@ -223,7 +250,7 @@ def split_sample(
         raise ValueError(f"budget must be positive, got {budget!r}")
     rate = float(budget) * SPLIT_MODES[mode]
     if mode == "thinned":
-        counts = rng.poisson(dist.probs * float(budget))
+        counts = _poisson_counts(dist, budget, rng)
         first = rng.binomial(counts, 0.5)
         return SplitSample(first=Histogram(first), second=Histogram(counts - first), rate=rate)
     first = sample_histogram(dist, budget, poissonized=True, rng=rng)

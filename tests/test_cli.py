@@ -133,6 +133,21 @@ class TestSimulate:
         assert "sample size must be positive, got 0" in capsys.readouterr().err
         assert run_cli(*args, "--strict", "--out", str(tmp_path / "y.csv")) == 2
 
+    def test_fixed_sample_past_int64_fails_alone(self, tmp_path, capsys):
+        # empirical_plusplus samples round(n * log n), about 4.1e19 at n=1e18: more than int64 holds.
+        out = tmp_path / "x.csv"
+        args = (
+            "simulate", "--property", "entropy", "--dist", "uniform", "--k", "10",
+            "--n-grid", "1000,1000000000000000000", "--trials", "1", "--estimators", "empirical_plusplus",
+            "--fixed-size",
+        )
+        assert run_cli(*args, "--out", str(out)) == 0
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert [(r[3], r[6] == "nan") for r in rows] == [("1000", False), ("1000000000000000000", True)]
+        budget = int(round(10**18 * math.log(10**18)))
+        assert f"fixed sample size must be at most 2^63-1, got {budget}" in capsys.readouterr().err
+        assert run_cli(*args, "--strict", "--out", str(tmp_path / "y.csv")) == 2
+
     def test_dump_dist(self, tmp_path):
         out = tmp_path / "r.csv"
         dump = tmp_path / "probs.csv"

@@ -143,6 +143,21 @@ class TestMakeDistribution:
         np.testing.assert_array_equal(ported.view(np.int64), sp_special.log1p(grid).view(np.int64))
 
 
+class TestDistribution:
+    def test_compares_by_identity(self):
+        d = make_distribution("uniform", 3)
+        assert d == d and d != make_distribution("uniform", 3)
+        assert hash(d) == hash(d) and len({d, make_distribution("uniform", 3)}) == 2
+
+    def test_constant_mass_is_exact_equality(self):
+        assert make_distribution("uniform", 7).constant_mass == make_distribution("uniform", 7).probs[0]
+        assert make_distribution("zipf", 7).constant_mass is None
+        probs = np.full(9, 0.1)
+        probs[4] = np.nextafter(0.1, 1.0)  # one ulp, neither first nor last
+        assert Distribution(probs).constant_mass is None
+        assert Distribution(np.zeros(0)).constant_mass is None
+
+
 class TestHistogram:
     def test_zero_counts_dropped(self):
         h = Histogram(np.array([2, 0]))
@@ -210,6 +225,14 @@ class TestSampling:
         h = sample_histogram(d, 500, poissonized=False, rng=rng)
         assert h.total == 500
 
+    def test_fixed_size_past_int64_refused(self):
+        d = make_distribution("uniform", 10)
+        assert sample_histogram(d, 2**63 - 1, poissonized=False, rng=np.random.default_rng(0)).total == 2**63 - 1
+        for n in (2**63, 1e19, math.inf):
+            with pytest.raises(ValueError) as exc:
+                sample_histogram(d, n, poissonized=False, rng=np.random.default_rng(0))
+            assert str(exc.value) == f"fixed sample size must be at most 2^63-1, got {n!r}"
+
     def test_point_mass_poisson_moments(self):
         # single symbol: total ~ Poisson(100); check the mean over many trials
         d = Distribution(np.array([1.0]))
@@ -241,6 +264,82 @@ class TestSampling:
         target = n * d.probs
         se = np.sqrt(target / trials)
         assert np.all(np.abs(means - target) < 4 * se + 1e-9)
+
+
+class _PoissonSpy:
+    """A generator that records whether each ``poisson`` call was given a rate array."""
+
+    def __init__(self, rng):
+        self.rng, self.rate_ndims = rng, []
+
+    def poisson(self, lam, size=None):
+        self.rate_ndims.append(np.ndim(lam))
+        return self.rng.poisson(lam, size)
+
+    def binomial(self, n, p):
+        return self.rng.binomial(n, p)
+
+
+def _rate_vector_draw(probs, n, how, rng):
+    """The count vectors a draw makes with numpy's rate-array call, in draw order."""
+    counts = rng.poisson(probs * float(n))
+    if how == "histogram":
+        return [counts]
+    if how == "thinned":
+        first = rng.binomial(counts, 0.5)
+        return [first, counts - first]
+    if how == "shared":
+        return [counts, counts]
+    return [counts, rng.poisson(probs * float(n))]
+
+
+class TestConstantRate:
+    """A distribution of one constant mass draws at a scalar rate with the rate vector's bits."""
+
+    DRAWS = ["histogram", *SPLIT_MODES]
+
+    @staticmethod
+    def _draw(dist, n, how, rng):
+        if how == "histogram":
+            return [sample_histogram(dist, n, rng=rng).array]
+        s = split_sample(dist, n, mode=how, rng=rng)
+        return [s.first.array, s.second.array]
+
+    @pytest.mark.parametrize("how", DRAWS)
+    @pytest.mark.parametrize("lam", [0.0, 1e-6, 0.1, 1.0, 9.999, 10.0, 37.5, 1e4, 1e7])
+    def test_counts_and_generator_state_match_the_rate_vector(self, lam, how):
+        dist = Distribution(np.full(2000, lam))
+        scalar, vector = _PoissonSpy(np.random.default_rng(19)), np.random.default_rng(19)
+        got = self._draw(dist, 1.0, how, scalar)
+        assert set(scalar.rate_ndims) == {0}
+        for a, b in zip(got, _rate_vector_draw(dist.probs, 1.0, how, vector), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert scalar.rng.bit_generator.state == vector.bit_generator.state
+
+    @pytest.mark.parametrize("how", DRAWS)
+    def test_uniform_sample_matches_the_rate_vector(self, how):
+        dist = make_distribution("uniform", 10**4)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for got, want in zip(self._draw(dist, 12915, how, a), _rate_vector_draw(dist.probs, 12915, how, b)):
+            assert np.array_equal(got, want)
+        assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("how", DRAWS)
+    def test_masses_one_ulp_apart_take_the_rate_vector(self, how):
+        probs = np.full(1000, 1e-3)
+        probs[500] = np.nextafter(1e-3, 1.0)
+        spy = _PoissonSpy(np.random.default_rng(5))
+        self._draw(Distribution(probs), 100.0, how, spy)
+        assert set(spy.rate_ndims) == {1}
+
+    @pytest.mark.parametrize("how", DRAWS)
+    def test_oversized_rate_refused_as_by_the_rate_vector(self, how):
+        probs = np.full(4, 1e19)
+        with pytest.raises(ValueError, match="^lam value too large$"):
+            self._draw(Distribution(probs), 1.0, how, np.random.default_rng(0))
+        probs[2] = np.nextafter(1e19, 0.0)
+        with pytest.raises(ValueError, match="^lam value too large$"):
+            self._draw(Distribution(probs), 1.0, how, np.random.default_rng(0))
 
 
 class TestSplitSample:

@@ -460,12 +460,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    try:
-        from .selfcheck import run_selfcheck
-    except ModuleNotFoundError as exc:
-        if (exc.name or "").partition(".")[0] != "scipy":
-            raise
-        raise UsageError("selfcheck needs scipy (pip install scipy)") from None
+    from .selfcheck import run_selfcheck  # only here: no other command needs its decimal import
+
     results = run_selfcheck(deep=args.deep)
     failures = 0
     for res in results:

@@ -179,16 +179,15 @@ def derive_params(
 # ---------------------------------------------------------------------------
 
 
-def _log_clamp_bound(spec: PropertySpec, params: EstimatorParams) -> float:
-    """Log of the analytic weight envelope, capped at 1e100."""
+def _log_envelope(spec: PropertySpec, params: EstimatorParams) -> float:
+    """Log of the analytic weight envelope, uncapped; a table clamps at the least of it and 1e100."""
     nt = params.rate * params.t
     lip = lipschitz(spec, min(1.0, 1.0 / nt))
     if lip == 0.0:
         return -math.inf
-    bound = math.log(lip) + math.log(params.u_max) - math.log(nt) + 2.0 * params.r * (
+    return math.log(lip) + math.log(params.u_max) - math.log(nt) + 2.0 * params.r * (
         params.t - 1.0
     )
-    return min(bound, _LOG_CLAMP_CEILING)
 
 
 def _coefficient_signed_logs(
@@ -242,7 +241,8 @@ class CoefficientTables:
     and is ``None`` for a one-row set, whose entries are keyed by count
     alone.  Row entries are the weights at counts ``0..v_max``; count 0
     weighs 0 (an unseen symbol contributes nothing).  The rows share the log
-    envelope ``log_clamp_bound``, and the log Poisson tail at level ``r`` and
+    clamp bound ``log_clamp_bound``, the least of the log envelope and
+    ``log(1e100)``, and the log Poisson tail at level ``r`` and
     the log factorials up to ``v_max + u_max``, the largest ``v + u`` a row
     reads; both are bit for bit prefixes of longer ones.  Weights and their
     flags are ``(rows, v_max + 1)`` arrays held flat, entry ``(row, v)`` at
@@ -268,7 +268,7 @@ class CoefficientTables:
         self._q_x = [None] if masses is None else masses.tolist()
         self.unique_q = masses if len(self._q_x) > 1 else None
         j_max = v_max + params.u_max
-        self.log_clamp_bound = _log_clamp_bound(spec, params)
+        self.log_clamp_bound = min(_log_envelope(spec, params), _LOG_CLAMP_CEILING)
         self.log_tail = log_poisson_tail_table(float(params.r), j_max)
         self.log_fact = log_factorials(j_max + 1)
         size = len(self._q_x) * (v_max + 1)

@@ -25,15 +25,14 @@ from propest.benchmark import (
 from propest.distributions import make_distribution, sample_histogram
 from propest.estimators import (
     EstimatorParams,
-    _log_clamp_bound,
+    _log_envelope,
     build_coefficient_table,
     empirical,
 )
 from propest import estimators
 from propest.properties import entropy, support_size
-from propest.selfcheck import check_series_quadrature, integrate_poisson_kernel_bessel, smoothed_h_hat
 
-from oracles import mp_entropy_coefficient
+from oracles import check_series_quadrature, integrate_poisson_kernel_bessel, mp_entropy_coefficient, smoothed_h_hat
 
 SEED = 29
 
@@ -78,7 +77,7 @@ def test_criterion_3_coefficient_correctness():
     start = time.time()
     params = small_params()
     spec = entropy()
-    envelope = math.exp(_log_clamp_bound(spec, params))
+    envelope = math.exp(_log_envelope(spec, params))
     worst = 0.0
     for v in range(1, 21):
         value = build_coefficient_table(spec, params).weights(v)

@@ -679,29 +679,40 @@ class TestSelfcheck:
     def test_passes_and_prints_one_line_per_check(self, capsys):
         assert run_cli("selfcheck") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 2
         assert "[FAIL]" not in out
 
     def test_corrupted_build_detected(self, monkeypatch, capsys):
-        real = propest.selfcheck.bessel_f
-        monkeypatch.setattr(
-            propest.selfcheck, "bessel_f", lambda u, y: -real(u, y)
-        )
+        # The exact route's f negated: every weight disagrees with the table in sign.
+        real = propest.selfcheck.eval_fx_grid
+        monkeypatch.setattr(propest.selfcheck, "eval_fx_grid", lambda *args: -real(*args))
         assert run_cli("selfcheck") == 2
-        assert "[FAIL]" in capsys.readouterr().out
+        assert capsys.readouterr().out.splitlines()[0].startswith("[FAIL] weights_exact: ")
 
-    def test_raising_check_reported_as_failure(self, monkeypatch, capsys):
-        def diverge(u, y, upper):
-            raise propest.selfcheck.ConvergenceError("forced divergence")
+    @pytest.mark.parametrize("bad_v, corrupt", [
+        (1, lambda sign, log_mag: (-sign, log_mag)),  # v = 1 is one term: condition number 1
+        (2, lambda sign, log_mag: (sign, log_mag + math.log1p(1e-2))),
+    ], ids=["sign_flipped", "one_percent_off"])
+    def test_mutated_table_entry_fails_weights_exact(self, monkeypatch, capsys, bad_v, corrupt):
+        real = propest.estimators._coefficient_signed_logs
 
-        # smoothed_h_hat, behind the series check, integrates through the same kernel.
-        monkeypatch.setattr(propest.selfcheck, "integrate_poisson_kernel_bessel", diverge)
+        def mutated(spec, params, v, *args):
+            return [(*corrupt(sign, log_mag), cancelled) if count == bad_v else (sign, log_mag, cancelled)
+                    for count, (sign, log_mag, cancelled) in zip(v.tolist(), real(spec, params, v, *args))]
+
+        monkeypatch.setattr(propest.estimators, "_coefficient_signed_logs", mutated)
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 3
-        for line, name in zip(lines, ("quadrature_identity", "series_quadrature_consistency")):
-            assert line == f"[FAIL] {name}: ConvergenceError: forced divergence"
-        assert lines[2].startswith("[PASS] coefficient_bound: ")
+        assert lines[0].startswith("[FAIL] weights_exact: ")
+        assert lines[1].startswith("[PASS] coefficient_bound: ")
+
+    def test_raising_check_reported_as_failure(self, monkeypatch, capsys):
+        # A guard past the working precision makes the exact route refuse at count 1.
+        monkeypatch.setattr(propest.selfcheck, "_GUARD_DIGITS", 100)
+        assert run_cli("selfcheck") == 2
+        lines = capsys.readouterr().out.splitlines()
+        refusal = "ValueError: condition number 1.000e+0 at count 1 needs more than 41 digits"
+        assert lines == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound")]
 
 
 @pytest.fixture(scope="module")
@@ -709,17 +720,16 @@ def deep_selfcheck():
     return {res.name: res for res in run_selfcheck(deep=True)}
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "quadrature_identity",
-        "series_quadrature_consistency",
-        # At rate 500, t 4 the weights past v ~ 215 hit the 1e100 clamp (185 events).
-        pytest.param("coefficient_bound", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")),
-    ],
-)
+@pytest.mark.parametrize("name", ["weights_exact", "coefficient_bound"])
 def test_deep_selfcheck(name, deep_selfcheck):
     assert deep_selfcheck[name].passed, deep_selfcheck[name].detail
+
+
+def test_deep_selfcheck_counts_the_clamped_weights(deep_selfcheck):
+    # At rate 500, t 4 the exact weights past v = 212 exceed the 1e100 cap,
+    # and the table clamps exactly those 185 entries.
+    detail = deep_selfcheck["coefficient_bound"].detail
+    assert "185 exact weights past the cap, 0 entries whose clamp disagrees" in detail
 
 
 class TestEntryPoint:

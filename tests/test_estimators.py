@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from propest import cli, estimators, numerics
+from propest import cli, estimators, numerics, selfcheck
 from propest.benchmark import trial_seed
 from propest.distributions import Histogram, SplitSample, make_distribution, split_sample
 from propest.estimators import (
@@ -28,6 +28,7 @@ from propest.estimators import (
     modified_empirical,
 )
 from propest.numerics import log_poisson_tail_table
+from propest.selfcheck import exact_weights
 from propest.properties import (
     distance_to_uniformity,
     entropy,
@@ -38,9 +39,8 @@ from propest.properties import (
     support_coverage,
     support_size,
 )
-from propest.selfcheck import smoothed_h_hat
 
-from oracles import mp_entropy_coefficient, per_entry_table
+from oracles import mp_entropy_coefficient, per_entry_table, smoothed_h_hat
 
 
 def hist(*counts):
@@ -311,6 +311,33 @@ class TestCoefficient:
         np.testing.assert_allclose(tables.unique_q, [0.25, 0.5])
 
 
+class TestExactWeights:
+    """``selfcheck.exact_weights``, the decimal route the self-check holds the tables to."""
+
+    def test_matches_256bit_direct_evaluation(self):
+        # The route takes f's floats exactly, so it meets the 256-bit oracle
+        # within a few roundings of f, amplified by the condition number.
+        # Past v ~ 170 the oracle's tail, 1 - cdf at r = 40, cancels away at 256 bits.
+        params = small_params()
+        weights, conds = exact_weights(entropy(), params, range(1, 121))
+        for v, weight, cond in zip(range(1, 121), weights, conds):
+            oracle = mp_entropy_coefficient(v, params)
+            assert abs(float(weight) - oracle) <= 4 * 2.0**-52 * float(cond) * abs(oracle), v
+
+    def test_zero_function_gives_zero_weights(self):
+        # rate * t <= 1 clamps every grid point to 1, where entropy vanishes
+        weights, conds = exact_weights(entropy(), EstimatorParams(0.3, 3.0, 1), [1, 2, 5])
+        assert weights == [0, 0, 0] and conds == [1, 1, 1]
+
+    def test_refuses_a_condition_number_past_its_digits(self, monkeypatch):
+        # With 40 guard digits, counts 1..3 keep more than 40 digits beyond
+        # log10(cond); count 4, at 42 digits with cond 210, keeps fewer.
+        monkeypatch.setattr(selfcheck, "_GUARD_DIGITS", 40)
+        exact_weights(entropy(), small_params(), range(1, 4))
+        with pytest.raises(ValueError, match=r"^condition number 2\.104e\+2 at count 4 needs more than 42 digits$"):
+            exact_weights(entropy(), small_params(), range(1, 5))
+
+
 class TestLazyTable:
     @pytest.mark.parametrize(
         "params, flagged, flag",
@@ -450,9 +477,9 @@ class TestBatchedWeights:
 class TestTableSet:
     def test_kl_set_computes_the_envelope_once(self, monkeypatch):
         calls = []
-        envelope = estimators._log_clamp_bound
+        envelope = estimators._log_envelope
         monkeypatch.setattr(
-            estimators, "_log_clamp_bound", lambda *args: calls.append(args) or envelope(*args)
+            estimators, "_log_envelope", lambda *args: calls.append(args) or envelope(*args)
         )
         spec = kl_divergence(make_distribution("zipf", 50).probs)
         tables = build_coefficient_tables(spec, small_params())

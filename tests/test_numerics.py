@@ -16,15 +16,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from propest import numerics, selfcheck
+from propest import numerics
 from propest.numerics import (
     log_factorials,
     log_poisson_tail_table,
     signed_log_sums,
 )
-from propest.selfcheck import ConvergenceError, bessel_f, integrate_poisson_kernel_bessel
 
-from oracles import signed_log_sum_arrays
+import oracles
+from oracles import (
+    ConvergenceError,
+    bessel_f,
+    check_quadrature_identity,
+    check_series_quadrature,
+    integrate_poisson_kernel_bessel,
+    signed_log_sum_arrays,
+)
 
 
 def _mp_poisson_cdf(r, j, terms=None):
@@ -250,7 +257,7 @@ class TestIntegrateExpPolyBessel:
         assert self.integral(8, 5.0) == pytest.approx(target, rel=1e-12, abs=0)
 
     def test_large_error_estimate_raises(self, monkeypatch):
-        monkeypatch.setattr(selfcheck, "quad", lambda *a, **k: (0.065, 1e-3))
+        monkeypatch.setattr(oracles, "quad", lambda *a, **k: (0.065, 1e-3))
         with pytest.raises(ConvergenceError):
             self.integral(8, 5.0, upper=40.0)
 
@@ -271,6 +278,15 @@ class TestIntegrateExpPolyBessel:
             self.integral(1, -1.0)
         with pytest.raises(ValueError):
             self.integral(1, 1.0, upper=0.0)
+
+
+@pytest.mark.parametrize("check", [check_quadrature_identity, check_series_quadrature],
+                         ids=["quadrature_identity", "series_quadrature_consistency"])
+def test_deep_bessel_check(check):
+    # The deep grids of the oracle checks: orders u up to 8, and a support
+    # coverage table whose unscaled Bessel integrals reach ~u!.
+    result = check(deep=True)
+    assert result.passed, result.detail
 
 
 class TestAlternatingSum:

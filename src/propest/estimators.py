@@ -8,9 +8,13 @@ for a symbol observed ``v`` times emulates the expected plug-in value under a
 of that expectation as a power series in the unknown per-symbol mean, so that
 ``weight[v] = h_v * v!`` makes the series unbiased term by term.  A Poisson
 tail factor of level ``r`` attenuates high orders, and the orders themselves
-are truncated at ``u_max``.  All weights are evaluated in signed log space and
-clamped to an analytic envelope, since the raw terms overflow doubles long
-before the weights themselves become relevant.  A property's weights live in
+are truncated at ``u_max``.  Where the tail factor is 1 and the series is not
+truncated, a weight is the formal mean of ``f(U / lambda)`` under ``U ~
+Binomial(v, t)``; for the kinds with a route (``Kind.weights``) it is computed
+that way, without the alternating series, whose terms add up to ~2^v times
+the weight.  Every other weight is the series, evaluated in signed log space
+since the raw terms overflow doubles long before the weights themselves
+become relevant.  All weights are clamped to an analytic envelope.  A property's weights live in
 one :class:`CoefficientTables`, computed when first read: a row per distinct
 reference mass when ``q`` has several, one row otherwise.  A read computes
 all its missing entries, across rows, in one array pass, with the bits of
@@ -231,6 +235,16 @@ def _coefficient_signed_logs(
     return out
 
 
+def _tail_is_one(params: EstimatorParams) -> bool:
+    """Whether ``P(Poisson(r) > j)`` is 1 to within a rounding for every ``j <= 2 u_max``.
+
+    A Chernoff bound: ``P(Poisson(r) <= j) <= exp(-r + j (1 + log(r/j)))``
+    for ``j < r``, and the exponent must lie below -40.
+    """
+    j, r = 2 * params.u_max, params.r
+    return j < r and -r + j * (1.0 + math.log(r / j)) < -40.0
+
+
 class CoefficientTables:
     """Small-branch weights ``h_v * v!`` of a property, a row per reference mass, each computed on first read.
 
@@ -242,13 +256,17 @@ class CoefficientTables:
     alone.  Row entries are the weights at counts ``0..v_max``; count 0
     weighs 0 (an unseen symbol contributes nothing).  The rows share the log
     clamp bound ``log_clamp_bound``, the least of the log envelope and
-    ``log(1e100)``, and the log Poisson tail at level ``r`` and
-    the log factorials up to ``v_max + u_max``, the largest ``v + u`` a row
-    reads; both are bit for bit prefixes of longer ones.  Weights and their
-    flags are ``(rows, v_max + 1)`` arrays held flat, entry ``(row, v)`` at
-    key ``row * (v_max + 1) + v``, computed under one lock so that concurrent
-    estimates can share the set.  ``tables`` views each row as a
-    :class:`CoefficientTable`.
+    ``log(1e100)``.  ``route`` is the kind's ``Kind.weights`` when every
+    tail factor at ``v + u <= 2 u_max`` is 1 (:func:`_tail_is_one`), else
+    None; an entry takes it when ``v <= u_max`` and ``v <= rate * t_at(v)``,
+    so that ``f`` never reads past 1.  Every other entry is the signed-log
+    series, which reads the log Poisson tail at level ``r`` and the log
+    factorials up to ``v_max + u_max``, the largest ``v + u`` a row reads;
+    both are bit for bit prefixes of longer ones, built when an entry first
+    needs them.  Weights and their flags are ``(rows, v_max + 1)`` arrays
+    held flat, entry ``(row, v)`` at key ``row * (v_max + 1) + v``, computed
+    under one lock so that concurrent estimates can share the set.
+    ``tables`` views each row as a :class:`CoefficientTable`.
     """
 
     def __init__(
@@ -267,10 +285,8 @@ class CoefficientTables:
         self.spec, self.params, self.v_max, self._masses = spec, params, v_max, masses
         self._q_x = [None] if masses is None else masses.tolist()
         self.unique_q = masses if len(self._q_x) > 1 else None
-        j_max = v_max + params.u_max
         self.log_clamp_bound = min(_log_envelope(spec, params), _LOG_CLAMP_CEILING)
-        self.log_tail = log_poisson_tail_table(float(params.r), j_max)
-        self.log_fact = log_factorials(j_max + 1)
+        self.route = KINDS[spec.kind].weights if _tail_is_one(params) else None
         size = len(self._q_x) * (v_max + 1)
         self._values = np.zeros(size)
         self._clamped, self._cancelled, self._computed = np.zeros((3, size), dtype=bool)
@@ -296,10 +312,41 @@ class CoefficientTables:
         # Every entry at keys is computed, so its flags are final.
         return weights, int(np.count_nonzero(self._clamped[keys])), int(np.count_nonzero(self._cancelled[keys]))
 
+    @functools.cached_property
+    def log_tail(self) -> np.ndarray:
+        return log_poisson_tail_table(float(self.params.r), self.v_max + self.params.u_max)
+
+    @functools.cached_property
+    def log_fact(self) -> np.ndarray:
+        return log_factorials(self.v_max + self.params.u_max + 1)
+
     def _compute(self, keys: np.ndarray) -> None:
         rows, v = np.divmod(keys, self.v_max + 1)
         q_x = None if self.spec.q is None else self._masses[rows]
-        signed_logs = _coefficient_signed_logs(self.spec, self.params, v, q_x, self.log_tail, self.log_fact)
+        series = np.ones(len(keys), dtype=bool)
+        if self.route is not None:
+            t = np.array([self.params.t_at(x) for x in v.tolist()])
+            lam = self.params.rate * t
+            series = (v > self.params.u_max) | (v > lam)
+            if not series.all():
+                on = ~series
+                self._store_route(keys[on], self.route(self.spec, v[on], t[on], lam[on], None if q_x is None else q_x[on]))
+        if series.any():
+            q_x = None if q_x is None else q_x[series]
+            self._store_series(keys[series], _coefficient_signed_logs(
+                self.spec, self.params, v[series], q_x, self.log_tail, self.log_fact))
+        self._computed[keys] = True
+
+    def _store_route(self, keys: np.ndarray, weights: np.ndarray) -> None:
+        """Keep route weights, clamped at ``log_clamp_bound``; a route weight is never cancelled."""
+        with np.errstate(divide="ignore"):
+            over = np.log(np.abs(weights)) > self.log_clamp_bound
+        if over.any():
+            weights = np.where(over, np.sign(weights) * math.exp(self.log_clamp_bound), weights)
+            self._clamped[keys[over]] = self._flagged = True
+        self._values[keys] = weights
+
+    def _store_series(self, keys: np.ndarray, signed_logs) -> None:
         for key, (sign, log_mag, cancel) in zip(keys.tolist(), signed_logs):
             self._cancelled[key] = cancel
             self._flagged = self._flagged or cancel
@@ -309,7 +356,6 @@ class CoefficientTables:
                 log_mag = self.log_clamp_bound
                 self._clamped[key] = self._flagged = True
             self._values[key] = sign * math.exp(log_mag)
-        self._computed[keys] = True
 
     @functools.cached_property
     def tables(self) -> tuple[CoefficientTable, ...]:
@@ -450,8 +496,9 @@ class AmplifiedEstimate:
     """An amplified estimate with its branch decomposition and diagnostics.
 
     ``n_clamped`` and ``n_cancelled`` count the small-branch symbols whose
-    weight was clamped or cancelled; ``n_overflow`` those whose count lies
-    beyond ``u_max`` or beyond the table, and which contribute zero.
+    weight was clamped or cancelled; a weight from its kind's route is never
+    cancelled, only a series weight is.  ``n_overflow`` counts those whose
+    count lies beyond ``u_max`` or beyond the table, and which contribute zero.
     """
 
     value: float

@@ -10,10 +10,17 @@ arise from count ratios, evaluate as ``f_x(1)``.
 Each kind is one :class:`Kind` record in :data:`KINDS`.  :func:`eval_fx_grid`
 evaluates its ``f_x`` at probabilities and, for l1/kl, reference masses
 ``q_x`` aligned with them; :func:`eval_fx_many` gathers those from ``q``.
+
+Entropy, KL and support size also carry a route to the amplified
+estimator's small-branch weights that does not sum the weight series:
+the weight at count ``v`` is the formal mean of ``f(U / lambda)`` under
+``U ~ Binomial(v, t)``, ``t > 1``, which for these kinds has a closed form
+or a one-dimensional integral whose terms do not cancel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -50,7 +57,11 @@ class Kind:
     constant on ``[h, 1]``, KL's taken over the positive masses of ``q``.
     ``report_offset``: the mass the offset form subtracts.  ``preset``: the
     amplified estimator's ``(c, e, m)`` for ``t = c * log(n)^e + 1`` and
-    ``s0 = round(m * log(n)^0.2)``; None: no preset.
+    ``s0 = round(m * log(n)^0.2)``; None: no preset.  ``weights(spec, v,
+    t, lam, qx)``: the weights ``sum_{u=1..v} C(v,u) t^u (1-t)^(v-u)
+    f_x(u/lam)`` at counts ``v`` with amplifications ``t`` and ``lam = rate
+    * t``, aligned arrays, where every ``u/lam <= 1`` and the Poisson tail
+    factor is 1; None: the kind has no such route.
     """
 
     reads: tuple[str, ...]
@@ -58,6 +69,7 @@ class Kind:
     lipschitz: Callable[[PropertySpec, float], float] = lambda spec, h: 1.0
     report_offset: float = 0.0
     preset: tuple[float, float, float] | None = None
+    weights: Callable[..., np.ndarray] | None = None
 
 
 def _entropy_fx(spec, p, qx):
@@ -77,17 +89,97 @@ def _kl_fx(spec, p, qx):
     return out
 
 
+# The quadrature's nodes: a tanh-sinh rule of step 1/16 over |s| <= 3.5, 113 of them.
+_NODE_STEP, _NODE_REACH = 1.0 / 16.0, 56
+# Above this many orders the numerator's boundary layer at y = 0 gets a piece of its own.
+_LAYER_ORDERS = 40.0
+
+
+@functools.cache
+def _quadrature_nodes() -> tuple[np.ndarray, ...]:
+    """The tanh-sinh rule on (0, 1): ``x``, its complement ``1 - x``, their logs, and the weights.
+
+    Computed once per process, read-only.  Each node comes with ``log x`` and
+    ``log(1 - x)`` from ``logaddexp``, accurate where ``x`` or ``1 - x``
+    rounds to 1; nodes whose weight underflows are dropped.
+    """
+    s = np.arange(-_NODE_REACH, _NODE_REACH + 1) * _NODE_STEP
+    u = 0.5 * math.pi * np.sinh(s)
+    log_x, log_xc = -np.logaddexp(0.0, -2.0 * u), -np.logaddexp(0.0, 2.0 * u)
+    w = _NODE_STEP * math.pi * np.cosh(s) * np.exp(log_x + log_xc)
+    keep = w > 0.0
+    nodes = tuple(a[keep] for a in (np.exp(log_x), np.exp(log_xc), log_x, log_xc, w))
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
+def _log1p_mean(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``E log(1 + U)`` for ``U ~ Binomial(m, t)``, ``t > 1`` taken formally, per aligned entry.
+
+    ``log(1 + U) = int_0^1 (1 - (1 - y)^U) / -log(1 - y) dy`` turns the
+    mean into ``int_0^1 (1 - (1 - t y)^m) / -log(1 - y) dy``.  The integral
+    is split at ``y = 1/t``, where ``1 - t y`` changes sign, and for ``m`` past
+    ``_LAYER_ORDERS`` also at ``t y = _LAYER_ORDERS / m``, the width of the
+    numerator's boundary layer at 0; each piece takes the tanh-sinh rule of
+    :func:`_quadrature_nodes`.  Elementwise operations and one sum per row:
+    each entry has the bits it has alone.
+    """
+    x, xc, log_x, log_xc, w = _quadrature_nodes()
+    cut = _LAYER_ORDERS / np.maximum(m, _LAYER_ORDERS)  # t y at the layer's edge, 1 without a layer
+    mc, tc, cc = m[:, None], t[:, None], cut[:, None]
+    # [0, cut / t]: z = 1 - t y = 1 - cut * x, its log by log1p while z > 1/2.
+    xp = cc * x
+    log_z = np.log((1.0 - cc) + cc * xc)
+    np.log1p(-xp, out=log_z, where=xp < 0.5)
+    inner = cut / t * np.add.reduce(w * -np.expm1(mc * log_z) / -np.log1p(-xp / tc), axis=1)
+    # [cut / t, 1/t] where there is a layer: 1 - t y = (1 - cut) * (1 - x).
+    layer = cut < 1.0
+    if layer.any():
+        c, ml, tl = cc[layer], mc[layer], tc[layer]
+        y = (c + (1.0 - c) * x) / tl
+        terms = w * -np.expm1(ml * (np.log1p(-c) + log_xc)) / -np.log1p(-y)
+        inner[layer] += (1.0 - cut[layer]) / t[layer] * np.add.reduce(terms, axis=1)
+    # [1/t, 1]: 1 - y = (1 - 1/t) * (1 - x) and t y - 1 = (t - 1) * x, so (1 - t y)^m has one sign.
+    with np.errstate(over="ignore"):  # past 1e308 the weight is clamped anyway
+        power = np.exp(mc * (np.log(tc - 1.0) + log_x))
+    power = np.where(mc % 2 == 1, -power, power)
+    outer = (1.0 - 1.0 / t) * np.add.reduce(w * (1.0 - power) / -(np.log1p(-1.0 / tc) + log_xc), axis=1)
+    return inner + outer
+
+
+def _entropy_weights(spec, v, t, lam, qx):
+    # E[U/lam log(lam/U)] = (v t / lam) (log lam - E log(1 + U')), U' ~ Binomial(v - 1, t).
+    return v * t / lam * (np.log(lam) - _log1p_mean(v - 1.0, t))
+
+
+def _kl_weights(spec, v, t, lam, qx):
+    # f = p log p - p log q_x: minus the entropy weight, minus log(q_x) times the mean v t / lam.
+    if np.any(qx == 0):
+        raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
+    return v * t / lam * (_log1p_mean(v - 1.0, t) - np.log(lam) - np.log(qx))
+
+
+def _support_size_weights(spec, v, t, lam, qx):
+    # f = 1/k at every u >= 1: the mean of the indicator U > 0.
+    with np.errstate(over="ignore"):  # past 1e308 the weight is clamped anyway
+        return (1.0 - np.power(1.0 - t, v)) / spec.k
+
+
 KINDS = {
-    "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0)),
+    "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0),
+                    weights=_entropy_weights),
     "support_size": Kind(("k",), lambda spec, p, qx: (p > 0).astype(np.float64) / spec.k,
-                         lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0)),
+                         lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0),
+                         weights=_support_size_weights),
     "support_coverage": Kind(("m",), lambda spec, p, qx: -np.expm1(-spec.m * p) / spec.m,
                              preset=(1.0, 0.8, 8.0)),
     "power_sum": Kind(("a",), lambda spec, p, qx: p**spec.a, preset=(1.0, 1.0, 4.0)),
     "dist_to_uniform": Kind(("k",), lambda spec, p, qx: np.abs(p - 1.0 / spec.k) - 1.0 / spec.k,
                             report_offset=1.0, preset=(1.0, 0.7, 4.0)),
     "l1_distance": Kind(("q",), lambda spec, p, qx: np.abs(p - qx) - qx, report_offset=1.0),
-    "kl_divergence": Kind(("q",), _kl_fx, lambda spec, h: -math.log(h * spec.q[spec.q > 0].min())),
+    "kl_divergence": Kind(("q",), _kl_fx, lambda spec, h: -math.log(h * spec.q[spec.q > 0].min()),
+                          weights=_kl_weights),
 }
 
 

@@ -1,11 +1,13 @@
 """Built-in numerical validation of the coefficient tables, on numpy and the standard library.
 
-Both checks compare a table's float weights with one exact route,
-:func:`exact_weights`: the same sum in ``decimal``, from the same ``t`` and
-the same float values of ``f_x``, each taken exactly.  It also gives each
+Every check compares a table's float weights with one exact route,
+:func:`exact_weights`: the same sum in ``decimal``, from the same ``t``.
+The first two take the same float values of ``f_x``, each exactly, and the
 weight's condition number ``sum |term| / |sum term|``, the factor by which
 the float sum can amplify its rounding, so a tolerance scaled by it fails a
-corrupted entry and passes an honest one.
+corrupted entry and passes an honest one.  ``routes_exact`` holds the entries
+that the kinds' weight routes compute, which sum no series, to the weight of
+``f_x`` itself, evaluated in ``decimal``, at a fixed relative tolerance.
 """
 
 from __future__ import annotations
@@ -40,26 +42,60 @@ def _poisson_tails(r: int, j_max: int) -> list[Decimal]:
     return list(itertools.accumulate(reversed(pmf)))[::-1][1 : j_max + 2]
 
 
+# f_x in decimal at x = u/lambda in (0, 1] with its log, for the kinds with a weight route.
+_DECIMAL_FX = {
+    "entropy": lambda spec, x, log_x, q_x: -x * log_x,
+    "kl_divergence": lambda spec, x, log_x, q_x: x * (log_x - Decimal(q_x).ln()),
+    "support_size": lambda spec, x, log_x, q_x: 1 / Decimal(spec.k),
+}
+
+
+def _log_integers(n: int) -> list[Decimal]:
+    """``ln(u)`` for ``u`` in ``0..n`` (0 at ``u = 0``), in the current context: one ``ln`` per prime, sums for the rest."""
+    logs = [Decimal(0)] * (n + 1)
+    for u in range(2, n + 1):
+        p = next((d for d in range(2, math.isqrt(u) + 1) if u % d == 0), u)
+        logs[u] = Decimal(u).ln() if p == u else logs[p] + logs[u // p]
+    return logs
+
+
+def _decimal_fx(spec: PropertySpec, params: EstimatorParams, t: float, q_x: float | None, logs) -> list[Decimal]:
+    """``f_x(u/lambda)`` for ``u`` in ``1..u_max``, each ``u/lambda`` clamped at 1, in the current context."""
+    if spec.kind == "kl_divergence" and q_x == 0:
+        raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
+    lam, fx = Decimal(params.rate * t), _DECIMAL_FX[spec.kind]
+    log_lam = lam.ln()
+    return [fx(spec, u / lam, logs[u] - log_lam, q_x) if u <= lam else fx(spec, Decimal(1), Decimal(0), q_x)
+            for u in range(1, params.u_max + 1)]
+
+
 def exact_weights(
-    spec: PropertySpec, params: EstimatorParams, counts, q_x: float | None = None
+    spec: PropertySpec, params: EstimatorParams, counts, q_x: float | None = None, exact_f: bool = False
 ) -> tuple[list[Decimal], list[Decimal]]:
     """The weights at ``counts`` in ``decimal``, and their condition numbers.
 
     The weight at ``v`` is ``sum_{u=1..min(v, u_max)} C(v,u) t^u (1-t)^(v-u)
-    f(u/lambda) P(Poisson(r) > v+u)``, with ``t = params.t_at(v)``,
-    ``lambda = rate * t`` and ``f`` from :func:`eval_fx_grid`, evaluated once
-    per ``t``.  Each sum runs at ``40 + 0.45 v`` digits; a condition number
-    that leaves 20 of them or fewer raises ``ValueError``.  A weight whose
-    every term is zero has condition number 1.
+    f(u/lambda) P(Poisson(r) > v+u)``, with ``t = params.t_at(v)`` and
+    ``lambda = rate * t``, both floats taken exactly.  ``f`` comes from
+    :func:`eval_fx_grid`, the floats the signed-log series sums; with
+    ``exact_f`` (entropy, kl and support_size) it is evaluated in decimal
+    instead, at ``u/lambda`` exactly, the function the weight routes compute.
+    Either is evaluated once per ``t``.  Each sum runs at ``40 + 0.45 v``
+    digits; a condition number that leaves 20 of them or fewer raises
+    ``ValueError``.  A weight whose every term is zero has condition number 1.
     """
     counts = [int(v) for v in counts]
-    weights, conds, fs = [], [], {}
+    weights, conds, fs, logs = [], [], {}, None
     with localcontext() as ctx:
-        ctx.prec = _DIGITS + math.ceil(_DIGITS_PER_COUNT * max(counts)) + 5  # 5 guard the tails' long sums
+        top = ctx.prec = _DIGITS + math.ceil(_DIGITS_PER_COUNT * max(counts)) + 5  # 5 guard the tails' long sums
         tails = _poisson_tails(params.r, max(counts) + params.u_max)
         for v in counts:
             t = params.t_at(v)
-            if t not in fs:
+            if t not in fs and exact_f:
+                ctx.prec = top
+                logs = logs or _log_integers(params.u_max)
+                fs[t] = _decimal_fx(spec, params, t, q_x, logs)
+            elif t not in fs:
                 f = eval_fx_grid(spec, np.arange(1, params.u_max + 1) / (params.rate * t), q_x)
                 fs[t] = [Decimal(x) for x in f.tolist()]
             ctx.prec, t_dec = _DIGITS + math.ceil(_DIGITS_PER_COUNT * v), Decimal(t)
@@ -94,7 +130,7 @@ def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, float | None
             (entropy(), EstimatorParams(500.0, 4.0, 2, t_decay=False), None),
             (support_coverage(500.0), EstimatorParams(200.0, 3.5, 2, t_decay=False), None),
             (support_size(1000), EstimatorParams(150.0, 3.0, 1, t_decay=False), None),
-            # The README sweep's n = 59948 cell, whose first 60 entries hold its cancellation.
+            # The README sweep's n = 59948 cell, whose first 60 entries take the entropy route.
             (entropy(), derive_params(59948.0, entropy(), v_max=60), None),
             (kl, dataclasses.replace(kl_params, v_max=kl_params.u_max), 1e-4),
         ]
@@ -140,21 +176,58 @@ def check_coefficient_bound(tables) -> CheckResult:
         f"{mismatched} entries whose clamp disagrees"))
 
 
+# Counts at which each route table is checked, with its u_max.
+_ROUTE_COUNTS = (1, 2, 5, 10, 20, 40)
+_ROUTE_RTOL = Decimal(2) ** -45
+
+
+def _route_cases() -> list[tuple[PropertySpec, EstimatorParams, float | None]]:
+    """One table per route: README entropy at n = 1e3 and 59948, kl at an estimate's tuning, support_size's preset."""
+    kl = kl_divergence(np.full(10**4, 1e-4))
+    return [
+        (entropy(), derive_params(1e3, entropy()), None),
+        (entropy(), derive_params(59948.0, entropy()), None),
+        (kl, derive_params(1e4, kl, preset=False, alpha=0.5, s0_mult=4.0), 1e-4),
+        (support_size(10**6), derive_params(1e5, support_size(10**6)), None),
+    ]
+
+
+def check_routes_exact() -> CheckResult:
+    """Route entries at ``v`` in 1, 2, 5, 10, 20, 40 and ``u_max`` lie within 2^-45 of the exact weights, relative.
+
+    The exact weights evaluate ``f_x`` in decimal (``exact_f``): the float
+    values of ``f_x`` carry a rounding that the series amplifies ~2^v-fold,
+    which a route does not sum.
+    """
+    worst, entries, cases = Decimal(0), 0, _route_cases()
+    for spec, params, q_x in cases:
+        counts = sorted({v for v in _ROUTE_COUNTS if v < params.u_max} | {params.u_max})
+        values = build_coefficient_table(spec, params, q_x=q_x).weights(counts)
+        weights, _ = exact_weights(spec, params, counts, q_x, exact_f=True)
+        for value, weight in zip(values.tolist(), weights):
+            worst = max(worst, abs(Decimal(value) - weight) / abs(weight))
+            entries += 1
+    return CheckResult("routes_exact", worst <= _ROUTE_RTOL, (
+        f"worst |table - exact| / |exact| {worst:.3e} (tolerance 2^-45) over {entries} entries of {len(cases)} route tables"))
+
+
 _CHECKS = (("weights_exact", check_weights_exact), ("coefficient_bound", check_coefficient_bound))
 
 
 def run_selfcheck(deep: bool = False) -> list[CheckResult]:
     """Run all checks; every result carries a one-line diagnostic.
 
-    Each table is built and evaluated once per run.  A check that raises is
-    reported as failed, with the exception type and message as its
-    diagnostic, and the remaining checks still run.
+    Each table of :func:`_cases` is built and evaluated once per run;
+    ``routes_exact`` builds its own.  A check that raises is reported as
+    failed, with the exception type and message as its diagnostic, and the
+    remaining checks still run.
     """
     cases, table = _cases(deep), functools.cache(_table)
+    runs = [(name, lambda check=check: check([table(*case) for case in cases])) for name, check in _CHECKS]
     results = []
-    for name, check in _CHECKS:
+    for name, run in [*runs, ("routes_exact", check_routes_exact)]:
         try:
-            results.append(check([table(*case) for case in cases]))
+            results.append(run())
         except Exception as exc:
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return results

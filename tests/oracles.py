@@ -27,21 +27,32 @@ from propest.properties import PropertySpec, entropy, eval_fx_grid, support_cove
 from propest.selfcheck import CheckResult
 
 
+def mp_poisson_tail(r, j):
+    """``P(Poisson(r) > j)`` in the current precision, summed from its positive terms.
+
+    The terms past ``j`` are added until, past the mode, one falls below the
+    precision times the sum: ``1 - cdf`` cancels away once ``j`` is far past ``r``.
+    """
+    i, term, total = j + 1, mp.exp(-mp.mpf(r)) * mp.mpf(r) ** (j + 1) / mp.factorial(j + 1), mp.mpf(0)
+    while i <= r or term > mp.eps * total:
+        total += term
+        i += 1
+        term *= mp.mpf(r) / i
+    return total
+
+
 def mp_entropy_coefficient(v, params):
     """256-bit direct evaluation of the count-v weight for entropy."""
     with mp.workprec(256):
         t = mp.mpf(params.t_at(v))
         rate = mp.mpf(params.rate)
-        r = params.r
         total = mp.mpf(0)
         for u in range(1, min(params.u_max, v) + 1):
             p = u / (rate * t)
             if p > 1:
                 p = mp.mpf(1)
             f = -p * mp.log(p) if p > 0 else mp.mpf(0)
-            tail = 1 - mp.exp(-mp.mpf(r)) * mp.fsum(
-                mp.mpf(r) ** j / mp.factorial(j) for j in range(v + u + 1)
-            )
+            tail = mp_poisson_tail(params.r, v + u)
             total += (
                 f
                 * t**u
@@ -99,13 +110,28 @@ def signed_log_sum_arrays(signs, log_mags):
 
 
 def per_entry_table(tables, row):
-    """Row ``row`` of a table set, ``(values, clamped, cancelled)``, one entry at a time."""
+    """Row ``row`` of a table set, ``(values, clamped, cancelled)``, one entry at a time.
+
+    An entry the set's route covers (``v <= u_max`` and ``v <= rate * t_at(v)``)
+    takes the route on its own, a one-entry array; any other the signed-log series.
+    """
     n = tables.v_max + 1
     values, (clamped, cancelled) = np.zeros(n), np.zeros((2, n), dtype=bool)
     qx = tables.tables[row].q_x
+    params = tables.params
     for v in range(1, n):
+        t = params.t_at(v)
+        if tables.route is not None and v <= params.u_max and v <= params.rate * t:
+            (weight,) = tables.route(
+                tables.spec, np.array([v]), np.array([t]), np.array([params.rate * t]),
+                None if qx is None else np.array([qx]),
+            )
+            if weight and math.log(abs(weight)) > tables.log_clamp_bound:
+                weight, clamped[v] = math.copysign(math.exp(tables.log_clamp_bound), weight), True
+            values[v] = weight
+            continue
         sign, log_mag, cancelled[v] = coefficient_signed_log(
-            tables.spec, v, tables.params, qx, tables.log_tail, tables.log_fact
+            tables.spec, v, params, qx, tables.log_tail, tables.log_fact
         )
         if sign == 0:
             continue

@@ -5,13 +5,16 @@ Criteria 1-3 are identity and oracle checks at small parameter settings
 series/quadrature check of criterion 2 fails on a corrupted weight.
 Criteria 5-7 are statistical reproductions at desk scale with fixed seeds;
 their tolerances absorb Monte-Carlo noise.  Criterion 8 re-runs 5-7 and compares CSV bytes
-across parallelism levels.
+across parallelism levels.  Criterion 9 holds every weight the README sweep's
+large-n cells read to its exact value.
 
 Run with ``pytest tests/test_acceptance.py -v`` for the per-criterion lines.
 """
 
 import math
+import statistics
 import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -22,15 +25,19 @@ from propest.benchmark import (
     run_experiment,
     trial_seed,
 )
-from propest.distributions import make_distribution, sample_histogram
+from propest.distributions import make_distribution, sample_histogram, split_sample
 from propest.estimators import (
     EstimatorParams,
     _log_envelope,
+    amplified_estimate,
     build_coefficient_table,
+    build_coefficient_tables,
+    derive_params,
     empirical,
 )
 from propest import estimators
 from propest.properties import entropy, support_size
+from propest.selfcheck import exact_weights
 
 from oracles import check_series_quadrature, integrate_poisson_kernel_bessel, mp_entropy_coefficient, smoothed_h_hat
 
@@ -249,3 +256,32 @@ def test_criterion_8_determinism(amplification_rows, support_rows, consistency_r
         assert baseline.encode("utf-8").count(b"\r") == 0
     elapsed = time.time() - start
     print(f"criterion 8 determinism: PASS (byte-identical reruns at threads 1 and 3, {elapsed:.1f}s)")
+
+
+def test_criterion_9_weights_read_are_exact():
+    # The README sweep's zipf k=10000 at seed 7, at its two cells where the
+    # alternating series failed (v=59 at n=59948 was off by a factor of 744)
+    # and one past its grid.  Each weight is compared once, however often read.
+    start = time.time()
+    spec = entropy()
+    dist = make_distribution("zipf", 10_000, {}, rng=np.random.default_rng(trial_seed(7, 0, "distribution", 0)))
+    errors = []
+    for n in (35938, 59948, 300000):
+        params = derive_params(n, spec)
+        tables = build_coefficient_tables(spec, params)
+        for trial in range(100):
+            rng = np.random.default_rng(trial_seed(7, n, "amplified", trial))
+            amplified_estimate(split_sample(dist, n, mode="two_stream", rng=rng), spec, params, tables)
+        (table,) = tables.tables
+        read = table.computed  # a table computes only the entries read
+        exact, _ = exact_weights(spec, params, read, exact_f=True)
+        for v, value, weight in zip(read.tolist(), table.weights(read).tolist(), exact):
+            error = abs(Decimal(value) - weight) / abs(weight)
+            assert error <= Decimal(2) ** -45, f"n={n} v={v}: relative error {error:.3e}"
+            errors.append(error)
+    worst, median = max(errors), statistics.median(errors)
+    assert worst <= 8 * median, f"largest error {worst:.3e} is more than 8 times the median {median:.3e}"
+    elapsed = time.time() - start
+    assert elapsed < 30.0
+    print(f"criterion 9 weights read are exact: PASS ({len(errors)} weights, worst {worst:.2e}, "
+          f"median {median:.2e}, {elapsed:.1f}s)")

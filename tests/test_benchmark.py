@@ -232,7 +232,7 @@ class TestRunExperiment:
 
     def test_readme_sweep_pinned(self, tmp_path):
         # The README's CLI sweep, every cell byte for byte; trial 64 of
-        # n=59948 holds the amplified outlier.
+        # n=59948 reads the weight at v=59, which the series put at -497.
         out = tmp_path / "results.csv"
         assert main([
             "simulate", "--property", "entropy", "--dist", "zipf", "--k", "10000",
@@ -241,6 +241,16 @@ class TestRunExperiment:
             "--out", str(out),
         ]) == 0
         assert out.read_bytes() == README_SWEEP.read_bytes()
+
+    def test_readme_sweep_amplified_beats_empirical_plus(self):
+        # The headline claim on the pinned sweep: in every one of its ten cells,
+        # amplified MSE at most that of the plug-in at n sqrt(log n) samples.
+        rows = [line.split(",") for line in README_SWEEP.read_text(encoding="utf-8").splitlines()[1:]]
+        mse = {(n, estimator): float(value) for _, _, _, n, estimator, _, value, *_ in rows}
+        cells = sorted({int(n) for n, _ in mse})
+        assert len(cells) == 10
+        worse = [n for n in cells if mse[str(n), "amplified"] > mse[str(n), "empirical_plus"]]
+        assert worse == []
 
     def test_readme_outlier_cells_pinned(self):
         # Threads share each cell's coefficient table while it is filled.

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import argparse
+import dataclasses
 import math
 import os
 import random
@@ -366,8 +367,9 @@ class TestEstimate:
 
 class TestCoeffs:
     def test_entropy_at_rate_1000_pinned(self, tmp_path):
-        # The full default table, past u_max = 546 and with 1976 clamped rows, byte for
-        # byte; the numpy-only CI job compares its own dump with the same file.
+        # The full default table, byte for byte: rows up to u_max = 546 from the entropy
+        # route, the 10386 past it from the series, 1809 of them clamped; the
+        # numpy-only CI job compares its own dump with the same file.
         out = tmp_path / "coeffs.csv"
         assert run_cli("coeffs", "--property", "entropy", "--rate", "1000", "--out", str(out)) == 0
         assert out.read_bytes() == (Path(__file__).parent / "data" / "coeffs_entropy_rate1000.csv").read_bytes()
@@ -679,8 +681,27 @@ class TestSelfcheck:
     def test_passes_and_prints_one_line_per_check(self, capsys):
         assert run_cli("selfcheck") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 2
+        assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
+
+    def test_route_missing_a_quadrature_node_fails_routes_exact(self, monkeypatch, capsys):
+        nodes = propest.properties._quadrature_nodes()
+        middle = len(nodes[0]) // 2
+        monkeypatch.setattr(propest.properties, "_quadrature_nodes", lambda: tuple(np.delete(a, middle) for a in nodes))
+        assert run_cli("selfcheck") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["[PASS] weights_exact", "[PASS] coefficient_bound",
+                                                          "[FAIL] routes_exact"]
+
+    def test_route_with_the_log_term_flipped_fails_routes_exact(self, monkeypatch, capsys):
+        properties = propest.properties
+
+        def flipped(spec, v, t, lam, qx):
+            return v * t / lam * (-np.log(lam) - properties._log1p_mean(v - 1.0, t))
+
+        monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=flipped))
+        assert run_cli("selfcheck") == 2
+        assert "[FAIL] routes_exact: " in capsys.readouterr().out
 
     def test_corrupted_build_detected(self, monkeypatch, capsys):
         # The exact route's f negated: every weight disagrees with the table in sign.
@@ -712,7 +733,7 @@ class TestSelfcheck:
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
         refusal = "ValueError: condition number 1.000e+0 at count 1 needs more than 41 digits"
-        assert lines == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound")]
+        assert lines == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound", "routes_exact")]
 
 
 @pytest.fixture(scope="module")

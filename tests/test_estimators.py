@@ -8,6 +8,7 @@ streams where every branch contribution is known.
 import math
 import sys
 import threading
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from propest.estimators import (
 from propest.numerics import log_poisson_tail_table
 from propest.selfcheck import exact_weights
 from propest.properties import (
+    KINDS,
+    PropertySpec,
     distance_to_uniformity,
     entropy,
     eval_fx_grid,
@@ -316,11 +319,11 @@ class TestExactWeights:
 
     def test_matches_256bit_direct_evaluation(self):
         # The route takes f's floats exactly, so it meets the 256-bit oracle
-        # within a few roundings of f, amplified by the condition number.
-        # Past v ~ 170 the oracle's tail, 1 - cdf at r = 40, cancels away at 256 bits.
+        # within a few roundings of f, amplified by the condition number; the
+        # oracle sums each tail from its positive terms, so it holds far past r = 40.
         params = small_params()
-        weights, conds = exact_weights(entropy(), params, range(1, 121))
-        for v, weight, cond in zip(range(1, 121), weights, conds):
+        weights, conds = exact_weights(entropy(), params, range(1, 201))
+        for v, weight, cond in zip(range(1, 201), weights, conds):
             oracle = mp_entropy_coefficient(v, params)
             assert abs(float(weight) - oracle) <= 4 * 2.0**-52 * float(cond) * abs(oracle), v
 
@@ -343,8 +346,8 @@ class TestLazyTable:
         "params, flagged, flag",
         [
             (clamping_params(), 212, "clamped"),
-            # README tuning at n=1e5: entries cancel from v=37 on.
-            (derive_params(1e5, entropy(), v_max=200), 47, "cancelled"),
+            # README tuning at n=1e5: route entries up to u_max = 837, series entries past it, cancelled.
+            (derive_params(1e5, entropy(), v_max=1000), 838, "cancelled"),
         ],
     )
     def test_weights_match_completed_table_bit_for_bit(self, params, flagged, flag):
@@ -443,6 +446,9 @@ def batched_cases():
                 yield f"{name}-{n}-{t_decay}", spec, derive_params(n, spec, t_decay=t_decay, **tuning), None
     manual = derive_params(1000, entropy(), preset=False, alpha=0.3, s0_mult=1.0, t_decay=False)
     yield "entropy-manual", entropy(), manual, None
+    # s0_mult 2 leaves r below the tail test's reach; at 4 every kl entry takes the route.
+    yield "kl-route", kinds["kl_divergence"], derive_params(1e4, kinds["kl_divergence"], preset=False, alpha=0.5,
+                                                            s0_mult=4.0), None
     yield "entropy-past-u_max", entropy(), clamping_params(), clamping_params().v_max
     yield "entropy-150-past-u_max", entropy(), derive_params(150, entropy()), 600
 
@@ -472,6 +478,95 @@ class TestBatchedWeights:
                 sum(int(t.cancelled.sum()) for t in tables.tables),
             ), case
         assert flagged["clamped"] > 0 and flagged["cancelled"] > 0, flagged
+
+
+UNIFORM_KL = kl_divergence(np.full(10**4, 1e-4))
+# One set per route, at the tunings its estimates use: README entropy, the kl and support_size benchmarks.
+ROUTE_CASES = [
+    pytest.param(entropy(), derive_params(1e3, entropy()), None, id="entropy-1e3"),
+    pytest.param(entropy(), derive_params(59948.0, entropy()), None, id="entropy-59948"),
+    pytest.param(UNIFORM_KL, derive_params(1e4, UNIFORM_KL, preset=False, alpha=0.5, s0_mult=4.0), 1e-4, id="kl-1e4"),
+    pytest.param(support_size(10**6), derive_params(1e5, support_size(10**6)), None, id="support_size-1e5"),
+]
+
+
+class TestRoutes:
+    """The weight routes of entropy, kl and support_size, and which entries take them."""
+
+    @pytest.mark.parametrize("spec, params, q_x", ROUTE_CASES)
+    def test_entries_match_exact_weights(self, spec, params, q_x):
+        # Every v <= 120 and a stride of 16 up to u_max, against f evaluated in decimal.
+        counts = sorted(set(range(1, min(120, params.u_max) + 1)) | set(range(1, params.u_max + 1, 16)) | {params.u_max})
+        tables = build_coefficient_tables(spec, params)  # one row: q is uniform
+        assert tables.route is not None
+        (table,) = tables.tables
+        values = table.weights(counts)
+        exact, _ = exact_weights(spec, params, counts, q_x, exact_f=True)
+        for v, value, weight in zip(counts, values.tolist(), exact):
+            assert abs(Decimal(value) - weight) <= Decimal(2) ** -45 * abs(weight), v
+        assert not table.clamped.any() and not table.cancelled.any()
+
+    @pytest.mark.parametrize("n", [150, 1e3, 1e4, 1e5, 1e6])
+    def test_tail_is_one_under_every_preset(self, n):
+        for kind in ("entropy", "support_size", "support_coverage", "power_sum", "dist_to_uniform"):
+            spec = PropertySpec(kind, **{name: 1000 for name in KINDS[kind].reads})
+            assert estimators._tail_is_one(derive_params(n, spec)), kind
+        kl = kl_divergence(np.full(4, 0.25))
+        assert estimators._tail_is_one(derive_params(n, kl, preset=False, alpha=0.5, s0_mult=4.0))
+
+    def test_small_s0_keeps_the_series(self):
+        # The deep selfcheck's r = 100, u_max = 19: P(Poisson(100) <= 38) is not 1 - 1e-17.
+        assert (clamping_params().r, clamping_params().u_max) == (100, 19)
+        assert not estimators._tail_is_one(clamping_params())
+        assert build_coefficient_tables(entropy(), clamping_params()).route is None
+
+    def test_estimate_tables_build_no_tail(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Poisson tail or factorial array was built")
+
+        monkeypatch.setattr(estimators, "log_poisson_tail_table", refuse)
+        monkeypatch.setattr(estimators, "log_factorials", refuse)
+        dist = make_distribution("zipf", 1000)
+        for spec, params in (
+            (entropy(), derive_params(2e4, entropy())),
+            (support_size(1000), derive_params(2e4, support_size(1000))),
+            (kl_divergence(dist.probs), derive_params(2e4, kl_divergence(dist.probs), preset=False, alpha=0.5,
+                                                      s0_mult=4.0)),
+        ):
+            sample = split_sample(dist, 2e4, rng=np.random.default_rng(1))
+            tables = build_coefficient_tables(spec, params)
+            assert amplified_estimate_detailed(sample, spec, params, tables).n_small > 0
+            assert "log_tail" not in vars(tables) and "log_fact" not in vars(tables)
+
+    @pytest.mark.parametrize("spec", [entropy(), support_size(1000), UNIFORM_KL], ids=lambda spec: spec.kind)
+    def test_weights_past_doubles_are_clamped(self, spec):
+        # Without decay t stays at 17.3, 7.3 and 4.7 up to u_max: (1 - t)^v, and the weight,
+        # pass the 1e100 cap and, for entropy and support_size, 1e308.
+        tuning = {"preset": False, "alpha": 0.5, "s0_mult": 16.0} if spec.q is not None else {}
+        params = derive_params(1e6, spec, t_decay=False, **tuning)
+        tables = build_coefficient_tables(spec, params)
+        assert tables.route is not None
+        (table,) = tables.tables
+        values = table.values
+        assert np.isfinite(values).all()
+        assert np.array_equal(np.abs(values[table.clamped]), np.full(table.clamped.sum(), math.exp(tables.log_clamp_bound)))
+        assert table.clamped[-1] and not table.cancelled.any()
+
+    def test_entries_past_the_clamp_take_the_series(self, monkeypatch):
+        # Entropy at n=150: u/lambda passes 1 from v = 226, where f's clamp at 1 binds.
+        params = derive_params(150, entropy())
+        assert params.u_max == 406 and 225 <= params.rate * params.t_at(225) < 226
+        series = []
+
+        def counted(spec, params, v, *args):
+            series.extend(v.tolist())
+            return signed_logs(spec, params, v, *args)
+
+        signed_logs = estimators._coefficient_signed_logs
+        monkeypatch.setattr(estimators, "_coefficient_signed_logs", counted)
+        (table,) = build_coefficient_tables(entropy(), params).tables
+        table.values
+        assert series == list(range(226, 407))
 
 
 class TestTableSet:
@@ -536,7 +631,7 @@ class TestTableSet:
 
     @pytest.mark.parametrize("params, flagged, flag", [
         (clamping_params(), 212, "clamped"),
-        (derive_params(1e5, entropy(), v_max=200), 47, "cancelled"),
+        (derive_params(1e5, entropy(), v_max=1000), 838, "cancelled"),
     ], ids=["clamped", "cancelled"])
     def test_read_counts_only_the_flagged_entries_it_reads(self, params, flagged, flag):
         tables = build_coefficient_tables(entropy(), params, v_max=params.v_max)
@@ -629,16 +724,21 @@ class TestZeroReferenceMass:
         )
 
     @pytest.mark.parametrize("second", [0, 5], ids=["small_branch", "large_branch"])
-    def test_seen_zero_mass_refused(self, second):
+    @pytest.mark.parametrize("params", [
+        small_params(),  # r = 40: the series
+        derive_params(150.0, kl_divergence(np.ones(2) / 2), preset=False, alpha=0.5, s0_mult=4.0),  # the route
+    ], ids=["series", "route"])
+    def test_seen_zero_mass_refused(self, second, params):
         spec = kl_divergence(np.array([0.5, 0.5, 0.0]))
-        sample = SplitSample(hist(3, 2, 1), hist(1, 0, second), rate=150.0)
+        assert (build_coefficient_tables(spec, params).route is None) == (params.r == 40)
+        sample = SplitSample(hist(3, 2, 1), hist(1, 0, second), rate=params.rate)
         with pytest.raises(ValueError, match=r"^KL divergence undefined: q_x = 0 with p_x > 0$"):
-            amplified_estimate(sample, spec, small_params())
+            amplified_estimate(sample, spec, params)
         # Unseen in the first stream, the zero-mass symbol adds an exact zero.
-        unseen = SplitSample(hist(3, 2), hist(1, 0, second), rate=150.0)
-        dropped = SplitSample(hist(3, 2), hist(1), rate=150.0)
-        expected = amplified_estimate(dropped, kl_divergence(np.array([0.5, 0.5])), small_params())
-        assert amplified_estimate(unseen, spec, small_params()) == expected
+        unseen = SplitSample(hist(3, 2), hist(1, 0, second), rate=params.rate)
+        dropped = SplitSample(hist(3, 2), hist(1), rate=params.rate)
+        expected = amplified_estimate(dropped, kl_divergence(np.array([0.5, 0.5])), params)
+        assert amplified_estimate(unseen, spec, params) == expected
 
 
 class TestAmplified:
@@ -702,22 +802,23 @@ class TestAmplified:
         assert detail.small_sum == 0.0
 
     def test_flag_counts_are_per_estimate(self):
-        # README tuning at n=1000: entries cancel from v=37 and clamp from
-        # v=379 on, both at or below u_max 546; the clamped ones cancel too.
-        params = derive_params(1000, entropy())
-        (table,) = build_coefficient_tables(entropy(), params).tables
+        # support_coverage, which has no weight route, without decay: its series
+        # entries cancel from v=12 and clamp from v=123 on, both at or below
+        # u_max 155; the clamped ones cancel too.
+        spec, params = support_coverage(2000.0), EstimatorParams(1000.0, 5.0, 13, t_decay=False)
+        (table,) = build_coefficient_tables(spec, params).tables
         table.values
-        assert params.u_max == 546 == table.v_max
-        assert np.flatnonzero(table.clamped)[0] == 379 and np.flatnonzero(table.cancelled)[0] == 37
-        clamped, cancelled, clean = 379, 37, 17
+        assert params.u_max == 155 == table.v_max
+        assert np.flatnonzero(table.clamped)[0] == 123 and np.flatnonzero(table.cancelled)[0] == 12
+        clamped, cancelled, clean = 123, 12, 5
         assert not table.cancelled[clean]
         reads_all = SplitSample(hist(clamped, cancelled, clean), hist(), rate=params.rate)
-        detail = amplified_estimate_detailed(reads_all, entropy(), params)
+        detail = amplified_estimate_detailed(reads_all, spec, params)
         assert (detail.n_clamped, detail.n_cancelled) == (1, 2)
         reads_clean = SplitSample(
             hist(clean, 2, clamped), hist(0, 0, params.s0 + 1), rate=params.rate
         )
-        detail = amplified_estimate_detailed(reads_clean, entropy(), params)
+        detail = amplified_estimate_detailed(reads_clean, spec, params)
         assert (detail.n_clamped, detail.n_cancelled) == (0, 0)
 
     def test_counts_past_u_max_overflow(self):

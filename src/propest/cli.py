@@ -19,18 +19,18 @@ header and spaces around either field are ignored.  Counts are integers in
 1..2^63-1; l1/kl symbols are integer ids in 0..len(q)-1, other symbols are
 opaque labels.  support_size and dist_to_uniform take at most ``--k``
 distinct symbols over both files; more exit 1 (``count files hold N
-distinct symbols, more than --k K``).  A file is checked one rule at a time
-(commas, integer counts, count range, symbol ids, duplicates); the first
-rule that fails is reported at its first offending line, numbered as in the
-file.  Count files and ``--q-file`` are UTF-8, with or without a byte-order
-mark; a byte that is not exits 1 with ``FILE: line N: not UTF-8``.  One
-reader parses every count file: unless the file is plain (ASCII, no
-padding, no blank line), it strips each line and field and drops blank
-lines; then one numpy pass over the bytes checks the commas, reads every
-count and l1/kl id of 1..18 digits, and matches opaque labels by their
-UTF-8 bytes.  A label's id is its rank by first appearance, over
-``--counts`` and then ``--counts2``.  ``int()`` reads the fields only when
-some field is not of that form.
+distinct symbols, more than --k K``).  Count files and ``--q-file`` are
+UTF-8, with or without a byte-order mark; a byte that is not exits 1 with
+``FILE: line N: not UTF-8``.  One numpy pass reads all count files of a
+request, their bodies joined (each line and field stripped first, unless
+all are plain: ASCII, no padding, no blank line).  It checks the commas,
+reads every count and l1/kl id of 1..18 digits (``int()`` reads the fields
+when some field is not of that form), and ranks opaque labels by their
+UTF-8 bytes in order of first appearance over ``--counts`` then
+``--counts2``.  Faults are reported as if the files were read one at a
+time, each checked one rule at a time (commas, integer counts, count range,
+symbol ids, duplicates): the first failing rule of the first failing file,
+at its first offending line, numbered as in the file.
 """
 
 from __future__ import annotations
@@ -162,86 +162,89 @@ def _is_int(text: str) -> bool:
     return True
 
 
-# No opaque label seen yet: the labels before the first count file.
-_NO_LABELS = np.zeros(0, dtype="S1")
+def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray | None]:
+    """Parse count files (format in the module docstring) to int64 ``(ids, counts)`` each, and the labels.
 
-
-def _read_counts(path: str, spec: PropertySpec, labels: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Parse a count file (format in the module docstring) to int64 ``(ids, counts)`` and the labels seen.
-
-    l1/kl symbols are integer ids indexing q, so ``5``, ``05`` and ``+5``
-    are one symbol.  Other labels are opaque: ``labels`` holds the keys
-    (:func:`_keys`) of those already seen, in id order, and each new label
-    gets the next id; the labels returned are ``labels`` followed by the new ones.
+    l1/kl ids index q (``5``, ``05`` and ``+5`` are one symbol) and there are no labels (None); other
+    symbols are labels, with ids by first appearance and their keys (:func:`_keys`) returned in id
+    order.  A fault is reported only if every file before its file passes every rule.
     """
-    text = _read_text(path, "counts file")
-    head, _, rest = text.lstrip().partition("\n")  # head: the first line that is not blank
-    body = (rest if head.rstrip().lower().replace(" ", "") == "symbol,count" else text).removesuffix("\n")
-    if not body.strip():
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), labels
-    b = np.frombuffer(body.encode(), dtype=np.uint8)
-    nl = b == ord("\n")
-    # A plain body (ASCII, no byte up to 0x20 but line breaks, no blank line: no line break
-    # first, last or twice in a row) is read as it is; any other has its lines and fields stripped.
-    if not body.isascii() or np.count_nonzero(b <= ord(" ")) > np.count_nonzero(nl) \
-            or nl[0] or nl[-1] or (nl[1:] & nl[:-1]).any():
-        body = "\n".join(",".join(map(str.strip, line.split(","))) for line in body.split("\n") if line.strip())
-        b = np.frombuffer(body.encode(), dtype=np.uint8)
+    contents, bodies = [], []  # a body: the lines after any header, without the last line break
+    for i, path in enumerate(paths):
+        try:
+            contents.append(text := _read_text(path, "counts file"))
+        except UsageError:
+            _read_count_files(paths[:i], spec)  # raises at a fault of an earlier file
+            raise
+        head, _, rest = text.lstrip().partition("\n")  # head: the first line that is not blank
+        bodies.append((rest if head.rstrip().lower().replace(" ", "") == "symbol,count" else text).removesuffix("\n"))
+    for stripped in (False, True):
+        joined = "\n".join(filter(None, bodies))
+        b = np.frombuffer(f"\n{joined}\n".encode(), dtype=np.uint8)  # a line break before each line and after the last
+        nl = b == ord("\n")
+        # Plain bodies (ASCII, no byte up to 0x20 but line breaks, no blank line) are read as they are.
+        if stripped or joined.isascii() and np.count_nonzero(b <= ord(" ")) == np.count_nonzero(nl) \
+                and not (nl[1:] & nl[:-1]).any():
+            break
+        bodies = ["\n".join(",".join(map(str.strip, line.split(","))) for line in body.split("\n") if line.strip())
+                  for body in bodies]
+    if not joined:
+        return [(np.zeros(0, dtype=np.int64),) * 2] * len(paths), np.zeros(0, dtype="S1") if spec.q is None else None
+    # The lines up to each body's end: the line breaks up to the one after its last byte.
+    ends = [int(np.count_nonzero(nl[1:stop + 1])) for stop in np.cumsum([len(s.encode()) + bool(s) for s in bodies])]
 
     def fail(flags, texts, message) -> NoReturn:
-        """Report ``message(texts[k])`` at the file's line of the first flagged body line ``k``."""
+        """Report ``message(texts[k])`` at the first flagged line ``k``, unless a file before its file fails."""
         k = next(i for i, bad in enumerate(flags) if bad)
-        # The body's lines are the file's last lines that are not blank.
-        line = [i for i, s in enumerate(text.split("\n"), start=1) if s.strip()][k - body.count("\n") - 1]
-        raise UsageError(f"{path}: line {line}: {message(texts[k])}")
+        f = sum(end <= k for end in ends)  # the file of line k
+        _read_count_files(paths[:f], spec)
+        # A body's lines are its file's last lines that are not blank.
+        line = [i for i, s in enumerate(contents[f].split("\n"), start=1) if s.strip()][k - ends[f]]
+        raise UsageError(f"{paths[f]}: line {line}: {message(texts[k])}")
 
-    # One comma a line: the commas and line breaks of the body must alternate.
-    seps = np.flatnonzero((b == ord(",")) | (b == ord("\n")))
-    commas, breaks = seps[0::2], seps[1::2]
-    if len(seps) % 2 == 0 or (b[commas] != ord(",")).any() or (b[breaks] != ord("\n")).any():
-        lines = body.split("\n")
+    # One comma a line: line breaks and commas must alternate, from a line break to a line break.
+    seps = np.flatnonzero(nl | (b == ord(",")))
+    at_break = nl[seps]
+    if len(seps) % 2 == 0 or not at_break[0::2].all() or at_break[1::2].any():
+        lines = joined.split("\n")
         fail((line.count(",") != 1 for line in lines), lines, lambda s: "expected 'symbol,count'")
-    starts = np.insert(breaks + 1, 0, 0)  # of the symbols, which end at the commas
+    breaks, commas, starts = seps[0::2], seps[1::2], seps[0:-1:2] + 1  # symbols: starts to commas
 
-    def column(j: int) -> list[str]:
-        """The symbols (``j`` 0) or counts (1) as text."""
-        return body.replace("\n", ",").split(",")[j::2]
+    def column(j: int) -> list[str]:  # the symbols (j 0) or counts (1) as text
+        return joined.replace("\n", ",").split(",")[j::2]
 
-    def parse(j, starts, ends, lo, hi, not_int, out_of_range) -> np.ndarray:
+    def parse(j, starts, stops, lo, hi, not_int, out_of_range) -> np.ndarray:
         """Column ``j`` as int64, failing at the first field that is not an integer in ``lo..hi``."""
         try:
-            values = _digits(b, starts, ends)
+            values = _digits(b, starts, stops)
             if values is None:  # `+7`, `1_000`, 19 digits or a fault
                 values = np.array(list(map(int, column(j))), dtype=np.int64)
             if values.min() >= lo and values.max() <= hi:
                 return values
         except ValueError:
-            texts = column(j)
-            fail((not _is_int(s) for s in texts), texts, not_int)
+            fail((not _is_int(s) for s in column(j)), column(j), not_int)
         except OverflowError:  # beyond int64, so beyond hi
             pass
-        texts = column(j)
-        fail((not lo <= int(s) <= hi for s in texts), texts, out_of_range)
+        fail((not lo <= int(s) <= hi for s in column(j)), column(j), out_of_range)
 
-    counts = parse(1, commas + 1, np.append(breaks, len(b)), 1, 2**63 - 1,
+    counts = parse(1, commas + 1, breaks[1:], 1, 2**63 - 1,
                    lambda s: f"count {s!r} not an integer", lambda s: f"count {s!r} outside 1..2^63-1")
     if spec.q is None:
-        # Ids by first appearance: the labels seen before come first, so they keep theirs.
-        keys = np.concatenate([labels, _keys(b, starts, commas)])
+        keys = _keys(b, starts, commas)  # one sort of every file's labels ranks them by first appearance
         _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
         first = np.zeros(len(keys), dtype=bool)
         first[at] = True  # where each label first appears
-        x = (np.cumsum(first) - 1)[at][inverse[len(labels):]]
-        labels = keys[first]
+        x, labels = (np.cumsum(first) - 1)[at][inverse], keys[first]
     else:
-        x = parse(0, starts, commas, 0, len(spec.q) - 1,
-                  lambda s: f"{spec.kind} requires integer symbol ids indexing q",
-                  lambda s: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q")
-    if np.bincount(x).max() > 1:
-        repeated = np.ones(len(x), dtype=bool)
-        repeated[np.unique(x, return_index=True)[1]] = False
-        fail(repeated, column(0), lambda s: f"duplicate symbol {s!r}")
-    return x, counts, labels
+        x, labels = parse(0, starts, commas, 0, len(spec.q) - 1,
+                          lambda s: f"{spec.kind} requires integer symbol ids indexing q",
+                          lambda s: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"), None
+    for i, j in zip([0, *ends], ends):  # each file's lines
+        if np.bincount(x[i:j], minlength=1).max() > 1:  # flag the file's lines whose id came before in it
+            repeated = np.zeros(len(x), dtype=bool)
+            repeated[i:j] = np.bincount(np.unique(x[i:j], return_index=True)[1], minlength=j - i) == 0
+            fail(repeated, column(0), lambda s: f"duplicate symbol {s!r}")
+    return [(x[i:j], counts[i:j]) for i, j in zip([0, *ends], ends)], labels
 
 
 def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -405,10 +408,7 @@ def cmd_estimate(args) -> int:
     spec = _spec_from_args(kind, args)
     params = _amplified_params_from_args(args, args.rate, spec) if args.estimator == "amplified" else None
     paths = [path for path in (args.counts, args.counts2) if path is not None]
-    reads, labels = [], _NO_LABELS
-    for path in paths:
-        x, counts, labels = _read_counts(path, spec, labels)
-        reads.append((x, counts))
+    reads, labels = _read_count_files(paths, spec)
     # A stream of rate n totals Poisson(n) counts; a rate <= 0 is the estimator's to refuse.
     if args.rate is not None and args.rate > 0:
         for path, (_, counts) in zip(paths, reads):
@@ -417,7 +417,7 @@ def cmd_estimate(args) -> int:
                                  f"deviations above --rate {_fmt(args.rate)}")
     if spec.k is not None and len(labels) > spec.k:
         raise UsageError(f"count files hold {len(labels)} distinct symbols, more than --k {spec.k}")
-    hists = [_histogram(read, spec, labels) for read in reads]  # after both reads: len(labels) long
+    hists = [_histogram(read, spec, labels) for read in reads]
     first, second = hists[0], hists[-1]
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
 

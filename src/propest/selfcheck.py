@@ -1,13 +1,15 @@
 """Built-in numerical validation of the coefficient tables, on numpy and the standard library.
 
-Every check compares a table's float weights with one exact route,
-:func:`exact_weights`: the same sum in ``decimal``, from the same ``t``.
-The first two take the same float values of ``f_x``, each exactly, and the
-weight's condition number ``sum |term| / |sum term|``, the factor by which
-the float sum can amplify its rounding, so a tolerance scaled by it fails a
-corrupted entry and passes an honest one.  ``routes_exact`` holds the entries
-that the kinds' weight routes compute, which sum no series, to the weight of
-``f_x`` itself, evaluated in ``decimal``, at a fixed relative tolerance.
+The first three checks compare a table's float weights with one exact
+route, :func:`exact_weights`: the same sum in ``decimal``, from the same
+``t``.  For an entry of the signed-log series it takes the same float
+values of ``f_x``, each exactly, and the weight's condition number
+``sum |term| / |sum term|``, the factor by which the float sum can amplify
+its rounding, so a tolerance scaled by it fails a corrupted entry and passes
+an honest one.  An entry that a kind's weight route computes sums no series:
+it is held to the weight of ``f_x`` itself, evaluated in ``decimal``, at a
+fixed relative tolerance.  ``routes_series`` holds each route to the float
+series where the series is well conditioned, with no ``decimal`` at all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 
-from .estimators import EstimatorParams, _log_envelope, build_coefficient_table, derive_params
+from .estimators import (
+    CoefficientTables,
+    EstimatorParams,
+    _coefficient_signed_logs,
+    _log_envelope,
+    build_coefficient_table,
+    derive_params,
+)
 from .properties import PropertySpec, entropy, eval_fx_grid, kl_divergence, support_coverage, support_size
 
 __all__ = ["CheckResult", "exact_weights", "run_selfcheck"]
@@ -138,26 +147,47 @@ def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, float | None
 
 
 def _table(spec, params, q_x):
-    """A case's float weights and clamp flags, log cap and envelope, and exact weights and conds, from v = 1."""
-    table = build_coefficient_table(spec, params, q_x=q_x)
+    """A case's float weights and clamp flags, log cap and envelope, and exact weights and conds, from v = 1.
+
+    A route entry's exact weight evaluates ``f_x`` in decimal (``exact_f``)
+    and has no condition number (None).  An entry is a route entry when the
+    table has a route, ``v <= u_max`` and ``v <= rate * t_at(v)``, the rule
+    of :class:`CoefficientTables`.
+    """
+    tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
+    table = tables.tables[0]
     values, clamped = table.values[1:], table.clamped[1:]  # values completes the flags
-    weights, conds = exact_weights(spec, params, range(1, table.v_max + 1), q_x)
+    counts = range(1, table.v_max + 1)
+    routed = [tables.route is not None and v <= params.u_max and v <= params.rate * params.t_at(v) for v in counts]
+    exact = {}  # v: (exact weight, cond), cond None for a route entry
+    for route in (False, True):
+        at = [v for v, r in zip(counts, routed) if r == route]
+        if at:
+            weights, conds = exact_weights(spec, params, at, q_x, exact_f=route)
+            exact.update(zip(at, zip(weights, [None] * len(at) if route else conds)))
+    weights, conds = zip(*(exact[v] for v in counts))
     return values.tolist(), clamped.tolist(), table.log_clamp_bound, _log_envelope(spec, params), weights, conds
 
 
 def check_weights_exact(tables) -> CheckResult:
-    """Every unclamped float weight lies within ``1e-10 * cond`` of the exact one, relative."""
-    worst, entries, untrusted = Decimal(0), 0, 0
+    """Unclamped float weights lie within ``1e-10 * cond`` (series) or 2^-45 (route) of the exact ones, relative."""
+    worst, route_worst, entries, routes, untrusted = Decimal(0), Decimal(0), 0, 0, 0
     for values, clamped, _, _, weights, conds in tables:
         for value, clamp, weight, cond in zip(values, clamped, weights, conds):
-            if not clamp:
-                gap = abs(Decimal(value) - weight)
+            if clamp:
+                continue
+            gap = abs(Decimal(value) - weight)
+            if cond is None:
+                route_worst = max(route_worst, gap / abs(weight) if weight else Decimal("Inf" if gap else 0))
+                routes += 1
+            else:
                 worst = max(worst, gap / (cond * abs(weight)) if weight else Decimal("Inf" if gap else 0))
                 entries += 1
                 untrusted += float(cond) * 2**-52 > 1e-6
-    return CheckResult("weights_exact", worst <= Decimal("1e-10"), (
-        f"worst |table - exact| / (cond * |exact|) {worst:.3e} (tolerance 1e-10) over {entries} entries; "
-        f"{untrusted} with cond * 2^-52 > 1e-6"))
+    return CheckResult("weights_exact", worst <= Decimal("1e-10") and route_worst <= _ROUTE_RTOL, (
+        f"worst |table - exact| / (cond * |exact|) {worst:.3e} (tolerance 1e-10) over {entries} series entries, "
+        f"{untrusted} with cond * 2^-52 > 1e-6; worst |table - exact| / |exact| {float(route_worst):.3e} "
+        f"(tolerance 2^-45) over {routes} route entries"))
 
 
 def check_coefficient_bound(tables) -> CheckResult:
@@ -211,6 +241,33 @@ def check_routes_exact() -> CheckResult:
         f"worst |table - exact| / |exact| {worst:.3e} (tolerance 2^-45) over {entries} entries of {len(cases)} route tables"))
 
 
+# The counts at which each route is held to the float series: there the series sums a few
+# terms, and its worst relative gap to a route is 3.51e-13 (entropy, README n = 1e3, v = 10).
+_SERIES_COUNTS = np.arange(1, 11)
+_SERIES_RTOL = 1e-12
+
+
+def check_routes_series() -> CheckResult:
+    """Route entries at ``v`` in 1..10 lie within 1e-12 of the float signed-log series, relative.
+
+    The route tables of ``routes_exact``; a table that takes no entry from
+    its route fails the check, which would hold the series to itself.
+    """
+    worst, routed, cases = 0.0, 0, _route_cases()
+    for spec, params, q_x in cases:
+        tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
+        v, t = _SERIES_COUNTS, np.array([params.t_at(c) for c in _SERIES_COUNTS.tolist()])
+        routed += tables.route is not None and bool((v <= params.u_max).all() and (v <= params.rate * t).all())
+        q = None if q_x is None else np.full(len(v), q_x)
+        series = [sign * math.exp(log_mag) for sign, log_mag, _ in
+                  _coefficient_signed_logs(spec, params, v, q, tables.log_tail, tables.log_fact)]
+        values = tables.tables[0].weights(v)
+        worst = max(worst, float(np.max(np.abs(values - series) / np.abs(values))))
+    return CheckResult("routes_series", worst <= _SERIES_RTOL and routed == len(cases), (
+        f"worst |route - series| / |route| {worst:.3e} (tolerance 1e-12) at v = 1..10 of "
+        f"{routed} of {len(cases)} tables routed there"))
+
+
 _CHECKS = (("weights_exact", check_weights_exact), ("coefficient_bound", check_coefficient_bound))
 
 
@@ -218,14 +275,14 @@ def run_selfcheck(deep: bool = False) -> list[CheckResult]:
     """Run all checks; every result carries a one-line diagnostic.
 
     Each table of :func:`_cases` is built and evaluated once per run;
-    ``routes_exact`` builds its own.  A check that raises is reported as
-    failed, with the exception type and message as its diagnostic, and the
-    remaining checks still run.
+    ``routes_exact`` and ``routes_series`` build their own.  A check that
+    raises is reported as failed, with the exception type and message as its
+    diagnostic, and the remaining checks still run.
     """
     cases, table = _cases(deep), functools.cache(_table)
     runs = [(name, lambda check=check: check([table(*case) for case in cases])) for name, check in _CHECKS]
     results = []
-    for name, run in [*runs, ("routes_exact", check_routes_exact)]:
+    for name, run in [*runs, ("routes_exact", check_routes_exact), ("routes_series", check_routes_series)]:
         try:
             results.append(run())
         except Exception as exc:

@@ -681,7 +681,7 @@ class TestSelfcheck:
     def test_passes_and_prints_one_line_per_check(self, capsys):
         assert run_cli("selfcheck") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
         assert "[FAIL]" not in out
 
     def test_route_missing_a_quadrature_node_fails_routes_exact(self, monkeypatch, capsys):
@@ -691,7 +691,7 @@ class TestSelfcheck:
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines] == ["[PASS] weights_exact", "[PASS] coefficient_bound",
-                                                          "[FAIL] routes_exact"]
+                                                          "[FAIL] routes_exact", "[FAIL] routes_series"]
 
     def test_route_with_the_log_term_flipped_fails_routes_exact(self, monkeypatch, capsys):
         properties = propest.properties
@@ -702,6 +702,32 @@ class TestSelfcheck:
         monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=flipped))
         assert run_cli("selfcheck") == 2
         assert "[FAIL] routes_exact: " in capsys.readouterr().out
+
+    def test_route_with_the_log_term_flipped_fails_routes_series(self, monkeypatch, capsys):
+        # The same mutant, caught by the float series alone.
+        properties = propest.properties
+
+        def flipped(spec, v, t, lam, qx):
+            return v * t / lam * (-np.log(lam) - properties._log1p_mean(v - 1.0, t))
+
+        monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=flipped))
+        assert run_cli("selfcheck") == 2
+        assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] routes_series: ")
+
+    def test_route_entry_off_by_1e_9_fails_deep_weights_exact(self, monkeypatch, capsys):
+        # README n = 59948 reads its v = 59 weight from the entropy route.  The series' condition
+        # number there is 5e16, so a tolerance scaled by it would pass a factor of 5e6.
+        properties = propest.properties
+        real = properties.KINDS["entropy"].weights
+
+        def scaled(spec, v, t, lam, qx):
+            return real(spec, v, t, lam, qx) * np.where(v == 59, 1 + 1e-9, 1.0)
+
+        monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=scaled))
+        assert run_cli("selfcheck", "--deep") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] weights_exact: ")
+        assert all(line.startswith("[PASS] ") for line in lines[1:])
 
     def test_corrupted_build_detected(self, monkeypatch, capsys):
         # The exact route's f negated: every weight disagrees with the table in sign.
@@ -733,7 +759,8 @@ class TestSelfcheck:
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
         refusal = "ValueError: condition number 1.000e+0 at count 1 needs more than 41 digits"
-        assert lines == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound", "routes_exact")]
+        assert lines[:3] == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound", "routes_exact")]
+        assert lines[3].startswith("[PASS] routes_series: ")  # no decimal weight
 
 
 @pytest.fixture(scope="module")
@@ -741,7 +768,7 @@ def deep_selfcheck():
     return {res.name: res for res in run_selfcheck(deep=True)}
 
 
-@pytest.mark.parametrize("name", ["weights_exact", "coefficient_bound"])
+@pytest.mark.parametrize("name", ["weights_exact", "coefficient_bound", "routes_series"])
 def test_deep_selfcheck(name, deep_selfcheck):
     assert deep_selfcheck[name].passed, deep_selfcheck[name].detail
 
@@ -830,6 +857,57 @@ class TestCountFileErrors:
         path.write_text("a,1\n\nb,x\nc,1,2\n", encoding="utf-8")
         assert run_cli("estimate", *ENTROPY_EMPIRICAL, "--counts", str(path)) == 1
         assert capsys.readouterr().err == f"error: {path}: line 4: expected 'symbol,count'\n"
+
+
+ENTROPY_AMPLIFIED = ("--property", "entropy", "--rate", "200")
+KL_AMPLIFIED = ("--property", "kl", "--q", "uniform", "--k", "8", "--alpha", "0.5", "--s0-mult", "2", "--rate", "200")
+
+
+class TestTwoCountFiles:
+    """One pass reads both files of a request, yet each is checked as if read alone, ``--counts`` first."""
+
+    def _paths(self, tmp_path, first, second):
+        paths = [tmp_path / "c1.csv", tmp_path / "c2.csv"]
+        for path, data in zip(paths, (first, second)):
+            path.write_bytes(data.encode() if isinstance(data, str) else data)
+        return [str(path) for path in paths]
+
+    def test_fault_in_counts_reported_before_an_earlier_rule_in_counts2(self, tmp_path, capsys):
+        c1, c2 = self._paths(tmp_path, "a,1\nb,2\nc,3\nd,4\ne,x\n", "a,1,2\nb,1\n")
+        assert run_cli("estimate", *ENTROPY_AMPLIFIED, "--counts", c1, "--counts2", c2) == 1
+        assert capsys.readouterr().err == f"error: {c1}: line 5: count 'x' not an integer\n"
+
+    @pytest.mark.parametrize("flags, second, symbol", [
+        (ENTROPY_AMPLIFIED, "symbol,count\nb,3\n\nc,4\nb,5\n", "b"),
+        (KL_AMPLIFIED, "symbol,count\n1,3\n\n2,4\n01,5\n", "01"),
+    ], ids=["labels", "kl_ids"])
+    def test_duplicate_in_counts2_names_that_file_and_line(self, flags, second, symbol, tmp_path, capsys):
+        c1, c2 = self._paths(tmp_path, "1,1\n2,2\n", second)  # the same symbol in both files is no duplicate
+        assert run_cli("estimate", *flags, "--counts", c1, "--counts2", c2) == 1
+        assert capsys.readouterr().err == f"error: {c2}: line 5: duplicate symbol {symbol!r}\n"
+
+    @pytest.mark.parametrize("first, message", [
+        ("a,1\nb,x\n", "{c1}: line 2: count 'x' not an integer"),
+        ("a,1\nb,2\n", "{c2}: line 1: not UTF-8"),
+    ], ids=["fault_in_counts", "counts_fine"])
+    def test_unreadable_counts2_reported_after_the_faults_of_counts(self, first, message, tmp_path, capsys):
+        c1, c2 = self._paths(tmp_path, first, b"\xff,1\n")
+        assert run_cli("estimate", *ENTROPY_AMPLIFIED, "--counts", c1, "--counts2", c2) == 1
+        assert capsys.readouterr().err == f"error: {message.format(c1=c1, c2=c2)}\n"
+
+    def test_labels_relisted_in_another_order_keep_their_ids(self, tmp_path, capsys):
+        c1, c2 = self._paths(tmp_path, "pear,70\napple,90\nfig,30\nkiwi,8\n",
+                             "kiwi,5\nplum,6\nfig,28\nlime,3\napple,85\npear,75\n")
+        reads, labels = cli._read_count_files([c1, c2], PropertySpec("entropy"))
+        assert labels.tolist() == [b"pear,", b"apple,", b"fig,", b"kiwi,", b"plum,", b"lime,"]
+        assert [x.tolist() for x, _ in reads] == [[0, 1, 2, 3], [3, 4, 2, 5, 1, 0]]
+        assert run_cli("estimate", *ENTROPY_AMPLIFIED, "--counts", c1, "--counts2", c2) == 0
+        # The reply sums in symbol-id order, so its digits pin the ids too.
+        assert capsys.readouterr().out == (
+            "estimate=1.1409486941427864\nproperty=entropy\nestimator=amplified\nsplit_mode=two_stream\n"
+            "rate=200\nt=8.5917232991564632\ns0=22\nu_max=421\nr=2110\nt_decay=1\n"
+            "small_sum=0.12961448953736981\nlarge_sum=1.0113342046054166\nreport_offset=0\n"
+            "n_small=3\nn_large=3\nn_overflow=0\nn_clamped=0\nn_cancelled=0\n")
 
 
 BOM = "\ufeff"
@@ -1021,16 +1099,13 @@ def reference_streams(paths, spec):
 
 def read_streams(paths, spec):
     """Both streams as ``cmd_estimate`` reads them, in the form of :func:`reference_streams`."""
-    reads, labels = [], cli._NO_LABELS
     try:
-        for path in paths:
-            x, counts, labels = cli._read_counts(path, spec, labels)
-            reads.append((x, counts))
+        reads, labels = cli._read_count_files([str(path) for path in paths], spec)
         vectors = [cli._histogram(r, spec, labels).array for r in reads]
     except cli.UsageError:
         return None
-    # A label's key is its UTF-8 bytes and one byte more.
-    return vectors, [(key[:-1].decode(), i) for i, key in enumerate(labels.tolist())]
+    # A label's key is its UTF-8 bytes and one byte more; l1/kl ids have no labels.
+    return vectors, [(key[:-1].decode(), i) for i, key in enumerate([] if labels is None else labels.tolist())]
 
 
 def assert_reads_like_reference(paths, spec):
@@ -1131,7 +1206,7 @@ def test_long_label_read_without_padding(stream_paths):
     stream_paths[0].write_text(long, encoding="utf-8", newline="")
     tracemalloc.start()
     try:
-        x, counts, labels = cli._read_counts(str(stream_paths[0]), spec, cli._NO_LABELS)
+        [(x, counts)], labels = cli._read_count_files([str(stream_paths[0])], spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1218,14 +1293,16 @@ def test_plain_reader_matches_reference(stream_paths, case, two_streams):
     assert_reads_like_reference(paths, spec)
 
 
-@given(case=st.booleans().flatmap(lambda kl: st.tuples(st.just(kl), plain_files(kl, plain_only=True))))
+@given(case=st.booleans().flatmap(
+    lambda kl: st.tuples(st.just(kl), plain_files(kl, plain_only=True), plain_files(kl, plain_only=True))))
 @settings(max_examples=100, deadline=None)
 def test_plain_file_read_in_the_byte_pass(stream_paths, case):
-    """Every field of a fault-free plain file is read by ``_digits``, never by ``int()``."""
-    kl, (text, plain) = case
-    assert plain
+    """Every field of two fault-free plain files is read by ``_digits``, never by ``int()``, one call a column for both."""
+    kl, *files = case
+    assert all(plain for _, plain in files)
     spec = PropertySpec("kl_divergence", q=np.full(PLAIN_Q_LEN, 1.0 / PLAIN_Q_LEN)) if kl else PropertySpec("entropy")
-    stream_paths[0].write_text(text, encoding="utf-8", newline="")
+    for path, (text, _) in zip(stream_paths, files):
+        path.write_text(text, encoding="utf-8", newline="")
     read, real = [], cli._digits
 
     def digits(*args):
@@ -1235,7 +1312,7 @@ def test_plain_file_read_in_the_byte_pass(stream_paths, case):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(cli, "_digits", digits)
-        cli._read_counts(str(stream_paths[0]), spec, cli._NO_LABELS)
+        cli._read_count_files([str(path) for path in stream_paths], spec)
     assert read == [True] * (1 + kl)  # counts, and l1/kl ids
 
 

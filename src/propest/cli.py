@@ -450,6 +450,8 @@ def cmd_coeffs(args) -> int:
     kind = PROPERTY_ALIASES[args.property]
     _check_read(args, {"--property": {kind}, "--property/--q": {kind, args.q}})
     spec = _spec_from_args(kind, args)
+    if spec.q is not None and args.q_x is None:
+        raise UsageError(f"coeffs --property {kind} requires --q-x")
     params = _amplified_params_from_args(args, args.rate, spec)
     table = build_coefficient_table(spec, params, q_x=args.q_x)
     # Completed before the file opens, so a table that fails leaves no file.

@@ -258,12 +258,12 @@ class CoefficientTables:
     clamp bound ``log_clamp_bound``, the least of the log envelope and
     ``log(1e100)``.  ``route`` is the kind's ``Kind.weights`` when every
     tail factor at ``v + u <= 2 u_max`` is 1 (:func:`_tail_is_one`), else
-    None; an entry takes it when ``v <= u_max`` and ``v <= rate * t_at(v)``,
-    so that ``f`` never reads past 1.  Every other entry is the signed-log
-    series, which reads the log Poisson tail at level ``r`` and the log
-    factorials up to ``v_max + u_max``, the largest ``v + u`` a row reads;
-    both are bit for bit prefixes of longer ones, built when an entry first
-    needs them.  Weights and their flags are ``(rows, v_max + 1)`` arrays
+    None; :meth:`routed` says which entries take it.  Every other entry is
+    the signed-log series, which reads the log Poisson tail at level ``r``
+    and the log factorials up to ``v_max + u_max``, the largest ``v + u`` a
+    row reads; both are bit for bit prefixes of longer ones, built when an
+    entry first needs them.  Either way :meth:`_store` clamps the entry and
+    sets its flags.  Weights and their flags are ``(rows, v_max + 1)`` arrays
     held flat, entry ``(row, v)`` at key ``row * (v_max + 1) + v``, computed
     under one lock so that concurrent estimates can share the set.
     ``tables`` views each row as a :class:`CoefficientTable`.
@@ -320,42 +320,40 @@ class CoefficientTables:
     def log_fact(self) -> np.ndarray:
         return log_factorials(self.v_max + self.params.u_max + 1)
 
+    def routed(self, v, lam=None) -> np.ndarray:
+        """Which counts ``v`` take the route: the set has one, ``v <= u_max`` and ``v <= lam = rate * t_at(v)``."""
+        v = np.asarray(v)
+        if self.route is None:
+            return np.zeros(v.shape, dtype=bool)
+        if lam is None:
+            lam = self.params.rate * np.array([self.params.t_at(x) for x in v.tolist()])
+        return (v <= self.params.u_max) & (v <= lam)
+
     def _compute(self, keys: np.ndarray) -> None:
         rows, v = np.divmod(keys, self.v_max + 1)
         q_x = None if self.spec.q is None else self._masses[rows]
-        series = np.ones(len(keys), dtype=bool)
-        if self.route is not None:
-            t = np.array([self.params.t_at(x) for x in v.tolist()])
-            lam = self.params.rate * t
-            series = (v > self.params.u_max) | (v > lam)
-            if not series.all():
-                on = ~series
-                self._store_route(keys[on], self.route(self.spec, v[on], t[on], lam[on], None if q_x is None else q_x[on]))
-        if series.any():
-            q_x = None if q_x is None else q_x[series]
-            self._store_series(keys[series], _coefficient_signed_logs(
-                self.spec, self.params, v[series], q_x, self.log_tail, self.log_fact))
+        t = None if self.route is None else np.array([self.params.t_at(x) for x in v.tolist()])
+        on = self.routed(v, None if t is None else self.params.rate * t)
+        if on.any():
+            weights = self.route(self.spec, v[on], t[on], self.params.rate * t[on], None if q_x is None else q_x[on])
+            with np.errstate(divide="ignore"):
+                self._store(keys[on], weights, np.log(np.abs(weights)), False)
+        if not on.all():
+            off = ~on
+            signed_logs = _coefficient_signed_logs(
+                self.spec, self.params, v[off], None if q_x is None else q_x[off], self.log_tail, self.log_fact)
+            # One math.exp per entry: np.exp may round differently.
+            weights = [sign * math.exp(min(log_mag, self.log_clamp_bound)) for sign, log_mag, _ in signed_logs]
+            _, log_mags, cancelled = zip(*signed_logs)
+            self._store(keys[off], np.array(weights), np.array(log_mags), np.array(cancelled))
         self._computed[keys] = True
 
-    def _store_route(self, keys: np.ndarray, weights: np.ndarray) -> None:
-        """Keep route weights, clamped at ``log_clamp_bound``; a route weight is never cancelled."""
-        with np.errstate(divide="ignore"):
-            over = np.log(np.abs(weights)) > self.log_clamp_bound
-        if over.any():
-            weights = np.where(over, np.sign(weights) * math.exp(self.log_clamp_bound), weights)
-            self._clamped[keys[over]] = self._flagged = True
-        self._values[keys] = weights
-
-    def _store_series(self, keys: np.ndarray, signed_logs) -> None:
-        for key, (sign, log_mag, cancel) in zip(keys.tolist(), signed_logs):
-            self._cancelled[key] = cancel
-            self._flagged = self._flagged or cancel
-            if sign == 0:
-                continue
-            if log_mag > self.log_clamp_bound:
-                log_mag = self.log_clamp_bound
-                self._clamped[key] = self._flagged = True
-            self._values[key] = sign * math.exp(log_mag)
+    def _store(self, keys: np.ndarray, weights: np.ndarray, log_mags: np.ndarray, cancelled) -> None:
+        """Keep ``weights``, each clamped where its log magnitude passes ``log_clamp_bound``, with its flags."""
+        over = log_mags > self.log_clamp_bound
+        self._values[keys] = np.where(over, np.sign(weights) * math.exp(self.log_clamp_bound), weights)
+        self._clamped[keys], self._cancelled[keys] = over, cancelled
+        self._flagged = self._flagged or bool(over.any() or np.any(cancelled))
 
     @functools.cached_property
     def tables(self) -> tuple[CoefficientTable, ...]:
@@ -385,8 +383,11 @@ class CoefficientTable:
         self._span = slice(row * (self.v_max + 1), (row + 1) * (self.v_max + 1))
 
     def weights(self, v):
-        """``values[v]`` for counts ``v`` in ``0..v_max``, computing only those missing."""
-        return self._tables.read(self._row, np.asarray(v))[0]
+        """``values[v]`` for counts ``v`` in ``0..v_max``, computing only those missing; others raise ValueError."""
+        v = np.asarray(v)
+        if v.size and not 0 <= v.min() <= v.max() <= self.v_max:
+            raise ValueError(f"counts must lie in 0..{self.v_max}, got {v.min().item()}..{v.max().item()}")
+        return self._tables.read(self._row, v)[0]
 
     @property
     def computed(self) -> np.ndarray:

@@ -149,16 +149,15 @@ def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, float | None
 def _table(spec, params, q_x):
     """A case's float weights and clamp flags, log cap and envelope, and exact weights and conds, from v = 1.
 
-    A route entry's exact weight evaluates ``f_x`` in decimal (``exact_f``)
-    and has no condition number (None).  An entry is a route entry when the
-    table has a route, ``v <= u_max`` and ``v <= rate * t_at(v)``, the rule
-    of :class:`CoefficientTables`.
+    A route entry, one that :meth:`CoefficientTables.routed` sends to the
+    kind's route, has its exact weight evaluate ``f_x`` in decimal
+    (``exact_f``) and no condition number (None).
     """
     tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
     table = tables.tables[0]
     values, clamped = table.values[1:], table.clamped[1:]  # values completes the flags
     counts = range(1, table.v_max + 1)
-    routed = [tables.route is not None and v <= params.u_max and v <= params.rate * params.t_at(v) for v in counts]
+    routed = tables.routed(np.array(counts)).tolist()
     exact = {}  # v: (exact weight, cond), cond None for a route entry
     for route in (False, True):
         at = [v for v, r in zip(counts, routed) if r == route]
@@ -256,8 +255,8 @@ def check_routes_series() -> CheckResult:
     worst, routed, cases = 0.0, 0, _route_cases()
     for spec, params, q_x in cases:
         tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
-        v, t = _SERIES_COUNTS, np.array([params.t_at(c) for c in _SERIES_COUNTS.tolist()])
-        routed += tables.route is not None and bool((v <= params.u_max).all() and (v <= params.rate * t).all())
+        v = _SERIES_COUNTS
+        routed += bool(tables.routed(v).all())
         q = None if q_x is None else np.full(len(v), q_x)
         series = [sign * math.exp(log_mag) for sign, log_mag, _ in
                   _coefficient_signed_logs(spec, params, v, q, tables.log_tail, tables.log_fact)]

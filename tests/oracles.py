@@ -109,11 +109,17 @@ def signed_log_sum_arrays(signs, log_mags):
     return (1 if diff > 0 else -1), shift + math.log(abs(diff)), cancelled
 
 
+def route_covers(tables, v):
+    """Whether the entry at count ``v`` takes the set's route: it has one, ``v <= u_max`` and ``v <= rate * t_at(v)``."""
+    params = tables.params
+    return tables.route is not None and v <= params.u_max and v <= params.rate * params.t_at(v)
+
+
 def per_entry_table(tables, row):
     """Row ``row`` of a table set, ``(values, clamped, cancelled)``, one entry at a time.
 
-    An entry the set's route covers (``v <= u_max`` and ``v <= rate * t_at(v)``)
-    takes the route on its own, a one-entry array; any other the signed-log series.
+    An entry the set's route covers (:func:`route_covers`) takes the route on
+    its own, a one-entry array; any other the signed-log series.
     """
     n = tables.v_max + 1
     values, (clamped, cancelled) = np.zeros(n), np.zeros((2, n), dtype=bool)
@@ -121,7 +127,7 @@ def per_entry_table(tables, row):
     params = tables.params
     for v in range(1, n):
         t = params.t_at(v)
-        if tables.route is not None and v <= params.u_max and v <= params.rate * t:
+        if route_covers(tables, v):
             (weight,) = tables.route(
                 tables.spec, np.array([v]), np.array([t]), np.array([params.rate * t]),
                 None if qx is None else np.array([qx]),

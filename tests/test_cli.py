@@ -405,12 +405,14 @@ class TestCoeffs:
         ) == 0
         assert len(out.read_text().splitlines()) == 21
 
-    def test_reference_property_needs_qx(self, tmp_path):
+    @pytest.mark.parametrize("prop, kind", [("l1", "l1_distance"), ("kl", "kl_divergence")])
+    def test_reference_property_needs_qx(self, prop, kind, tmp_path, capsys):
         assert run_cli(
-            "coeffs", "--property", "l1", "--q", "uniform", "--k", "4",
+            "coeffs", "--property", prop, "--q", "uniform", "--k", "4",
             "--rate", "1000", "--t", "3", "--s0", "1",
             "--out", str(tmp_path / "c.csv"),
         ) == 1
+        assert capsys.readouterr().err == f"error: coeffs --property {kind} requires --q-x\n"
 
 
 KL_MANUAL = ("--property", "kl", "--q", "uniform", "--k", "4", "--alpha", "0.5", "--s0-mult", "2")
@@ -456,6 +458,7 @@ MALFORMED = {
         "coeffs", "--property", "entropy", "--rate", "1000", "--s0-mult", "2", "--out", "{out}",
     ),
     "kl_zero_reference_mass": (*COEFFS_KL_AT_QX, "0"),
+    "kl_without_reference_mass": COEFFS_KL_AT_QX[:-1],
     "negative_reference_mass": (*COEFFS_KL_AT_QX, "-0.5"),
     "reference_mass_above_one": (*COEFFS_KL_AT_QX, "1.5"),
     # Flags that the chosen estimator, property or family never reads.

@@ -43,7 +43,7 @@ from propest.properties import (
     support_size,
 )
 
-from oracles import mp_entropy_coefficient, per_entry_table, smoothed_h_hat
+from oracles import mp_entropy_coefficient, per_entry_table, route_covers, smoothed_h_hat
 
 
 def hist(*counts):
@@ -362,6 +362,16 @@ class TestLazyTable:
         np.testing.assert_array_equal(fresh.clamped, completed.clamped)
         np.testing.assert_array_equal(fresh.cancelled, completed.cancelled)
 
+    def test_weights_refuse_a_count_outside_the_row(self):
+        # A row's flat key reached past the row: v_max + 2 read the next row at v = 1, and -1 the set's last entry.
+        kl = kl_divergence(np.array([0.5, 0.3, 0.2]))
+        tables = build_coefficient_tables(kl, derive_params(1e4, kl, preset=False, alpha=0.5, s0_mult=4.0))
+        for table in tables.tables[:2]:
+            for count in (table.v_max + 2, -1):
+                with pytest.raises(ValueError, match=rf"^counts must lie in 0\.\.{table.v_max}, got "):
+                    table.weights([1, count])
+            assert len(table.computed) == 0
+
     def test_v_max_does_not_compute(self):
         table = build_coefficient_table(entropy(), clamping_params())
         assert table.v_max == 400
@@ -454,6 +464,20 @@ def batched_cases():
 
 
 class TestBatchedWeights:
+    def test_routed_follows_the_reference_rule(self):
+        # Every entry of every set: no route at all, past u_max, and past rate * t_at(v) all occur.
+        seen = {"no route": 0, "past u_max": 0, "past rate * t": 0}
+        for case, spec, params, v_max in batched_cases():
+            tables = build_coefficient_tables(spec, params, v_max)
+            v = np.arange(1, tables.v_max + 1)
+            expected = [route_covers(tables, x) for x in v.tolist()]
+            assert tables.routed(v).tolist() == expected, case
+            lam = params.rate * np.array([params.t_at(x) for x in v.tolist()])
+            seen["no route"] += tables.route is None
+            seen["past u_max"] += tables.route is not None and int(np.count_nonzero(v > params.u_max))
+            seen["past rate * t"] += tables.route is not None and int(np.count_nonzero((v <= params.u_max) & (v > lam)))
+        assert all(seen.values()), seen
+
     def test_every_entry_has_the_bits_of_the_per_entry_evaluation(self):
         # Each set is read in two overlapping chunks of (row, count) entries, then completed.
         flagged = {"clamped": 0, "cancelled": 0}

@@ -128,7 +128,7 @@ def _parse_n_grid(text: str) -> tuple[int, ...]:
             grid = np.unique(np.round(np.geomspace(float(lo), float(hi), pts)))
             return tuple(int(n) for n in grid.tolist())  # Python ints: an int64 cast would wrap past 2^63
         return tuple(int(tok) for tok in text.split(","))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:  # MemoryError: too many points to allocate
         raise UsageError(f"malformed --n-grid {text!r}: {exc}") from exc
 
 

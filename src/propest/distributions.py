@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _lgam_range, log1p
+from .numerics import log1p, log_factorials
 
 __all__ = [
     "FAMILIES",
@@ -175,12 +175,12 @@ def make_distribution(
         probs = _normalize_log(-value * np.log(np.arange(1, k + 1, dtype=np.float64)))
     elif family == "binomial":
         # scipy.stats.binom's log-pmf formula, with the bits of its gammaln and log1p.
-        x, log_fact = np.arange(k, dtype=np.float64), _lgam_range(1, k + 1)
+        x, log_fact = np.arange(k, dtype=np.float64), log_factorials(k)
         log_pmf = log_fact[k - 1] - (log_fact + log_fact[::-1])
         probs = _normalize_log(log_pmf + x * math.log(value) + (k - 1 - x) * log1p(-value))
     elif family == "poisson":
         x = np.arange(k, dtype=np.float64)
-        probs = _normalize_log(x * math.log(value) - _lgam_range(1, k + 1) - value)
+        probs = _normalize_log(x * math.log(value) - log_factorials(k) - value)
     else:  # geometric
         x = np.arange(1, k + 1, dtype=np.float64)
         probs = _normalize_log((x - 1.0) * math.log1p(-value) + math.log(value))

@@ -4,20 +4,19 @@ Factorials, Poisson tail probabilities, and series terms routinely leave the
 range of double precision, so every quantity here is carried as a
 ``(sign, log magnitude)`` pair and only converted to linear scale at the last
 moment.  Log factorials come from a port of Cephes ``lgam`` (Moshier 1989),
-the routine behind ``scipy.special.gammaln``, and hold the same bits; the
-binomial and poisson pmfs read them with :func:`log1p`, a port of Cephes
-``log1p``.  Poisson tails come from one routine,
-:func:`log_poisson_tail_table`, a backward log-sum-exp over the log pmf
-normalised by its own computed mass.  :func:`signed_log_sums` sums many
-series at once, one segment each, with the bits of each summed alone.
-Nothing here imports scipy.
+the routine behind ``scipy.special.gammaln``, and hold the same bits; they
+are computed on each call and shared by no caller.  The binomial and poisson
+pmfs read them with :func:`log1p`, a port of Cephes ``log1p``.  Poisson
+tails come from one routine, :func:`log_poisson_tail_table`, a backward
+log-sum-exp over the log pmf normalised by its own computed mass.
+:func:`signed_log_sums` sums many series at once, one segment each, with
+the bits of each summed alone.  Nothing here imports scipy.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -100,28 +99,14 @@ def log1p(x: float) -> float:
     return x + (-0.5 * z + x * (z * num / den))
 
 
-# log(i!) for i < len(_log_fact): one read-only array per process, replaced
-# (never written) when a caller asks for more.
-_log_fact = np.zeros(0)
-_log_fact_lock = threading.Lock()
-
-
 def log_factorials(n: int) -> np.ndarray:
-    """``log(i!)`` for ``i`` in ``0..n-1``, as a read-only array.
+    """``log(i!)`` for ``i`` in ``0..n-1``, computed on each call.
 
-    Every caller reads a prefix of one array per process, grown to exactly
-    the largest ``n`` asked for.  Entry ``i`` is :func:`_lgam_range` at
-    ``i + 1``, bit for bit ``gammaln(i + 1.0)``, however the array grew.
+    Entry ``i`` is :func:`_lgam_range` at ``i + 1``, bit for bit
+    ``gammaln(i + 1.0)``; each entry is computed on its own, so a shorter
+    array is a prefix of a longer one.
     """
-    global _log_fact
-    if len(_log_fact) < n:
-        with _log_fact_lock:
-            old = _log_fact
-            if len(old) < n:
-                grown = np.concatenate([old, _lgam_range(len(old) + 1, n + 1)])
-                grown.flags.writeable = False
-                _log_fact = grown
-    return _log_fact[:n]
+    return _lgam_range(1, n + 1)
 
 
 def log_poisson_tail_table(r: float, j_max: int) -> np.ndarray:

@@ -254,8 +254,8 @@ def check_routes_series() -> CheckResult:
     """
     worst, routed, cases = 0.0, 0, _route_cases()
     for spec, params, q_x in cases:
-        tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
-        v = _SERIES_COUNTS
+        v = _SERIES_COUNTS  # a set this long holds prefixes of the full set's tail and factorials
+        tables = CoefficientTables(spec, params, int(v.max()), None if q_x is None else [q_x])
         routed += bool(tables.routed(v).all())
         q = None if q_x is None else np.full(len(v), q_x)
         series = [sign * math.exp(log_mag) for sign, log_mag, _ in

@@ -533,6 +533,8 @@ MALFORMED = {
     "n_grid_range_huge": (*SIM_ENTROPY, "--n-grid", "1000:" + "9" * 400 + ":3", *SIM_OUT),
     # numpy's geomspace took an end past int64 as an object and raised TypeError.
     "n_grid_range_past_int64": (*SIM_ENTROPY, "--n-grid", f"1000:{10**30}:3", *SIM_OUT),
+    # 1e15 points (8 PiB) ended in numpy's _ArrayMemoryError traceback.
+    "n_grid_range_too_many_points": (*SIM_ENTROPY, "--n-grid", f"1000:2000:{10**15}", *SIM_OUT),
 }
 
 

@@ -17,7 +17,6 @@ from propest.distributions import (
     sample_histogram,
     split_sample,
 )
-from propest import numerics
 from propest.numerics import log1p
 
 
@@ -123,13 +122,6 @@ class TestMakeDistribution:
         ("dirichlet", {"concentration": 1.0},
          "011edd346f627a07680ca7156964a2873f4f0e433361757d4ebfa72b76e04df2"),
     ]
-
-    def test_pmfs_leave_the_shared_log_factorials_alone(self, monkeypatch):
-        # Each pmf reads its own k log-factorials; the process-wide array stays as it is.
-        monkeypatch.setattr(numerics, "_log_fact", np.zeros(0))
-        for family in ("binomial", "poisson"):
-            make_distribution(family, 50_000)
-        assert len(numerics._log_fact) == 0
 
     @pytest.mark.parametrize("family, params, digest", PINNED)
     def test_vector_bits_pinned(self, family, params, digest):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import propest
+from propest import estimators
 from propest.benchmark import ExperimentConfig, results_to_csv, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +56,34 @@ def test_replay_computes_only_the_entries_it_reads(perfbench):
     for use in replay.table_uses:
         for table, read in zip(use.tables.tables, use.read_mask):
             assert table.computed.tolist() == np.flatnonzero(read).tolist()
+
+
+def test_workload_tables_build_no_tail_or_factorials(perfbench, monkeypatch):
+    """Every table set a benchmark workload builds reads entries ``1..v_max`` from its route alone.
+
+    The sets of both sweeps over their n grids and of eight ``cli_estimate``
+    passes: each has a tail of 1 and ``u_max`` within 1.5 times its rate, and
+    its entries are read while the Poisson tail and the log factorials raise.
+    """
+    def refuse(*args):
+        raise AssertionError("a Poisson tail or factorial array was built")
+
+    workloads = perfbench["workloads"]
+    sets = []
+    for name in ("readme_sweep", "wide_support"):
+        cfg = workloads.WORKLOADS[name]
+        spec = workloads.make_spec(propest, cfg["property"], cfg["k"])
+        tuning = dict(preset=cfg["alpha"] is None, alpha=cfg["alpha"], s0_mult=cfg["s0_mult"])
+        sets += [(spec, propest.derive_params(n, spec, **tuning)) for n in workloads.parse_n_grid(cfg["n_grid"])]
+    cfg = workloads.WORKLOADS["cli_estimate"]
+    for pass_index in range(8):
+        for req in workloads.request_schedule(cfg, 1, pass_index):
+            spec = workloads.make_spec(propest, req["property"], cfg["k"])
+            sets.append((spec, propest.derive_params(req["rate"], spec, **workloads.request_tuning(cfg, req))))
+    monkeypatch.setattr(estimators, "log_poisson_tail_table", refuse)
+    monkeypatch.setattr(estimators, "log_factorials", refuse)
+    for spec, params in sets:
+        assert estimators._tail_is_one(params) and params.u_max <= 1.5 * params.rate, (spec.kind, params.rate)
+        for table in propest.build_coefficient_tables(spec, params).tables:
+            assert np.isfinite(table.weights(np.arange(1, table.v_max + 1))).all()
+    assert len(sets) == 10 + 2 + 8 * cfg["requests"]

@@ -6,6 +6,8 @@ they stay independent of the implementation.
 """
 
 import math
+import sys
+import threading
 
 import mpmath as mp
 import numpy as np
@@ -150,6 +152,45 @@ def test_lgam_port_holds_gammaln_bits_past_1e8():
     """
     x = np.arange(10**8 - 2000, 10**8 + 2000, dtype=np.float64)
     assert np.array_equal(_bits(numerics._lgam_range(10**8 - 2000, 10**8 + 2000)), _bits(gammaln(x)))
+
+
+def test_log_factorials_are_computed_per_call():
+    """Each call owns its array: a shorter one is a bit-for-bit prefix of a
+    longer one, and writing to a returned array changes no later result."""
+    large = log_factorials(1000)
+    small = log_factorials(10)
+    assert np.array_equal(_bits(large[:10]), _bits(small))
+    large[:] = 1.0
+    small[:] = 1.0
+    reference = gammaln(np.arange(1000, dtype=np.float64) + 1.0)
+    assert np.array_equal(_bits(log_factorials(1000)), _bits(reference))
+    assert np.array_equal(_bits(log_factorials(10)), _bits(reference[:10]))
+
+
+def test_log_factorials_grow_under_concurrent_calls():
+    """Threads asking for interleaved, growing lengths each get the ``gammaln`` bits."""
+    sizes = [[100 * k + i for k in range(1, 26)] for i in range(8)]
+    reference = gammaln(np.arange(max(map(max, sizes)), dtype=np.float64) + 1.0)
+    wrong = []
+
+    def ask(start, ns):
+        start.wait(timeout=60)
+        wrong.extend(n for n in ns if not np.array_equal(_bits(log_factorials(n)), _bits(reference[:n])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            start = threading.Barrier(len(sizes))
+            threads = [threading.Thread(target=ask, args=(start, ns)) for ns in sizes]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 class TestBessel:

@@ -201,16 +201,18 @@ def _coefficient_signed_logs(
     q_x: np.ndarray | None,
     log_tail: np.ndarray,
     log_fact: np.ndarray,
+    t: np.ndarray,
 ) -> list[tuple[int, float, bool]]:
     """Signed-log weights ``h_v * v!`` at counts ``v`` before clamping, plus cancellation flags.
 
-    ``q_x`` holds each entry's reference mass if the kind reads one.  All
-    terms form one flat grid, entry ``i`` the segment ``u = 1..min(u_max,
-    v[i])``, in chunks of about ``_GRID_TERMS`` terms.  Each term takes its
-    operands in the one-entry order, so batching moves no bit.
+    ``q_x`` holds each entry's reference mass if the kind reads one, and
+    ``t`` its amplification ``params.t_at(v)``.  All terms form one flat
+    grid, entry ``i`` the segment ``u = 1..min(u_max, v[i])``, in chunks of
+    about ``_GRID_TERMS`` terms.  Each term takes its operands in the
+    one-entry order, so batching moves no bit.
     """
-    t = [params.t_at(x) for x in v.tolist()]
-    nt, log_ratio, log_tm1 = np.array([(params.rate * x, math.log(x / (x - 1.0)), math.log(x - 1.0)) for x in t]).T
+    nt, log_ratio, log_tm1 = np.array(
+        [(params.rate * x, math.log(x / (x - 1.0)), math.log(x - 1.0)) for x in t.tolist()]).T
     lengths = np.minimum(v, params.u_max)
     starts = np.cumsum(lengths) - lengths
     firsts = np.flatnonzero(np.diff((starts + lengths - 1) // _GRID_TERMS, prepend=-1)).tolist()
@@ -332,8 +334,8 @@ class CoefficientTables:
     def _compute(self, keys: np.ndarray) -> None:
         rows, v = np.divmod(keys, self.v_max + 1)
         q_x = None if self.spec.q is None else self._masses[rows]
-        t = None if self.route is None else np.array([self.params.t_at(x) for x in v.tolist()])
-        on = self.routed(v, None if t is None else self.params.rate * t)
+        t = np.array([self.params.t_at(x) for x in v.tolist()])
+        on = self.routed(v, self.params.rate * t)
         if on.any():
             weights = self.route(self.spec, v[on], t[on], self.params.rate * t[on], None if q_x is None else q_x[on])
             with np.errstate(divide="ignore"):
@@ -341,7 +343,7 @@ class CoefficientTables:
         if not on.all():
             off = ~on
             signed_logs = _coefficient_signed_logs(
-                self.spec, self.params, v[off], None if q_x is None else q_x[off], self.log_tail, self.log_fact)
+                self.spec, self.params, v[off], None if q_x is None else q_x[off], self.log_tail, self.log_fact, t[off])
             # One math.exp per entry: np.exp may round differently.
             weights = [sign * math.exp(min(log_mag, self.log_clamp_bound)) for sign, log_mag, _ in signed_logs]
             _, log_mags, cancelled = zip(*signed_logs)

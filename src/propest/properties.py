@@ -224,6 +224,8 @@ class PropertySpec:
                 raise ValueError("q must be a nonempty 1-D probability vector")
             if np.any(q < 0):
                 raise ValueError("q must be nonnegative")
+            if np.any(q > 1):
+                raise ValueError("q must be at most 1")
             if not abs(float(q.sum()) - 1.0) <= PROB_SUM_TOL:
                 raise ValueError(f"q must sum to 1 within {PROB_SUM_TOL}")
             q = q.copy()

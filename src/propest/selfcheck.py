@@ -51,11 +51,17 @@ def _poisson_tails(r: int, j_max: int) -> list[Decimal]:
     return list(itertools.accumulate(reversed(pmf)))[::-1][1 : j_max + 2]
 
 
-# f_x in decimal at x = u/lambda in (0, 1] with its log, for the kinds with a weight route.
+# f_x in decimal at x = u/lambda in (0, 1] with its log.  dist_to_uniform's kink is the
+# float 1.0 / k that its float f uses, taken exactly: an exact 1/k would lie an ulp
+# away, a gap the series amplifies about 2^v-fold.
 _DECIMAL_FX = {
     "entropy": lambda spec, x, log_x, q_x: -x * log_x,
     "kl_divergence": lambda spec, x, log_x, q_x: x * (log_x - Decimal(q_x).ln()),
     "support_size": lambda spec, x, log_x, q_x: 1 / Decimal(spec.k),
+    "power_sum": lambda spec, x, log_x, q_x: (Decimal(spec.a) * log_x).exp(),
+    "support_coverage": lambda spec, x, log_x, q_x: (1 - (-Decimal(spec.m) * x).exp()) / Decimal(spec.m),
+    "dist_to_uniform": lambda spec, x, log_x, q_x: abs(x - Decimal(1.0 / spec.k)) - Decimal(1.0 / spec.k),
+    "l1_distance": lambda spec, x, log_x, q_x: abs(x - Decimal(q_x)) - Decimal(q_x),
 }
 
 
@@ -87,8 +93,8 @@ def exact_weights(
     f(u/lambda) P(Poisson(r) > v+u)``, with ``t = params.t_at(v)`` and
     ``lambda = rate * t``, both floats taken exactly.  ``f`` comes from
     :func:`eval_fx_grid`, the floats the signed-log series sums; with
-    ``exact_f`` (entropy, kl and support_size) it is evaluated in decimal
-    instead, at ``u/lambda`` exactly, the function the weight routes compute.
+    ``exact_f`` it is evaluated in decimal instead, at ``u/lambda`` exactly,
+    the function the weight routes compute.
     Either is evaluated once per ``t``.  Each sum runs at ``40 + 0.45 v``
     digits; a condition number that leaves 20 of them or fewer raises
     ``ValueError``.  A weight whose every term is zero has condition number 1.
@@ -258,8 +264,9 @@ def check_routes_series() -> CheckResult:
         tables = CoefficientTables(spec, params, int(v.max()), None if q_x is None else [q_x])
         routed += bool(tables.routed(v).all())
         q = None if q_x is None else np.full(len(v), q_x)
+        t = np.array([params.t_at(x) for x in v.tolist()])
         series = [sign * math.exp(log_mag) for sign, log_mag, _ in
-                  _coefficient_signed_logs(spec, params, v, q, tables.log_tail, tables.log_fact)]
+                  _coefficient_signed_logs(spec, params, v, q, tables.log_tail, tables.log_fact, t)]
         values = tables.tables[0].weights(v)
         worst = max(worst, float(np.max(np.abs(values - series) / np.abs(values))))
     return CheckResult("routes_series", worst <= _SERIES_RTOL and routed == len(cases), (

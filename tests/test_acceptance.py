@@ -36,7 +36,14 @@ from propest.estimators import (
     empirical,
 )
 from propest import estimators
-from propest.properties import entropy, support_size
+from propest.properties import (
+    distance_to_uniformity,
+    entropy,
+    l1_distance,
+    power_sum,
+    support_coverage,
+    support_size,
+)
 from propest.selfcheck import exact_weights
 
 from oracles import check_series_quadrature, integrate_poisson_kernel_bessel, mp_entropy_coefficient, smoothed_h_hat
@@ -258,23 +265,36 @@ def test_criterion_8_determinism(amplification_rows, support_rows, consistency_r
     print(f"criterion 8 determinism: PASS (byte-identical reruns at threads 1 and 3, {elapsed:.1f}s)")
 
 
-def test_criterion_9_weights_read_are_exact():
-    # The README sweep's zipf k=10000 at seed 7, at its two cells where the
-    # alternating series failed (v=59 at n=59948 was off by a factor of 744)
-    # and one past its grid.  Each weight is compared once, however often read.
+# The kinds that still read the float series, off by ~1e-10 relative at v = 20.
+NO_ROUTE = pytest.mark.xfail(raises=AssertionError, strict=True,
+                             reason="no weight route until ROADMAP stages 21b and 21c")
+
+
+@pytest.mark.parametrize("spec, ns, tuning", [
+    # The README sweep's two cells where the alternating series failed (v=59
+    # at n=59948 was off by a factor of 744) and one past its grid.
+    pytest.param(entropy(), (35938, 59948, 300000), {}, id="entropy"),
+    pytest.param(power_sum(2.0), (10_000,), {}, id="power_sum", marks=NO_ROUTE),
+    pytest.param(support_coverage(2e4), (10_000,), {}, id="support_coverage", marks=NO_ROUTE),
+    pytest.param(distance_to_uniformity(10_000), (10_000,), {}, id="dist_to_uniform", marks=NO_ROUTE),
+    pytest.param(l1_distance(np.full(10_000, 1e-4)), (10_000,), dict(preset=False, alpha=0.5, s0_mult=4.0),
+                 id="l1", marks=NO_ROUTE),
+])
+def test_criterion_9_weights_read_are_exact(spec, ns, tuning):
+    # The weights that 100 trials at seed 7 read on zipf k=10000 at each n.
+    # Each weight is compared once, however often read.
     start = time.time()
-    spec = entropy()
     dist = make_distribution("zipf", 10_000, {}, rng=np.random.default_rng(trial_seed(7, 0, "distribution", 0)))
     errors = []
-    for n in (35938, 59948, 300000):
-        params = derive_params(n, spec)
+    for n in ns:
+        params = derive_params(n, spec, **tuning)
         tables = build_coefficient_tables(spec, params)
         for trial in range(100):
             rng = np.random.default_rng(trial_seed(7, n, "amplified", trial))
             amplified_estimate(split_sample(dist, n, mode="two_stream", rng=rng), spec, params, tables)
         (table,) = tables.tables
         read = table.computed  # a table computes only the entries read
-        exact, _ = exact_weights(spec, params, read, exact_f=True)
+        exact, _ = exact_weights(spec, params, read, table.q_x, exact_f=True)
         for v, value, weight in zip(read.tolist(), table.weights(read).tolist(), exact):
             error = abs(Decimal(value) - weight) / abs(weight)
             assert error <= Decimal(2) ** -45, f"n={n} v={v}: relative error {error:.3e}"
@@ -283,5 +303,5 @@ def test_criterion_9_weights_read_are_exact():
     assert worst <= 8 * median, f"largest error {worst:.3e} is more than 8 times the median {median:.3e}"
     elapsed = time.time() - start
     assert elapsed < 30.0
-    print(f"criterion 9 weights read are exact: PASS ({len(errors)} weights, worst {worst:.2e}, "
+    print(f"criterion 9 weights read are exact, {spec.kind}: PASS ({len(errors)} weights, worst {worst:.2e}, "
           f"median {median:.2e}, {elapsed:.1f}s)")

@@ -414,6 +414,13 @@ class TestCoeffs:
         ) == 1
         assert capsys.readouterr().err == f"error: coeffs --property {kind} requires --q-x\n"
 
+    @pytest.mark.parametrize("q_x", ["1.5", "-0.5"])
+    def test_reference_mass_outside_the_unit_interval(self, q_x, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run_cli(*(arg.format(out=out) for arg in COEFFS_KL_AT_QX), q_x) == 1
+        assert capsys.readouterr().err == f"error: reference mass q_x must be in [0, 1], got {q_x}\n"
+        assert not out.exists()
+
 
 KL_MANUAL = ("--property", "kl", "--q", "uniform", "--k", "4", "--alpha", "0.5", "--s0-mult", "2")
 SIM_EMPIRICAL = ("--n-grid", "1000", "--trials", "1", "--estimators", "empirical")
@@ -461,6 +468,14 @@ MALFORMED = {
     "kl_without_reference_mass": COEFFS_KL_AT_QX[:-1],
     "negative_reference_mass": (*COEFFS_KL_AT_QX, "-0.5"),
     "reference_mass_above_one": (*COEFFS_KL_AT_QX, "1.5"),
+    # A q file mass above 1 whose sum lies within 1e-12 of 1: the plug-in estimate exited 0.
+    "q_file_mass_above_one_empirical": (
+        "estimate", "--property", "kl", "--q-file", "{qbig}", "--counts", "{zero}", "--estimator", "empirical",
+    ),
+    "q_file_mass_above_one_amplified": (
+        "estimate", "--property", "kl", "--q-file", "{qbig}", "--alpha", "0.5", "--s0-mult", "2",
+        "--counts", "{zero}", "--rate", "200",
+    ),
     # Flags that the chosen estimator, property or family never reads.
     "empirical_counts2": (*ESTIMATE_EMPIRICAL, "--counts2", "{counts}"),
     "empirical_alpha_s0_mult": (*ESTIMATE_EMPIRICAL, "--alpha", "0.5", "--s0-mult", "2"),
@@ -545,7 +560,7 @@ class TestMalformedInput:
         for name, text in (
             ("q2", "0.5\n0.5\n"), ("ids", "0,3\n5,1\n"), ("qnan", "0.5\nnan\n"), ("pair", "0,3\n1,1\n"),
             ("huge", "a,99999999999999999999\n"), ("quad", "".join(f"s{i},{2**62}\n" for i in range(4))), ("huge_id", "0,3\n99999999999999999999,1\n"),
-            ("ten", "".join(f"s{i},1\n" for i in range(10))),
+            ("ten", "".join(f"s{i},1\n" for i in range(10))), ("qbig", "1.0000000000004\n"), ("zero", "0,3\n"),
         ):
             files[name] = str(tmp_path / f"{name}.txt")
             (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
@@ -569,6 +584,18 @@ class TestMalformedInput:
         assert run_cli(command, "--property", "kl", "--q", "uniform", "--k", k, *rest) == 1
         assert capsys.readouterr().err == f"error: --q uniform requires --k of at least 1, got {k}\n"
         assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("estimator", [
+        ("--estimator", "empirical"),
+        ("--estimator", "modified_empirical", "--rate", "200"),
+        ("--alpha", "0.5", "--s0-mult", "2", "--rate", "200"),
+    ], ids=["empirical", "modified_empirical", "amplified"])
+    def test_reference_mass_above_one_refused_by_every_estimator(self, estimator, tmp_path, capsys):
+        q, counts = tmp_path / "q.txt", tmp_path / "counts.csv"
+        q.write_text("1.0000000000004\n", encoding="utf-8")
+        counts.write_text("0,3\n", encoding="utf-8")
+        assert run_cli("estimate", "--property", "kl", "--q-file", str(q), "--counts", str(counts), *estimator) == 1
+        assert capsys.readouterr().err == "error: q must be at most 1\n"
 
     @pytest.mark.parametrize("family", ["zipf", "poisson", "dirichlet"])
     def test_infinite_family_parameter_named(self, family, tmp_path, capsys):
@@ -914,6 +941,22 @@ class TestTwoCountFiles:
             "small_sum=0.12961448953736981\nlarge_sum=1.0113342046054166\nreport_offset=0\n"
             "n_small=3\nn_large=3\nn_overflow=0\nn_clamped=0\nn_cancelled=0\n")
 
+    LABELS = ("symbol,count\napple,90\npear,70\nfig,30\nkiwi,8\n", "apple,85\npear,75\nfig,28\nplum,6\n")
+
+    @pytest.mark.parametrize("first, second", [
+        ("symbol,count\nяблоко,90\nгруша,70\nинжир,30\nкиви,8\n", "яблоко,85\nгруша,75\nинжир,28\nслива,6\n"),
+        (LABELS[0], "\ufeffsymbol,count\r\nfig,28\r\nplum,6\r\npear,75\r\napple,85\r\n"),
+    ], ids=["multi_byte_labels", "counts2_bom_header_crlf_reordered"])
+    def test_same_ids_give_the_same_reply(self, first, second, tmp_path, capsys):
+        # Each file is normalised before the join, and a label is only a key:
+        # the same counts under the same symbol ids give the same reply.
+        replies = []
+        for pair in (self.LABELS, (first, second)):
+            c1, c2 = self._paths(tmp_path, *pair)
+            assert run_cli("estimate", *ENTROPY_AMPLIFIED, "--counts", c1, "--counts2", c2) == 0
+            replies.append(capsys.readouterr())
+        assert replies[0] == replies[1] and replies[0].out.startswith("estimate=")
+
 
 BOM = "\ufeff"
 Q_FILE_TEXT = "0.25\n0.25\n0.25\n0.125\n0.125\n0\n0\n0\n"
@@ -966,10 +1009,11 @@ def test_non_finite_q_file_probability_names_the_line(text, tmp_path, counts_fil
 
 
 class TestZeroReferenceMass:
-    """A final ``0`` line in the q file of the CI step: it used to exit 1 with
-    "KL smoothness undefined when q has zero entries"."""
+    """A reference ``q`` of several masses, a table row each, and a final ``0`` line in its
+    file, which used to exit 1 with "KL smoothness undefined when q has zero entries"."""
 
     Q5 = "0.4\n0.3\n0.2\n0.05\n0.05\n"
+    SKEW = ("0,120\n1,60\n2,15\n3,3\n4,2\n", "0,118\n1,62\n2,2\n3,1\n4,4\n")
     MANUAL = ("--property", "kl", "--alpha", "0.5", "--s0-mult", "2", "--rate", "200")
 
     def _q_files(self, tmp_path):
@@ -982,9 +1026,12 @@ class TestZeroReferenceMass:
         (tmp_path / name).write_text(text, encoding="utf-8")
         return str(tmp_path / name)
 
+    def _skew_streams(self, tmp_path):
+        return ("--counts", self._counts(tmp_path, "skew1.csv", self.SKEW[0]),
+                "--counts2", self._counts(tmp_path, "skew2.csv", self.SKEW[1]))
+
     def test_estimate_and_coeffs_match_the_reference_without_the_zero(self, tmp_path, capsys):
-        streams = ("--counts", self._counts(tmp_path, "skew1.csv", "0,120\n1,60\n2,15\n3,3\n4,2\n"),
-                   "--counts2", self._counts(tmp_path, "skew2.csv", "0,118\n1,62\n2,2\n3,1\n4,4\n"))
+        streams = self._skew_streams(tmp_path)
         replies, tables = [], []
         for q in self._q_files(tmp_path):
             assert run_cli("estimate", *self.MANUAL, "--q-file", str(q), *streams) == 0
@@ -993,7 +1040,18 @@ class TestZeroReferenceMass:
             assert run_cli("coeffs", *self.MANUAL, "--q-file", str(q), "--q-x", "0.2", "--out", str(out)) == 0
             tables.append(out.read_bytes())
         assert replies[0] == replies[1] and replies[0].out.startswith("estimate=0.1336350319506870")
-        assert tables[0] == tables[1]
+        assert tables[0] == tables[1] and tables[0].startswith(b"v,h_v_times_vfact,clamped\n")
+
+    def test_l1_estimate_reads_several_reference_masses(self, tmp_path, capsys):
+        # Symbols 2 and 3 are rare in the second stream, so one read spans the rows of 0.2 and 0.05.
+        q5, _ = self._q_files(tmp_path)
+        streams = self._skew_streams(tmp_path)
+        assert run_cli("estimate", "--property", "l1", *self.MANUAL[2:], "--q-file", str(q5), *streams) == 0
+        assert capsys.readouterr().out == (
+            "estimate=0.39999999999873903\nproperty=l1_distance\nestimator=amplified\nsplit_mode=two_stream\n"
+            "rate=200\nt=3.3018074130013648\ns0=3\nu_max=25\nr=129\nt_decay=1\n"
+            "small_sum=-0.090000000001261002\nlarge_sum=-0.51000000000000001\nreport_offset=1\n"
+            "n_small=2\nn_large=3\nn_overflow=0\nn_clamped=0\nn_cancelled=0\n")
 
     @pytest.mark.parametrize("second", ["", "5,50\n"], ids=["small_branch", "large_branch"])
     def test_count_on_the_zero_mass_exits_1(self, second, tmp_path, capsys):

@@ -217,7 +217,9 @@ class TestSpecValidation:
         (np.zeros(0), "q must be a nonempty 1-D probability vector"),
         (np.full((2, 2), 0.25), "q must be a nonempty 1-D probability vector"),
         (np.array([1.5, -0.5]), "q must be nonnegative"),
-    ], ids=["missing", "empty", "matrix", "negative"])
+        # Within the sum's tolerance of 1: the plug-in estimates read it, the amplified one refused it.
+        (np.array([1.0000000000004]), "q must be at most 1"),
+    ], ids=["missing", "empty", "matrix", "negative", "above_one"])
     def test_reference_refusals(self, q, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             PropertySpec("kl_divergence", q=q)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -236,6 +237,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     its sample is sized or its trials run) is marked failed (nan aggregates,
     ``error`` set) and the sweep goes on.  The distribution, including a
     Dirichlet draw, is :func:`realized_distribution`, fixed once per experiment.
+    Trials run on ``min(threads, os.cpu_count())`` threads, so a large
+    ``threads`` asks the OS for no more threads than there are CPUs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads!r}")
@@ -243,8 +246,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> list[ResultRow]:
     truth = exact_value(cfg.spec, dist.probs)
 
     rows: list[ResultRow] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:  # starts no thread unless mapped over
-        each_trial = pool.map if threads > 1 else map
+    workers = min(threads, os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:  # starts no thread unless mapped over
+        each_trial = pool.map if workers > 1 else map
         for n in cfg.n_grid:
             for estimator in cfg.estimators:
                 base = dict(

@@ -328,6 +328,12 @@ def _library_flags(args) -> dict:
     return {name: v for name in ("split_mode", "t_decay") if (v := getattr(args, name, None)) is not None}
 
 
+def _require_tuning(kind: str, flags: str) -> None:
+    """Refuse an amplified run of ``kind`` without tuning flags when the kind has no preset."""
+    if KINDS[kind].preset is None:
+        raise UsageError(f"{kind} has no preset tuning; amplified needs {flags}")
+
+
 def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> EstimatorParams:
     if (args.alpha is None) != (args.s0_mult is None):
         raise UsageError("--alpha and --s0-mult must be given together")
@@ -337,6 +343,8 @@ def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> Est
         if args.alpha is not None:
             raise UsageError("--t/--s0 and --alpha are mutually exclusive")
         return EstimatorParams(total_n, args.t, args.s0, v_max=args.v_max, **_library_flags(args))
+    if args.alpha is None:
+        _require_tuning(spec.kind, "--alpha and --s0-mult, or --t and --s0")
     return derive_params(
         total_n,
         spec,
@@ -357,6 +365,8 @@ def cmd_simulate(args) -> int:
     kind = PROPERTY_ALIASES[args.property]
     estimators = tuple(tok.strip() for tok in args.estimators.split(","))
     _check_read(args, {"--property": {kind}, "--dist": {args.dist}, "--estimator": set(estimators)})
+    if "amplified" in estimators and args.alpha is None:
+        _require_tuning(kind, "--alpha and --s0-mult")
     spec = _spec_from_args(kind, args)
     default_k = len(spec.q) if spec.q is not None else 1000 if spec.kind == "support_coverage" else 10000
     k = args.k if args.k is not None else default_k
@@ -532,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--split-mode", choices=SPLIT_MODES)
     sim.add_argument("--out", required=True, help="output CSV path")
-    sim.add_argument("--threads", type=int, default=1, help="trial parallelism (same output for any value)")
+    sim.add_argument("--threads", type=int, default=1,
+                     help="trial parallelism, at most one thread per CPU (same output for any value)")
     sim.add_argument("--strict", action="store_true", help="exit 2 if any cell fails")
     sim.add_argument(  # default None, so that _check_read sees whether it was given
         "--fixed-size", action="store_true", default=None, help="plug-in draws use exactly n samples"

@@ -11,10 +11,10 @@ Each kind is one :class:`Kind` record in :data:`KINDS`.  :func:`eval_fx_grid`
 evaluates its ``f_x`` at probabilities and, for l1/kl, reference masses
 ``q_x`` aligned with them; :func:`eval_fx_many` gathers those from ``q``.
 
-Entropy, KL and support size also carry a route to the amplified
+A kind whose record has ``weights`` also carries a route to the amplified
 estimator's small-branch weights that does not sum the weight series:
 the weight at count ``v`` is the formal mean of ``f(U / lambda)`` under
-``U ~ Binomial(v, t)``, ``t > 1``, which for these kinds has a closed form
+``U ~ Binomial(v, t)``, ``t > 1``, which for such a kind has a closed form
 or a one-dimensional integral whose terms do not cancel.
 """
 
@@ -166,6 +166,12 @@ def _support_size_weights(spec, v, t, lam, qx):
         return (1.0 - np.power(1.0 - t, v)) / spec.k
 
 
+def _support_coverage_weights(spec, v, t, lam, qx):
+    # f = (1 - e^(-m u/lam)) / m: one minus the binomial generating function at e^(-m/lam), over m.
+    with np.errstate(over="ignore"):  # past 1e308 the weight is clamped anyway
+        return (1.0 - np.power(1.0 - t * -np.expm1(-spec.m / lam), v)) / spec.m
+
+
 KINDS = {
     "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0),
                     weights=_entropy_weights),
@@ -173,7 +179,7 @@ KINDS = {
                          lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0),
                          weights=_support_size_weights),
     "support_coverage": Kind(("m",), lambda spec, p, qx: -np.expm1(-spec.m * p) / spec.m,
-                             preset=(1.0, 0.8, 8.0)),
+                             preset=(1.0, 0.8, 8.0), weights=_support_coverage_weights),
     "power_sum": Kind(("a",), lambda spec, p, qx: p**spec.a, preset=(1.0, 1.0, 4.0)),
     "dist_to_uniform": Kind(("k",), lambda spec, p, qx: np.abs(p - 1.0 / spec.k) - 1.0 / spec.k,
                             report_offset=1.0, preset=(1.0, 0.7, 4.0)),

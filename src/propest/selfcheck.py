@@ -30,7 +30,7 @@ from .estimators import (
     build_coefficient_table,
     derive_params,
 )
-from .properties import PropertySpec, entropy, eval_fx_grid, kl_divergence, support_coverage, support_size
+from .properties import KINDS, PropertySpec, entropy, eval_fx_grid, kl_divergence, support_coverage, support_size
 
 __all__ = ["CheckResult", "exact_weights", "run_selfcheck"]
 
@@ -216,15 +216,27 @@ _ROUTE_COUNTS = (1, 2, 5, 10, 20, 40)
 _ROUTE_RTOL = Decimal(2) ** -45
 
 
+# The README's scale: its k = 10^4, a coverage horizon m = 2k, a = 2, and q uniform over k symbols.
+_README_SPEC = {"k": 10**4, "m": 2e4, "a": 2.0, "q": np.full(10**4, 1e-4)}
+
+
 def _route_cases() -> list[tuple[PropertySpec, EstimatorParams, float | None]]:
-    """One table per route: README entropy at n = 1e3 and 59948, kl at an estimate's tuning, support_size's preset."""
-    kl = kl_divergence(np.full(10**4, 1e-4))
-    return [
-        (entropy(), derive_params(1e3, entropy()), None),
-        (entropy(), derive_params(59948.0, entropy()), None),
-        (kl, derive_params(1e4, kl, preset=False, alpha=0.5, s0_mult=4.0), 1e-4),
-        (support_size(10**6), derive_params(1e5, support_size(10**6)), None),
-    ]
+    """One table per tuning of each kind whose :class:`Kind` record has a weight route, at the README's scale.
+
+    A kind with a preset is tuned by it at README n = 1e3 and 59948; one
+    without takes an estimate's kl tuning, alpha 0.5 and s0_mult 4 at
+    n = 1e4.  A kind that reads ``q`` is checked at ``q_x = 1e-4``.
+    """
+    cases = []
+    for kind, record in KINDS.items():
+        if record.weights is not None:
+            spec = PropertySpec(kind, **{name: _README_SPEC[name] for name in record.reads})
+            q_x = None if spec.q is None else 1e-4
+            if record.preset is None:
+                cases.append((spec, derive_params(1e4, spec, preset=False, alpha=0.5, s0_mult=4.0), q_x))
+            else:
+                cases += [(spec, derive_params(n, spec), q_x) for n in (1e3, 59948.0)]
+    return cases
 
 
 def check_routes_exact() -> CheckResult:

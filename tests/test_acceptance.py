@@ -37,6 +37,7 @@ from propest.estimators import (
 )
 from propest import estimators
 from propest.properties import (
+    KINDS,
     distance_to_uniformity,
     entropy,
     l1_distance,
@@ -265,7 +266,7 @@ def test_criterion_8_determinism(amplification_rows, support_rows, consistency_r
     print(f"criterion 8 determinism: PASS (byte-identical reruns at threads 1 and 3, {elapsed:.1f}s)")
 
 
-# The kinds that still read the float series, off by ~1e-10 relative at v = 20.
+# A kind without a weight route reads the float series, off by ~1e-10 relative at v = 20.
 NO_ROUTE = pytest.mark.xfail(raises=AssertionError, strict=True,
                              reason="no weight route until ROADMAP stages 21b and 21c")
 
@@ -274,13 +275,15 @@ NO_ROUTE = pytest.mark.xfail(raises=AssertionError, strict=True,
     # The README sweep's two cells where the alternating series failed (v=59
     # at n=59948 was off by a factor of 744) and one past its grid.
     pytest.param(entropy(), (35938, 59948, 300000), {}, id="entropy"),
-    pytest.param(power_sum(2.0), (10_000,), {}, id="power_sum", marks=NO_ROUTE),
-    pytest.param(support_coverage(2e4), (10_000,), {}, id="support_coverage", marks=NO_ROUTE),
-    pytest.param(distance_to_uniformity(10_000), (10_000,), {}, id="dist_to_uniform", marks=NO_ROUTE),
+    pytest.param(power_sum(2.0), (10_000,), {}, id="power_sum"),
+    pytest.param(support_coverage(2e4), (10_000,), {}, id="support_coverage"),
+    pytest.param(distance_to_uniformity(10_000), (10_000,), {}, id="dist_to_uniform"),
     pytest.param(l1_distance(np.full(10_000, 1e-4)), (10_000,), dict(preset=False, alpha=0.5, s0_mult=4.0),
-                 id="l1", marks=NO_ROUTE),
+                 id="l1"),
 ])
-def test_criterion_9_weights_read_are_exact(spec, ns, tuning):
+def test_criterion_9_weights_read_are_exact(spec, ns, tuning, request):
+    if KINDS[spec.kind].weights is None:
+        request.applymarker(NO_ROUTE)
     # The weights that 100 trials at seed 7 read on zipf k=10000 at each n.
     # Each weight is compared once, however often read.
     start = time.time()

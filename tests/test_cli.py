@@ -111,10 +111,10 @@ class TestSimulate:
         assert [int(r.split(",")[3]) for r in rows] == [1000, 1500, 2000, 2500, 3000]
 
     def test_strict_fails_on_bad_cell(self, tmp_path):
-        # amplified has no preset tuning for l1
+        # amplified refuses n=100, below its least total n; the other cells run
         args = (
-            "simulate", "--property", "l1", "--q", "uniform", "--k", "8",
-            "--dist", "uniform", "--n-grid", "500", "--trials", "2",
+            "simulate", "--property", "entropy", "--k", "8",
+            "--dist", "uniform", "--n-grid", "100,500", "--trials", "2",
             "--estimators", "amplified,empirical",
         )
         assert run_cli(*args, "--out", str(tmp_path / "x.csv")) == 0
@@ -538,6 +538,17 @@ MALFORMED = {
         "estimate", "--property", "kl", "--q", "uniform", "--k", "0", "--counts", "{counts}",
         "--estimator", "empirical",
     ),
+    # Amplified on a kind with no preset and no tuning flags: estimate and coeffs
+    # named library parameters, simulate wrote a nan row for every amplified cell.
+    "simulate_kl_untuned": (
+        "simulate", "--property", "kl", "--q", "uniform", "--k", "100", "--dist", "uniform",
+        "--n-grid", "1000,2000", "--estimators", "amplified,empirical", *SIM_OUT,
+    ),
+    "estimate_kl_untuned": ("estimate", "--property", "kl", "--q", "uniform", "--k", "10", "--counts", "{counts}",
+                            "--rate", "1000"),
+    "coeffs_l1_untuned": (
+        "coeffs", "--property", "l1", "--q", "uniform", "--k", "10", "--rate", "1000", "--q-x", "0.1", *SIM_OUT,
+    ),
     # simulate options that used to be accepted and mean nothing.
     "threads_0": (*SIM_ENTROPY, "--threads", "0", *SIM_OUT),
     "threads_negative": (*SIM_ENTROPY, "--threads", "-3", *SIM_OUT),
@@ -569,6 +580,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.count("error: ") == 1 and err.splitlines()[-1].startswith("error: ")
         assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("case, kind, flags", [
+        ("simulate_kl_untuned", "kl_divergence", "--alpha and --s0-mult"),
+        ("estimate_kl_untuned", "kl_divergence", "--alpha and --s0-mult, or --t and --s0"),
+        ("coeffs_l1_untuned", "l1_distance", "--alpha and --s0-mult, or --t and --s0"),
+    ], ids=["simulate", "estimate", "coeffs"])
+    def test_kind_without_preset_names_the_tuning_flags(self, case, kind, flags, tmp_path, capsys):
+        # Refused before any count file is read: this one does not exist.
+        files = {"counts": str(tmp_path / "missing.csv"), "out": str(tmp_path / "out.csv")}
+        assert run_cli(*(arg.format(**files) for arg in MALFORMED[case])) == 1
+        assert capsys.readouterr().err == f"error: {kind} has no preset tuning; amplified needs {flags}\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])

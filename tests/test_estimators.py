@@ -449,9 +449,10 @@ def batched_cases():
         "power_sum": power_sum(2.0), "dist_to_uniform": distance_to_uniformity(1000),
         "l1_distance": l1_distance(q), "kl_divergence": kl_divergence(q),
     }
+    assert {spec.kind for spec in kinds.values()} == set(KINDS)
     for n in (150, 1000, 59948):
         for name, spec in kinds.items():
-            tuning = {"preset": False, "alpha": 0.5, "s0_mult": 2.0} if spec.q is not None else {}
+            tuning = {"preset": False, "alpha": 0.5, "s0_mult": 2.0} if KINDS[spec.kind].preset is None else {}
             for t_decay in (True, False):
                 yield f"{name}-{n}-{t_decay}", spec, derive_params(n, spec, t_decay=t_decay, **tuning), None
     manual = derive_params(1000, entropy(), preset=False, alpha=0.3, s0_mult=1.0, t_decay=False)
@@ -505,19 +506,14 @@ class TestBatchedWeights:
 
 
 UNIFORM_KL = kl_divergence(np.full(10**4, 1e-4))
-# One set per route, at the tunings its estimates use: README entropy, the kl and support_size benchmarks.
-ROUTE_CASES = [
-    pytest.param(entropy(), derive_params(1e3, entropy()), None, id="entropy-1e3"),
-    pytest.param(entropy(), derive_params(59948.0, entropy()), None, id="entropy-59948"),
-    pytest.param(UNIFORM_KL, derive_params(1e4, UNIFORM_KL, preset=False, alpha=0.5, s0_mult=4.0), 1e-4, id="kl-1e4"),
-    pytest.param(support_size(10**6), derive_params(1e5, support_size(10**6)), None, id="support_size-1e5"),
-]
 
 
 class TestRoutes:
-    """The weight routes of entropy, kl and support_size, and which entries take them."""
+    """The kinds' weight routes, and which entries take them."""
 
-    @pytest.mark.parametrize("spec, params, q_x", ROUTE_CASES)
+    @pytest.mark.parametrize("spec, params, q_x", [
+        pytest.param(*case, id=f"{case[0].kind}-{case[1].rate:g}") for case in selfcheck._route_cases()
+    ])
     def test_entries_match_exact_weights(self, spec, params, q_x):
         # Every v <= 120 and a stride of 16 up to u_max, against f evaluated in decimal.
         counts = sorted(set(range(1, min(120, params.u_max) + 1)) | set(range(1, params.u_max + 1, 16)) | {params.u_max})
@@ -532,7 +528,7 @@ class TestRoutes:
 
     @pytest.mark.parametrize("n", [150, 1e3, 1e4, 1e5, 1e6])
     def test_tail_is_one_under_every_preset(self, n):
-        for kind in ("entropy", "support_size", "support_coverage", "power_sum", "dist_to_uniform"):
+        for kind in [kind for kind, record in KINDS.items() if record.preset is not None]:
             spec = PropertySpec(kind, **{name: 1000 for name in KINDS[kind].reads})
             assert estimators._tail_is_one(derive_params(n, spec)), kind
         kl = kl_divergence(np.full(4, 0.25))
@@ -551,12 +547,11 @@ class TestRoutes:
         monkeypatch.setattr(estimators, "log_poisson_tail_table", refuse)
         monkeypatch.setattr(estimators, "log_factorials", refuse)
         dist = make_distribution("zipf", 1000)
-        for spec, params in (
-            (entropy(), derive_params(2e4, entropy())),
-            (support_size(1000), derive_params(2e4, support_size(1000))),
-            (kl_divergence(dist.probs), derive_params(2e4, kl_divergence(dist.probs), preset=False, alpha=0.5,
-                                                      s0_mult=4.0)),
-        ):
+        given = {"k": 1000, "m": 2e4, "a": 2.0, "q": dist.probs}  # kl's q: one row per distinct mass
+        for kind in [kind for kind, record in KINDS.items() if record.weights is not None]:
+            spec = PropertySpec(kind, **{name: given[name] for name in KINDS[kind].reads})
+            tuning = {} if KINDS[kind].preset else {"preset": False, "alpha": 0.5, "s0_mult": 4.0}
+            params = derive_params(2e4, spec, **tuning)
             sample = split_sample(dist, 2e4, rng=np.random.default_rng(1))
             tables = build_coefficient_tables(spec, params)
             assert amplified_estimate_detailed(sample, spec, params, tables).n_small > 0
@@ -566,7 +561,7 @@ class TestRoutes:
     def test_weights_past_doubles_are_clamped(self, spec):
         # Without decay t stays at 17.3, 7.3 and 4.7 up to u_max: (1 - t)^v, and the weight,
         # pass the 1e100 cap and, for entropy and support_size, 1e308.
-        tuning = {"preset": False, "alpha": 0.5, "s0_mult": 16.0} if spec.q is not None else {}
+        tuning = {"preset": False, "alpha": 0.5, "s0_mult": 16.0} if KINDS[spec.kind].preset is None else {}
         params = derive_params(1e6, spec, t_decay=False, **tuning)
         tables = build_coefficient_tables(spec, params)
         assert tables.route is not None
@@ -825,15 +820,15 @@ class TestAmplified:
         assert detail.small_sum == 0.0
 
     def test_flag_counts_are_per_estimate(self):
-        # support_coverage, which has no weight route, without decay: its series
-        # entries cancel from v=12 and clamp from v=123 on, both at or below
-        # u_max 155; the clamped ones cancel too.
-        spec, params = support_coverage(2000.0), EstimatorParams(1000.0, 5.0, 13, t_decay=False)
+        # power_sum at a non-integer exponent, which has no weight route, without
+        # decay: its series entries cancel from v=23 and clamp from v=123 on, both
+        # at or below u_max 155; the clamped ones cancel too.
+        spec, params = power_sum(1.5), EstimatorParams(1000.0, 5.0, 13, t_decay=False)
         (table,) = build_coefficient_tables(spec, params).tables
         table.values
         assert params.u_max == 155 == table.v_max
-        assert np.flatnonzero(table.clamped)[0] == 123 and np.flatnonzero(table.cancelled)[0] == 12
-        clamped, cancelled, clean = 123, 12, 5
+        assert np.flatnonzero(table.clamped)[0] == 123 and np.flatnonzero(table.cancelled)[0] == 23
+        clamped, cancelled, clean = 123, 23, 5
         assert not table.cancelled[clean]
         reads_all = SplitSample(hist(clamped, cancelled, clean), hist(), rate=params.rate)
         detail = amplified_estimate_detailed(reads_all, spec, params)

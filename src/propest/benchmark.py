@@ -28,6 +28,7 @@ from .distributions import (
 from .estimators import (
     amplified_estimate,
     build_coefficient_tables,
+    check_manual_tuning,
     derive_params,
     empirical,
     modified_empirical,
@@ -148,6 +149,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown split mode {self.split_mode!r}")
         if (self.alpha is None) != (self.s0_mult is None):
             raise ValueError("alpha and s0_mult must be given together")
+        if self.alpha is not None:  # checked once here, not in every amplified cell
+            check_manual_tuning(self.alpha, self.s0_mult)
 
 
 @dataclass(frozen=True)

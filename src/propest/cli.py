@@ -25,12 +25,13 @@ UTF-8, with or without a byte-order mark; a byte that is not exits 1 with
 request, their bodies joined (each line and field stripped first, unless
 all are plain: ASCII, no padding, no blank line).  It checks the commas,
 reads every count and l1/kl id of 1..18 digits (``int()`` reads the fields
-when some field is not of that form), and ranks opaque labels by their
-UTF-8 bytes in order of first appearance over ``--counts`` then
-``--counts2``.  Faults are reported as if the files were read one at a
-time, each checked one rule at a time (commas, integer counts, count range,
-symbol ids, duplicates): the first failing rule of the first failing file,
-at its first offending line, numbered as in the file.
+when some field is not of that form), and ranks opaque labels in order of
+first appearance over ``--counts`` then ``--counts2``, by one stable sort of
+their UTF-8 bytes read as big-endian 8-byte words.  Faults are reported as
+if the files were read one at a time, each checked one rule at a time
+(commas, integer counts, count range, symbol ids, duplicates): the first
+failing rule of the first failing file, at its first offending line,
+numbered as in the file.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
     """Parse count files (format in the module docstring) to int64 ``(ids, counts)`` each, and the labels.
 
     l1/kl ids index q (``5``, ``05`` and ``+5`` are one symbol) and there are no labels (None); other
-    symbols are labels, with ids by first appearance and their keys (:func:`_keys`) returned in id
-    order.  A fault is reported only if every file before its file passes every rule.
+    symbols are labels, with ids by first appearance, returned in id order as each label's bytes and
+    its comma (an ``S`` array, or ``bytes`` objects when :func:`_keys` falls back to them).  A fault
+    is reported only if every file before its file passes every rule.
     """
     contents, bodies = [], []  # a body: the lines after any header, without the last line break
     for i, path in enumerate(paths):
@@ -230,11 +232,22 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
     counts = parse(1, commas + 1, breaks[1:], 1, 2**63 - 1,
                    lambda s: f"count {s!r} not an integer", lambda s: f"count {s!r} outside 1..2^63-1")
     if spec.q is None:
-        keys = _keys(b, starts, commas)  # one sort of every file's labels ranks them by first appearance
-        _, at, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        first = np.zeros(len(keys), dtype=bool)
-        first[at] = True  # where each label first appears
-        x, labels = (np.cumsum(first) - 1)[at][inverse], keys[first]
+        keys = _keys(b, starts, commas)
+        # One stable sort of every file's keys, the first column primary, ranks the labels by first appearance.
+        order = np.lexsort(keys[::-1])
+        begins = np.zeros(len(order), dtype=bool)  # where a key begins in sorted order
+        begins[0] = True
+        for key in keys:
+            ranked = key[order]
+            begins[1:] |= ranked[1:] != ranked[:-1]
+        at = order[begins]  # each key's first appearance: equal keys keep their file order
+        first = np.zeros(len(order), dtype=bool)
+        first[at] = True
+        x = np.empty(len(order), dtype=np.int64)
+        x[order] = (np.cumsum(first)[at] - 1)[np.cumsum(begins) - 1]
+        distinct = [key[first] for key in keys]  # in id order
+        labels = distinct[0] if distinct[0].dtype == object else \
+            np.column_stack(distinct).astype(">u8").view(f"S{8 * len(distinct)}").ravel()
     else:
         x, labels = parse(0, starts, commas, 0, len(spec.q) - 1,
                           lambda s: f"{spec.kind} requires integer symbol ids indexing q",
@@ -263,25 +276,30 @@ def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray |
     return values
 
 
-def _keys(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Keys of the fields ``b[starts[i]:ends[i]]``: equal keys, equal bytes.
+# Masks that keep a word's first m bytes, m = 0..8.
+_KEEP = np.array([(1 << 64) - (1 << 8 * (8 - m)) for m in range(9)], dtype=np.uint64)
+
+
+def _keys(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[np.ndarray]:
+    """Keys of the fields ``b[starts[i]:ends[i]]`` as columns, the first primary: equal keys, equal bytes.
 
     A key is the field's bytes and the byte after it (the comma that ends a
-    symbol), zero-padded to one ``S`` width.  numpy strips an ``S`` value's
-    trailing zero bytes, so without that last nonzero byte ``a`` and
-    ``a\\x00`` would be one key.  When padding every field to the longest
-    would take over 8 bytes a byte of ``b`` (a few long labels), the keys are
-    those bytes unpadded, one ``bytes`` object each in an object array.
+    symbol), as big-endian ``uint64`` words: column ``j`` holds the 8 bytes
+    from each field's start plus ``8 j``, zeroed past the key's end.  The
+    comma is the key's last nonzero byte, so ``a`` and ``a\\x00`` differ.
+    Big-endian words sort as the bytes do, so a file written in symbol order
+    stays in runs.  When the words would take over 8 bytes a byte of ``b``
+    (a few long labels), the key is one column of those bytes, one ``bytes``
+    object each in an object array.
     """
-    lengths = ends - starts
-    width = int(lengths.max()) + 1
-    if len(starts) * width > 8 * len(b):
+    sizes = ends - starts + 1
+    words = -(-int(sizes.max()) // 8)
+    if len(starts) * words > len(b):
         data = b.tobytes()
-        return np.array([data[i:j] for i, j in zip(starts.tolist(), (ends + 1).tolist())], dtype=object)
-    keys = np.zeros((len(starts), width), dtype=np.uint8)
-    for p in range(width):
-        keys[:, p] = b.take(starts + p, mode="clip") * (p <= lengths)
-    return keys.view(f"S{width}").ravel()
+        return [np.array([data[i:j] for i, j in zip(starts.tolist(), (ends + 1).tolist())], dtype=object)]
+    padded = np.concatenate([b, np.zeros(8 * words, dtype=np.uint8)])  # no word reads past b's end
+    windows = np.ndarray(len(padded) - 7, dtype=">u8", buffer=padded, strides=(1,))  # the 8 bytes from each byte
+    return [windows[starts + 8 * j] & _KEEP.take(sizes - 8 * j, mode="clip") for j in range(words)]
 
 
 def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, labels: np.ndarray) -> Histogram:
@@ -316,11 +334,16 @@ READ_BY = {
 
 
 def _check_read(args, choices: dict) -> None:
-    """Reject a given flag that no chosen value reads; ``choices`` maps each choice to its values."""
+    """Reject a given flag that no chosen value reads, or ``--alpha`` or ``--s0-mult`` without the other.
+
+    ``choices`` maps each choice to its values.
+    """
     for name, (choice, readers) in READ_BY.items():
         if choice in choices and getattr(args, name, None) is not None and not readers & choices[choice]:
             chosen = ",".join(sorted(filter(None, choices[choice])))
             raise UsageError(f"{choice} {chosen} does not read --{name.replace('_', '-')}")
+    if (args.alpha is None) != (args.s0_mult is None):
+        raise UsageError("--alpha and --s0-mult must be given together")
 
 
 def _library_flags(args) -> dict:
@@ -335,8 +358,6 @@ def _require_tuning(kind: str, flags: str) -> None:
 
 
 def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> EstimatorParams:
-    if (args.alpha is None) != (args.s0_mult is None):
-        raise UsageError("--alpha and --s0-mult must be given together")
     if args.t is not None or args.s0 is not None:
         if args.t is None or args.s0 is None:
             raise UsageError("--t and --s0 must be given together")

@@ -131,6 +131,14 @@ class EstimatorParams:
         return damp if damp > _DECAY_FLOOR else _DECAY_FLOOR
 
 
+def check_manual_tuning(alpha: float, s0_mult: float) -> None:
+    """Refuse a manual tuning whose ``alpha`` is outside [0, 1] or whose ``s0_mult`` is not positive (NaN is either)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must be in [0, 1], got {alpha!r}")
+    if not s0_mult > 0:
+        raise ParameterError(f"s0_mult must be positive, got {s0_mult!r}")
+
+
 def derive_params(
     total_n: float,
     spec: PropertySpec,
@@ -163,10 +171,7 @@ def derive_params(
     else:
         if alpha is None or s0_mult is None:
             raise ParameterError("manual tuning requires both alpha and s0_mult")
-        if not 0.0 <= alpha <= 1.0:
-            raise ParameterError(f"alpha must be in [0, 1], got {alpha!r}")
-        if not s0_mult > 0:
-            raise ParameterError(f"s0_mult must be positive, got {s0_mult!r}")
+        check_manual_tuning(alpha, s0_mult)
         coeff, expo, mult = 1.0, 1.0 - alpha, s0_mult
     t = coeff * log_n**expo + 1.0
     if not t > MIN_T:
@@ -307,7 +312,9 @@ class CoefficientTables:
         with self._lock:
             missing = keys[~self._computed[keys]]
             if missing.size:
-                self._compute(np.unique(missing))
+                need = np.zeros(len(self._computed), dtype=bool)
+                need[missing] = True
+                self._compute(np.flatnonzero(need))
             weights = self._values[keys]
         if not self._flagged:
             return weights, 0, 0

@@ -101,6 +101,19 @@ class TestConfigValidation:
                 trials=2, seed=0, **manual,
             )
 
+    @pytest.mark.parametrize("manual, message", [
+        (dict(alpha=2.0, s0_mult=2.0), r"alpha must be in \[0, 1\], got 2.0"),
+        (dict(alpha=0.5, s0_mult=-1.0), "s0_mult must be positive, got -1.0"),
+        (dict(alpha=math.nan, s0_mult=2.0), r"alpha must be in \[0, 1\], got nan"),
+    ], ids=["alpha_2", "s0_mult_negative", "alpha_nan"])
+    def test_manual_tuning_checked_before_any_cell(self, manual, message):
+        # Every amplified cell used to fail on its own, each leaving a nan row.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(
+                spec=entropy(), family="uniform", k=4, n_grid=(100,),
+                trials=2, seed=0, **manual,
+            )
+
     def test_repeated_estimator(self):
         with pytest.raises(ValueError, match="repeated"):
             ExperimentConfig(

@@ -431,6 +431,8 @@ SIM_OUT = ("--out", "{out}")
 SIM_UNIFORM = ("--dist", "uniform", "--k", "10", *SIM_EMPIRICAL)
 SIM_ENTROPY = ("simulate", "--property", "entropy", *SIM_UNIFORM)
 ENTROPY_T_S0 = ("--property", "entropy", "--rate", "1000", "--t")
+SIM_AMPLIFIED = ("simulate", "--property", "entropy", "--dist", "zipf", "--k", "100", "--n-grid", "1000",
+                 "--trials", "1", "--estimators", "amplified", "--out", "{out}")
 
 MALFORMED = {
     "negative_rate": (
@@ -464,6 +466,11 @@ MALFORMED = {
     "coeffs_s0_mult_without_alpha": (
         "coeffs", "--property", "entropy", "--rate", "1000", "--s0-mult", "2", "--out", "{out}",
     ),
+    # simulate named the library's parameters, and ran every cell on a tuning no cell can take.
+    "simulate_s0_mult_without_alpha": (*SIM_AMPLIFIED, "--s0-mult", "2"),
+    "simulate_alpha_2": (*SIM_AMPLIFIED, "--alpha", "2", "--s0-mult", "2"),
+    "simulate_s0_mult_negative": (*SIM_AMPLIFIED, "--alpha", "0.5", "--s0-mult", "-1"),
+    "simulate_alpha_nan": (*SIM_AMPLIFIED, "--alpha", "nan", "--s0-mult", "2"),
     "kl_zero_reference_mass": (*COEFFS_KL_AT_QX, "0"),
     "kl_without_reference_mass": COEFFS_KL_AT_QX[:-1],
     "negative_reference_mass": (*COEFFS_KL_AT_QX, "-0.5"),
@@ -593,6 +600,18 @@ class TestMalformedInput:
         assert run_cli(*(arg.format(**files) for arg in MALFORMED[case])) == 1
         assert capsys.readouterr().err == f"error: {kind} has no preset tuning; amplified needs {flags}\n"
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("simulate_s0_mult_without_alpha", "--alpha and --s0-mult must be given together"),
+        ("simulate_alpha_2", "alpha must be in [0, 1], got 2.0"),
+        ("simulate_s0_mult_negative", "s0_mult must be positive, got -1.0"),
+        ("simulate_alpha_nan", "alpha must be in [0, 1], got nan"),
+    ], ids=["s0_mult_alone", "alpha_2", "s0_mult_negative", "alpha_nan"])
+    def test_simulate_tuning_refused_before_any_cell(self, case, message, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run_cli(*(arg.format(out=out) for arg in MALFORMED[case])) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("command", ["estimate", "coeffs"])
@@ -1215,8 +1234,12 @@ pads = st.sampled_from(["", " ", "\t", "\x1c", "\u2028"])
 kl_ids = st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(0, Q_LEN - 1))
 # A small alphabet, so that the two streams share labels.  Its labels that
 # differ only by a trailing zero byte or by Unicode normalisation must stay
-# apart.
-labels = st.sampled_from(["a", "b", "c d", "", "5", "05", "+5", "a\x00", "\x00", "\u00e9", "e\u0301"])
+# apart.  Keys (a label and its comma) are read as 8-byte words: the keys
+# of 7, 8, 9, 16 and 17 bytes, the one ending in a zero byte and the 2-byte
+# character across a word boundary sit at the words' edges.
+labels = st.sampled_from(["a", "b", "c d", "", "5", "05", "+5", "a\x00", "\x00", "\u00e9", "e\u0301",
+                          "abcdef", "abcdefg", "abcdefg\x00", "abcdefgh", "abcdefghijklmno", "abcdefghijklmnop",
+                          "abcdefg\u00e9"])
 good_counts = st.one_of(
     st.builds("{}{}".format, st.sampled_from(["", "+", "0"]), st.integers(1, 50)),
     st.sampled_from(["1_000", str(2**63 - 1)]),
@@ -1277,6 +1300,32 @@ def test_reader_matches_line_by_line_reference(stream_paths, case, two_streams):
         path.write_text(text, encoding="utf-8", newline="")
     paths = stream_paths if two_streams else stream_paths[:1]
     assert_reads_like_reference(paths, spec)
+
+
+@given(files=st.lists(st.lists(st.tuples(labels, good_counts), max_size=10, unique_by=lambda entry: entry[0]),
+                      min_size=2, max_size=2))
+@settings(max_examples=50, deadline=None)
+def test_one_sort_ranks_the_labels(stream_paths, files):
+    """Both files' labels are ranked by one ``np.lexsort`` call, and no ``np.unique`` runs over their keys."""
+    for path, entries in zip(stream_paths, files):
+        path.write_text("".join(f"{label},{count}\n" for label, count in entries), encoding="utf-8", newline="")
+    sorts, uniques = [], []
+    lexsort, unique = np.lexsort, np.unique
+
+    def counted_lexsort(keys, *args, **kwargs):
+        sorts.append(len(keys))
+        return lexsort(keys, *args, **kwargs)
+
+    def counted_unique(values, *args, **kwargs):
+        uniques.append(np.asarray(values).dtype)
+        return unique(values, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np, "lexsort", counted_lexsort)
+        m.setattr(np, "unique", counted_unique)
+        cli._read_count_files([str(path) for path in stream_paths], PropertySpec("entropy"))
+    assert len(sorts) == (1 if any(files) else 0) and uniques == []
+    assert_reads_like_reference(stream_paths, PropertySpec("entropy"))
 
 
 def test_long_label_read_without_padding(stream_paths):

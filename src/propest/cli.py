@@ -26,12 +26,13 @@ request, their bodies joined (each line and field stripped first, unless
 all are plain: ASCII, no padding, no blank line).  It checks the commas,
 reads every count and l1/kl id of 1..18 digits (``int()`` reads the fields
 when some field is not of that form), and ranks opaque labels in order of
-first appearance over ``--counts`` then ``--counts2``, by one stable sort of
-their UTF-8 bytes read as big-endian 8-byte words.  Faults are reported as
-if the files were read one at a time, each checked one rule at a time
-(commas, integer counts, count range, symbol ids, duplicates): the first
-failing rule of the first failing file, at its first offending line,
-numbered as in the file.
+first appearance over ``--counts`` then ``--counts2``, by their UTF-8 bytes
+read as big-endian 8-byte words: one stable sort by the first word, and one
+more for each later word that tells apart labels the words before it did
+not.  Faults are reported as if the files were read one at a time, each
+checked one rule at a time (commas, integer counts, count range, symbol ids,
+duplicates): the first failing rule of the first failing file, at its first
+offending line, numbered as in the file.
 """
 
 from __future__ import annotations
@@ -233,12 +234,17 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
                    lambda s: f"count {s!r} not an integer", lambda s: f"count {s!r} outside 1..2^63-1")
     if spec.q is None:
         keys = _keys(b, starts, commas)
-        # One stable sort of every file's keys, the first column primary, ranks the labels by first appearance.
-        order = np.lexsort(keys[::-1])
-        begins = np.zeros(len(order), dtype=bool)  # where a key begins in sorted order
-        begins[0] = True
-        for key in keys:
+        # A stable sort of every file's keys by their first column ranks the labels by first appearance.  A
+        # later column sorts them again, within the runs of keys equal so far, only if it splits such a run:
+        # a full sort of every column would cost more than a string sort on files in label order.
+        order = np.lexsort(keys[:1])
+        ranked = keys[0][order]
+        begins = np.append(True, ranked[1:] != ranked[:-1])  # where a run of equal keys begins in sorted order
+        for key in keys[1:]:
             ranked = key[order]
+            if ((ranked[1:] != ranked[:-1]) & ~begins[1:]).any():
+                order = order[np.lexsort((ranked, np.cumsum(begins)))]
+                ranked = key[order]
             begins[1:] |= ranked[1:] != ranked[:-1]
         at = order[begins]  # each key's first appearance: equal keys keep their file order
         first = np.zeros(len(order), dtype=bool)

@@ -310,11 +310,9 @@ class CoefficientTables:
         """
         keys = v if self.unique_q is None else rows * (self.v_max + 1) + v
         with self._lock:
-            missing = keys[~self._computed[keys]]
+            missing = np.sort(keys[~self._computed[keys]])
             if missing.size:
-                need = np.zeros(len(self._computed), dtype=bool)
-                need[missing] = True
-                self._compute(np.flatnonzero(need))
+                self._compute(missing[np.append(True, missing[1:] != missing[:-1])])  # each entry once
             weights = self._values[keys]
         if not self._flagged:
             return weights, 0, 0

@@ -310,8 +310,9 @@ class CoefficientTables:
         """
         keys = v if self.unique_q is None else rows * (self.v_max + 1) + v
         with self._lock:
-            missing = np.sort(keys[~self._computed[keys]])
-            if missing.size:
+            computed = self._computed[keys]
+            if not computed.all():
+                missing = np.sort(keys[~computed])
                 self._compute(missing[np.append(True, missing[1:] != missing[:-1])])  # each entry once
             weights = self._values[keys]
         if not self._flagged:
@@ -520,6 +521,40 @@ class AmplifiedEstimate:
     n_cancelled: int
 
 
+def _split_branches(
+    spec: PropertySpec, params: EstimatorParams, tables: CoefficientTables, c1: np.ndarray, c2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | int, np.ndarray]:
+    """The small branch's counts and table rows, and the large branch's terms, each in summation order.
+
+    A symbol seen only in the second stream adds an exact +0.0 to its
+    branch: to the small one as a read at count 0, which weighs 0, and to
+    the large one as a trailing zero.  Each full-length mask is one ufunc,
+    and the masks read last are overwritten in place; none outlives this call.
+    """
+    seen1 = c1 > 0
+    large2 = c2 > params.s0
+    small = np.greater(seen1, large2)  # seen1 and not large2
+    n_large2 = int(np.count_nonzero(large2))
+    large = np.logical_and(seen1, large2, out=large2)
+    only2_large = n_large2 - int(np.count_nonzero(large))
+    only2 = int(np.count_nonzero(c2)) - int(np.count_nonzero(np.logical_and(seen1, c2, out=seen1)))
+    # np.compress gathers through a dense, irregular mask several times
+    # faster than boolean indexing does.
+    large_values = eval_fx_many(spec, large, np.compress(large, c1) / params.rate)
+    if only2_large:
+        large_values = np.concatenate((large_values, np.zeros(only2_large)))
+    n_small = int(np.count_nonzero(small))
+    v = np.zeros(n_small + only2 - only2_large, dtype=np.int64)
+    # np.compress's two steps, nonzero then take, with take writing straight
+    # into v: in its default mode="raise" it would gather into a copy first.
+    np.take(c1, np.flatnonzero(small), out=v[:n_small], mode="clip")
+    rows = 0
+    if tables.unique_q is not None:
+        rows = np.zeros(len(v), dtype=np.int64)
+        rows[:n_small] = tables.table_for_symbols(small)
+    return v, rows, large_values
+
+
 def amplified_estimate_detailed(
     sample: SplitSample,
     spec: PropertySpec,
@@ -534,7 +569,8 @@ def amplified_estimate_detailed(
     past which weights mean nothing).  The others contribute the plug-in
     value ``f_x(N_x / rate)``.  ``tables``, if given, fit ``spec`` and ``params``;
     the small branch reads them in one :meth:`CoefficientTables.read`, at
-    each symbol's count and, when ``q`` has several masses, its row.
+    each symbol's first-stream count and, when ``q`` has several masses, its
+    row; an overflowing count is read as count 0, which weighs 0.
 
     Each branch is summed by numpy's pairwise ``sum``, whose bits depend on
     the order of its terms: the symbols seen in the first stream, ascending,
@@ -550,30 +586,13 @@ def amplified_estimate_detailed(
         raise ValueError("tables were built for other params or another property than the estimate's")
 
     c1, c2 = _count_vectors(spec, sample.first, sample.second)
-    seen1 = c1 > 0
-    large2 = c2 > params.s0
-    small, large = seen1 & ~large2, seen1 & large2
-    # A symbol seen only in the second stream adds an exact +0.0 to its
-    # branch, so only their number is kept; see the docstring on order.
-    only2 = ~seen1 & (c2 > 0)
-    only2_large = int(np.count_nonzero(only2 & large2))
-    only2_small = int(np.count_nonzero(only2)) - only2_large
-
-    # np.compress gathers through a dense, irregular mask several times
-    # faster than boolean indexing does.
-    v_small = np.compress(small, c1)
-    read_max = min(tables.v_max, params.u_max)
-    overflow = int(np.count_nonzero(v_small > read_max))
-    pick = v_small <= read_max if overflow else slice(None)
-    rows = 0 if tables.unique_q is None else tables.table_for_symbols(small)[pick]
-    weights = np.zeros(len(v_small) + only2_small)
-    weights[: len(v_small)][pick], n_clamped, n_cancelled = tables.read(rows, v_small[pick])
-    small_sum = float(weights.sum())
-
-    large_values = eval_fx_many(spec, large, np.compress(large, c1) / params.rate)
-    if only2_large:
-        large_values = np.concatenate((large_values, np.zeros(only2_large)))
-    large_sum = float(large_values.sum())
+    v, rows, large_values = _split_branches(spec, params, tables, c1, c2)
+    past = v > min(tables.v_max, params.u_max)
+    overflow = int(np.count_nonzero(past))
+    if overflow:
+        v[past] = 0  # read at count 0, which weighs 0
+    weights, n_clamped, n_cancelled = tables.read(rows, v)
+    small_sum, large_sum = float(weights.sum()), float(large_values.sum())
 
     return AmplifiedEstimate(
         value=small_sum + large_sum + spec.report_offset,

@@ -72,21 +72,26 @@ class Kind:
     weights: Callable[..., np.ndarray] | None = None
 
 
+# Entropy and kl run each ufunc only where p > 0: an entry with p == 0 keeps the
+# zeroed result's +0.0, which negating would turn into -0.0.
+
+
 def _entropy_fx(spec, p, qx):
-    out = np.zeros_like(p)
     pos = p > 0
-    out[pos] = -p[pos] * np.log(p[pos])
-    return out
+    out = np.log(p, out=np.zeros_like(p), where=pos)
+    np.multiply(out, p, out=out, where=pos)
+    return np.negative(out, out=out, where=pos)
 
 
 def _kl_fx(spec, p, qx):
-    out = np.zeros_like(p)
     pos = p > 0
     qx = np.broadcast_to(qx, p.shape)
     if np.any(pos & (qx == 0)):
         raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
-    out[pos] = p[pos] * (np.log(p[pos]) - np.log(qx[pos]))
-    return out
+    out = np.log(p, out=np.zeros_like(p), where=pos)
+    log_qx = np.log(qx, out=None, where=pos)  # unset where p == 0, and never read there
+    np.subtract(out, log_qx, out=out, where=pos)
+    return np.multiply(out, p, out=out, where=pos)
 
 
 # The quadrature's nodes: a tanh-sinh rule of step 1/16 over |s| <= 3.5, 113 of them.
@@ -175,7 +180,7 @@ def _support_coverage_weights(spec, v, t, lam, qx):
 KINDS = {
     "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0),
                     weights=_entropy_weights),
-    "support_size": Kind(("k",), lambda spec, p, qx: (p > 0).astype(np.float64) / spec.k,
+    "support_size": Kind(("k",), lambda spec, p, qx: np.true_divide(p > 0, spec.k),
                          lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0),
                          weights=_support_size_weights),
     "support_coverage": Kind(("m",), lambda spec, p, qx: -np.expm1(-spec.m * p) / spec.m,
@@ -295,7 +300,9 @@ def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx=None) -> np.ndarray:
     ``qx`` is the reference mass, a scalar or an array aligned with ``p``;
     l1/kl require it and the other kinds ignore it.
     """
-    p = np.minimum(np.asarray(p, dtype=np.float64), 1.0)
+    p = np.asarray(p, dtype=np.float64)
+    if p.size and not p.max() <= 1.0:  # a copy only where some p > 1 (or is NaN)
+        p = np.minimum(p, 1.0)
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
     kind = KINDS[spec.kind]
@@ -327,8 +334,7 @@ def exact_value(spec: PropertySpec, p: np.ndarray) -> float:
         )
     if spec.k is not None and p[spec.k:].any():
         raise ValueError(f"{spec.kind} with k={spec.k} admits no mass beyond symbols 0..{spec.k - 1}")
-    values = eval_fx_many(spec, np.arange(len(p)), p)
-    return float(values.sum()) + spec.report_offset
+    return float(eval_fx_grid(spec, p, spec.q).sum()) + spec.report_offset
 
 
 def lipschitz(spec: PropertySpec, h: float) -> float:

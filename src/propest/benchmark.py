@@ -55,6 +55,16 @@ ESTIMATORS = (
     "modified_empirical",
 )
 
+
+def _check_estimators(estimators: Sequence[str]) -> None:
+    """Refuse a name not in :data:`ESTIMATORS`, or one given twice."""
+    unknown = set(estimators) - set(ESTIMATORS)
+    if unknown:
+        raise ValueError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
+    if len(set(estimators)) != len(estimators):
+        raise ValueError(f"estimators repeated: {list(estimators)}")
+
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -139,11 +149,7 @@ class ExperimentConfig:
         if any(n <= 0 for n in grid):
             raise ValueError("n_grid entries must be positive")
         object.__setattr__(self, "n_grid", grid)
-        unknown = set(self.estimators) - set(ESTIMATORS)
-        if unknown:
-            raise ValueError(f"unknown estimators {sorted(unknown)}; choose from {ESTIMATORS}")
-        if len(set(self.estimators)) != len(self.estimators):
-            raise ValueError(f"estimators repeated: {list(self.estimators)}")
+        _check_estimators(self.estimators)
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"unknown split mode {self.split_mode!r}")

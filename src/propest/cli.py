@@ -50,6 +50,7 @@ import numpy as np
 from .benchmark import (
     ESTIMATORS,
     ExperimentConfig,
+    _check_estimators,
     _fmt,
     _formats,
     realized_distribution,
@@ -164,13 +165,12 @@ def _is_int(text: str) -> bool:
     return True
 
 
-def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray | None]:
-    """Parse count files (format in the module docstring) to int64 ``(ids, counts)`` each, and the labels.
+def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[np.ndarray, ...]], int | None]:
+    """Parse count files (format in the module docstring) to int64 ``(ids, counts)`` each, and how many labels.
 
     l1/kl ids index q (``5``, ``05`` and ``+5`` are one symbol) and there are no labels (None); other
-    symbols are labels, with ids by first appearance, returned in id order as each label's bytes and
-    its comma (an ``S`` array, or ``bytes`` objects when :func:`_keys` falls back to them).  A fault
-    is reported only if every file before its file passes every rule.
+    symbols are labels, with ids by first appearance.  A fault is reported only if every file before
+    its file passes every rule.
     """
     contents, bodies = [], []  # a body: the lines after any header, without the last line break
     for i, path in enumerate(paths):
@@ -192,7 +192,7 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
         bodies = ["\n".join(",".join(map(str.strip, line.split(","))) for line in body.split("\n") if line.strip())
                   for body in bodies]
     if not joined:
-        return [(np.zeros(0, dtype=np.int64),) * 2] * len(paths), np.zeros(0, dtype="S1") if spec.q is None else None
+        return [(np.zeros(0, dtype=np.int64),) * 2] * len(paths), 0 if spec.q is None else None
     # The lines up to each body's end: the line breaks up to the one after its last byte.
     ends = [int(np.count_nonzero(nl[1:stop + 1])) for stop in np.cumsum([len(s.encode()) + bool(s) for s in bodies])]
 
@@ -251,11 +251,9 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
         first[at] = True
         x = np.empty(len(order), dtype=np.int64)
         x[order] = (np.cumsum(first)[at] - 1)[np.cumsum(begins) - 1]
-        distinct = [key[first] for key in keys]  # in id order
-        labels = distinct[0] if distinct[0].dtype == object else \
-            np.column_stack(distinct).astype(">u8").view(f"S{8 * len(distinct)}").ravel()
+        n_labels = len(at)
     else:
-        x, labels = parse(0, starts, commas, 0, len(spec.q) - 1,
+        x, n_labels = parse(0, starts, commas, 0, len(spec.q) - 1,
                           lambda s: f"{spec.kind} requires integer symbol ids indexing q",
                           lambda s: f"{spec.kind} symbol ids must lie in 0..{len(spec.q) - 1}, the indices of q"), None
     for i, j in zip([0, *ends], ends):  # each file's lines
@@ -263,7 +261,7 @@ def _read_count_files(paths: list[str], spec: PropertySpec) -> tuple[list[tuple[
             repeated = np.zeros(len(x), dtype=bool)
             repeated[i:j] = np.bincount(np.unique(x[i:j], return_index=True)[1], minlength=j - i) == 0
             fail(repeated, column(0), lambda s: f"duplicate symbol {s!r}")
-    return [(x[i:j], counts[i:j]) for i, j in zip([0, *ends], ends)], labels
+    return [(x[i:j], counts[i:j]) for i, j in zip([0, *ends], ends)], n_labels
 
 
 def _digits(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
@@ -308,9 +306,9 @@ def _keys(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[np.ndarra
     return [windows[starts + 8 * j] & _KEEP.take(sizes - 8 * j, mode="clip") for j in range(words)]
 
 
-def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, labels: np.ndarray) -> Histogram:
+def _histogram(read: tuple[np.ndarray, np.ndarray], spec: PropertySpec, n_labels: int | None) -> Histogram:
     x, counts = read
-    array = np.zeros(len(labels) if spec.q is None else len(spec.q), dtype=np.int64)
+    array = np.zeros(n_labels if spec.q is None else len(spec.q), dtype=np.int64)
     array[x] = counts
     return Histogram(array)
 
@@ -391,6 +389,7 @@ def _amplified_params_from_args(args, total_n: float, spec: PropertySpec) -> Est
 def cmd_simulate(args) -> int:
     kind = PROPERTY_ALIASES[args.property]
     estimators = tuple(tok.strip() for tok in args.estimators.split(","))
+    _check_estimators(estimators)  # before _check_read blames a flag on an unknown name
     _check_read(args, {"--property": {kind}, "--dist": {args.dist}, "--estimator": set(estimators)})
     if "amplified" in estimators and args.alpha is None:
         _require_tuning(kind, "--alpha and --s0-mult")
@@ -445,16 +444,16 @@ def cmd_estimate(args) -> int:
     spec = _spec_from_args(kind, args)
     params = _amplified_params_from_args(args, args.rate, spec) if args.estimator == "amplified" else None
     paths = [path for path in (args.counts, args.counts2) if path is not None]
-    reads, labels = _read_count_files(paths, spec)
+    reads, n_labels = _read_count_files(paths, spec)
     # A stream of rate n totals Poisson(n) counts; a rate <= 0 is the estimator's to refuse.
     if args.rate is not None and args.rate > 0:
         for path, (_, counts) in zip(paths, reads):
             if counts.sum(dtype=np.float64) > args.rate + 10 * math.sqrt(args.rate):
                 raise UsageError(f"{path}: total count {sum(counts.tolist())} is more than 10 standard "
                                  f"deviations above --rate {_fmt(args.rate)}")
-    if spec.k is not None and len(labels) > spec.k:
-        raise UsageError(f"count files hold {len(labels)} distinct symbols, more than --k {spec.k}")
-    hists = [_histogram(read, spec, labels) for read in reads]
+    if spec.k is not None and n_labels > spec.k:
+        raise UsageError(f"count files hold {n_labels} distinct symbols, more than --k {spec.k}")
+    hists = [_histogram(read, spec, n_labels) for read in reads]
     first, second = hists[0], hists[-1]
     lines: list[str] = [f"property={spec.kind}", f"estimator={args.estimator}"]
 

@@ -1,9 +1,11 @@
 """Built-in numerical validation of the coefficient tables, on numpy and the standard library.
 
-The first three checks compare a table's float weights with one exact
-route, :func:`exact_weights`: the same sum in ``decimal``, from the same
-``t``.  For an entry of the signed-log series it takes the same float
-values of ``f_x``, each exactly, and the weight's condition number
+``weights_exact`` and ``coefficient_bound`` read one list of tables,
+:func:`_cases`, each built by :func:`build_coefficient_tables` as an
+estimate builds it.  They compare its float weights with one exact route,
+:func:`exact_weights`: the same sum in ``decimal``, from the same ``t``.
+For an entry of the signed-log series it takes the same float values of
+``f_x``, each exactly, and the weight's condition number
 ``sum |term| / |sum term|``, the factor by which the float sum can amplify
 its rounding, so a tolerance scaled by it fails a corrupted entry and passes
 an honest one.  An entry that a kind's weight route computes sums no series:
@@ -23,11 +25,10 @@ from decimal import Decimal, getcontext, localcontext
 import numpy as np
 
 from .estimators import (
-    CoefficientTables,
     EstimatorParams,
     _coefficient_signed_logs,
     _log_envelope,
-    build_coefficient_table,
+    build_coefficient_tables,
     derive_params,
 )
 from .properties import KINDS, PropertySpec, entropy, eval_fx_grid, kl_divergence, support_coverage, support_size
@@ -134,9 +135,44 @@ class CheckResult:
     detail: str
 
 
-def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, float | None]]:
-    """The tables checked: one small entropy table, and with ``deep`` more kinds, tunings and sizes."""
+# Counts at which each route table is checked, with its u_max.
+_ROUTE_COUNTS = (1, 2, 5, 10, 20, 40)
+_ROUTE_RTOL = Decimal(2) ** -45
+
+
+# The README's scale: its k = 10^4, a coverage horizon m = 2k, a = 2, and q uniform over k symbols.
+_README_SPEC = {"k": 10**4, "m": 2e4, "a": 2.0, "q": np.full(10**4, 1e-4)}
+
+
+def _route_cases() -> list[tuple[PropertySpec, EstimatorParams]]:
+    """One table per tuning of each kind whose :class:`Kind` record has a weight route, at the README's scale.
+
+    A kind with a preset is tuned by it at README n = 1e3 and 59948; one
+    without takes an estimate's kl tuning, alpha 0.5 and s0_mult 4 at
+    n = 1e4.  A kind that reads ``q`` takes it uniform, so that its table
+    has one row, at mass 1e-4.
+    """
+    cases = []
+    for kind, record in KINDS.items():
+        if record.weights is not None:
+            spec = PropertySpec(kind, **{name: _README_SPEC[name] for name in record.reads})
+            if record.preset is None:
+                cases.append((spec, derive_params(1e4, spec, preset=False, alpha=0.5, s0_mult=4.0)))
+            else:
+                cases += [(spec, derive_params(n, spec)) for n in (1e3, 59948.0)]
+    return cases
+
+
+def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, tuple[int, ...] | None]]:
+    """The tables checked, each with the counts read (None: every count from 1).
+
+    One small entropy table and each table of :func:`_route_cases` at
+    ``_ROUTE_COUNTS`` below its ``u_max`` and at ``u_max``; with ``deep``
+    more kinds, tunings and sizes.
+    """
     cases = [(entropy(), EstimatorParams(150.0, 3.0, 1, t_decay=False), None)]
+    cases += [(spec, params, (*(v for v in _ROUTE_COUNTS if v < params.u_max), params.u_max))
+              for spec, params in _route_cases()]
     if deep:
         kl = kl_divergence(np.full(10**4, 1e-4))
         kl_params = derive_params(1e4, kl, preset=False, alpha=0.5, s0_mult=4.0)  # an estimate's kl tuning
@@ -147,31 +183,33 @@ def _cases(deep: bool) -> list[tuple[PropertySpec, EstimatorParams, float | None
             (support_size(1000), EstimatorParams(150.0, 3.0, 1, t_decay=False), None),
             # The README sweep's n = 59948 cell, whose first 60 entries take the entropy route.
             (entropy(), derive_params(59948.0, entropy(), v_max=60), None),
-            (kl, dataclasses.replace(kl_params, v_max=kl_params.u_max), 1e-4),
+            (kl, dataclasses.replace(kl_params, v_max=kl_params.u_max), None),
         ]
     return cases
 
 
-def _table(spec, params, q_x):
-    """A case's float weights and clamp flags, log cap and envelope, and exact weights and conds, from v = 1.
+def _table(spec, params, counts):
+    """A case's float weights and clamp flags at its counts, log cap and envelope, and exact weights and conds.
 
-    A route entry, one that :meth:`CoefficientTables.routed` sends to the
-    kind's route, has its exact weight evaluate ``f_x`` in decimal
-    (``exact_f``) and no condition number (None).
+    The table is built as an estimate builds it, up to the largest count;
+    it has one row, since a case's ``q`` is uniform.  A route entry, one that
+    :meth:`CoefficientTables.routed` sends to the kind's route, has its
+    exact weight evaluate ``f_x`` in decimal (``exact_f``) and no condition
+    number (None).
     """
-    tables = CoefficientTables(spec, params, params.v_max, None if q_x is None else [q_x])
-    table = tables.tables[0]
-    values, clamped = table.values[1:], table.clamped[1:]  # values completes the flags
-    counts = range(1, table.v_max + 1)
-    routed = tables.routed(np.array(counts)).tolist()
+    counts = np.arange(1, params.v_max + 1) if counts is None else np.array(counts)
+    tables = build_coefficient_tables(spec, params, int(counts.max()))
+    (table,) = tables.tables
+    values = table.weights(counts)  # computes the flags at counts
     exact = {}  # v: (exact weight, cond), cond None for a route entry
     for route in (False, True):
-        at = [v for v, r in zip(counts, routed) if r == route]
+        at = counts[tables.routed(counts) == route].tolist()
         if at:
-            weights, conds = exact_weights(spec, params, at, q_x, exact_f=route)
+            weights, conds = exact_weights(spec, params, at, table.q_x, exact_f=route)
             exact.update(zip(at, zip(weights, [None] * len(at) if route else conds)))
-    weights, conds = zip(*(exact[v] for v in counts))
-    return values.tolist(), clamped.tolist(), table.log_clamp_bound, _log_envelope(spec, params), weights, conds
+    weights, conds = zip(*(exact[v] for v in counts.tolist()))
+    return (values.tolist(), table.clamped[counts].tolist(), table.log_clamp_bound, _log_envelope(spec, params),
+            weights, conds)
 
 
 def check_weights_exact(tables) -> CheckResult:
@@ -211,53 +249,6 @@ def check_coefficient_bound(tables) -> CheckResult:
         f"{mismatched} entries whose clamp disagrees"))
 
 
-# Counts at which each route table is checked, with its u_max.
-_ROUTE_COUNTS = (1, 2, 5, 10, 20, 40)
-_ROUTE_RTOL = Decimal(2) ** -45
-
-
-# The README's scale: its k = 10^4, a coverage horizon m = 2k, a = 2, and q uniform over k symbols.
-_README_SPEC = {"k": 10**4, "m": 2e4, "a": 2.0, "q": np.full(10**4, 1e-4)}
-
-
-def _route_cases() -> list[tuple[PropertySpec, EstimatorParams, float | None]]:
-    """One table per tuning of each kind whose :class:`Kind` record has a weight route, at the README's scale.
-
-    A kind with a preset is tuned by it at README n = 1e3 and 59948; one
-    without takes an estimate's kl tuning, alpha 0.5 and s0_mult 4 at
-    n = 1e4.  A kind that reads ``q`` is checked at ``q_x = 1e-4``.
-    """
-    cases = []
-    for kind, record in KINDS.items():
-        if record.weights is not None:
-            spec = PropertySpec(kind, **{name: _README_SPEC[name] for name in record.reads})
-            q_x = None if spec.q is None else 1e-4
-            if record.preset is None:
-                cases.append((spec, derive_params(1e4, spec, preset=False, alpha=0.5, s0_mult=4.0), q_x))
-            else:
-                cases += [(spec, derive_params(n, spec), q_x) for n in (1e3, 59948.0)]
-    return cases
-
-
-def check_routes_exact() -> CheckResult:
-    """Route entries at ``v`` in 1, 2, 5, 10, 20, 40 and ``u_max`` lie within 2^-45 of the exact weights, relative.
-
-    The exact weights evaluate ``f_x`` in decimal (``exact_f``): the float
-    values of ``f_x`` carry a rounding that the series amplifies ~2^v-fold,
-    which a route does not sum.
-    """
-    worst, entries, cases = Decimal(0), 0, _route_cases()
-    for spec, params, q_x in cases:
-        counts = sorted({v for v in _ROUTE_COUNTS if v < params.u_max} | {params.u_max})
-        values = build_coefficient_table(spec, params, q_x=q_x).weights(counts)
-        weights, _ = exact_weights(spec, params, counts, q_x, exact_f=True)
-        for value, weight in zip(values.tolist(), weights):
-            worst = max(worst, abs(Decimal(value) - weight) / abs(weight))
-            entries += 1
-    return CheckResult("routes_exact", worst <= _ROUTE_RTOL, (
-        f"worst |table - exact| / |exact| {worst:.3e} (tolerance 2^-45) over {entries} entries of {len(cases)} route tables"))
-
-
 # The counts at which each route is held to the float series: there the series sums a few
 # terms, and its worst relative gap to a route is 3.51e-13 (entropy, README n = 1e3, v = 10).
 _SERIES_COUNTS = np.arange(1, 11)
@@ -267,40 +258,41 @@ _SERIES_RTOL = 1e-12
 def check_routes_series() -> CheckResult:
     """Route entries at ``v`` in 1..10 lie within 1e-12 of the float signed-log series, relative.
 
-    The route tables of ``routes_exact``; a table that takes no entry from
-    its route fails the check, which would hold the series to itself.
+    The tables of :func:`_route_cases`, built here with no ``decimal``; a
+    table that takes no entry from its route fails the check, which would
+    hold the series to itself.
     """
     worst, routed, cases = 0.0, 0, _route_cases()
-    for spec, params, q_x in cases:
-        v = _SERIES_COUNTS  # a set this long holds prefixes of the full set's tail and factorials
-        tables = CoefficientTables(spec, params, int(v.max()), None if q_x is None else [q_x])
+    v = _SERIES_COUNTS  # a set this long holds prefixes of the full set's tail and factorials
+    for spec, params in cases:
+        tables = build_coefficient_tables(spec, params, int(v.max()))
+        (table,) = tables.tables
         routed += bool(tables.routed(v).all())
-        q = None if q_x is None else np.full(len(v), q_x)
+        q = None if table.q_x is None else np.full(len(v), table.q_x)
         t = np.array([params.t_at(x) for x in v.tolist()])
         series = [sign * math.exp(log_mag) for sign, log_mag, _ in
                   _coefficient_signed_logs(spec, params, v, q, tables.log_tail, tables.log_fact, t)]
-        values = tables.tables[0].weights(v)
+        values = table.weights(v)
         worst = max(worst, float(np.max(np.abs(values - series) / np.abs(values))))
     return CheckResult("routes_series", worst <= _SERIES_RTOL and routed == len(cases), (
         f"worst |route - series| / |route| {worst:.3e} (tolerance 1e-12) at v = 1..10 of "
         f"{routed} of {len(cases)} tables routed there"))
 
 
-_CHECKS = (("weights_exact", check_weights_exact), ("coefficient_bound", check_coefficient_bound))
-
-
 def run_selfcheck(deep: bool = False) -> list[CheckResult]:
     """Run all checks; every result carries a one-line diagnostic.
 
-    Each table of :func:`_cases` is built and evaluated once per run;
-    ``routes_exact`` and ``routes_series`` build their own.  A check that
-    raises is reported as failed, with the exception type and message as its
-    diagnostic, and the remaining checks still run.
+    ``weights_exact`` and ``coefficient_bound`` read each table of
+    :func:`_cases`, built and evaluated once per run; ``routes_series``
+    builds its own.  A check that raises is reported as failed, with the
+    exception type and message as its diagnostic, and the remaining checks
+    still run.
     """
     cases, table = _cases(deep), functools.cache(_table)
-    runs = [(name, lambda check=check: check([table(*case) for case in cases])) for name, check in _CHECKS]
+    runs = [(name, lambda check=check: check([table(*case) for case in cases]))
+            for name, check in (("weights_exact", check_weights_exact), ("coefficient_bound", check_coefficient_bound))]
     results = []
-    for name, run in [*runs, ("routes_exact", check_routes_exact), ("routes_series", check_routes_series)]:
+    for name, run in [*runs, ("routes_series", check_routes_series)]:
         try:
             results.append(run())
         except Exception as exc:

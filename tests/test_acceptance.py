@@ -40,6 +40,7 @@ from propest.properties import (
     KINDS,
     distance_to_uniformity,
     entropy,
+    kl_divergence,
     l1_distance,
     power_sum,
     support_coverage,
@@ -271,16 +272,24 @@ NO_ROUTE = pytest.mark.xfail(raises=AssertionError, strict=True,
                              reason="no weight route until ROADMAP stages 21b and 21c")
 
 
-@pytest.mark.parametrize("spec, ns, tuning", [
-    # The README sweep's two cells where the alternating series failed (v=59
-    # at n=59948 was off by a factor of 744) and one past its grid.
-    pytest.param(entropy(), (35938, 59948, 300000), {}, id="entropy"),
-    pytest.param(power_sum(2.0), (10_000,), {}, id="power_sum"),
-    pytest.param(support_coverage(2e4), (10_000,), {}, id="support_coverage"),
-    pytest.param(distance_to_uniformity(10_000), (10_000,), {}, id="dist_to_uniform"),
-    pytest.param(l1_distance(np.full(10_000, 1e-4)), (10_000,), dict(preset=False, alpha=0.5, s0_mult=4.0),
-                 id="l1"),
-])
+# One case per kind: the README sweep's two cells where the alternating series failed for
+# entropy (v=59 at n=59948 was off by a factor of 744) and one past its grid, and README
+# n = 1e4 for the rest.  A kind without a preset takes an estimate's kl tuning.
+UNIFORM_Q = np.full(10_000, 1e-4)
+MANUAL = dict(preset=False, alpha=0.5, s0_mult=4.0)
+CRITERION_9 = {
+    "entropy": (entropy(), (35938, 59948, 300000), {}),
+    "support_size": (support_size(10_000), (10_000,), {}),
+    "support_coverage": (support_coverage(2e4), (10_000,), {}),
+    "power_sum": (power_sum(2.0), (10_000,), {}),
+    "dist_to_uniform": (distance_to_uniformity(10_000), (10_000,), {}),
+    "l1_distance": (l1_distance(UNIFORM_Q), (10_000,), MANUAL),
+    "kl_divergence": (kl_divergence(UNIFORM_Q), (10_000,), MANUAL),
+}
+assert set(CRITERION_9) == set(KINDS), "criterion 9 has no case for some kind"
+
+
+@pytest.mark.parametrize("spec, ns, tuning", [pytest.param(*CRITERION_9[kind], id=kind) for kind in KINDS])
 def test_criterion_9_weights_read_are_exact(spec, ns, tuning, request):
     if KINDS[spec.kind].weights is None:
         request.applymarker(NO_ROUTE)

@@ -613,6 +613,18 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("estimators, flags, message", [
+        ("foo", ("--alpha", "0.5", "--s0-mult", "4"), f"unknown estimators ['foo']; choose from {cli.ESTIMATORS}"),
+        ("thinned", ("--split-mode", "thinned"), f"unknown estimators ['thinned']; choose from {cli.ESTIMATORS}"),
+        ("empirical,empirical", ("--split-mode", "thinned"), "estimators repeated: ['empirical', 'empirical']"),
+    ], ids=["unknown_with_alpha", "unknown_with_split_mode", "repeated_with_split_mode"])
+    def test_simulate_estimator_names_refused_before_their_flags(self, estimators, flags, message, tmp_path, capsys):
+        # A flag that amplified alone reads was blamed on the unknown or repeated name.
+        out = tmp_path / "out.csv"
+        assert run_cli(*SIM_AMPLIFIED[:-4], "--estimators", estimators, *flags, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     @pytest.mark.parametrize("command", ["estimate", "coeffs"])
     def test_q_uniform_needs_k_of_at_least_1(self, command, k, counts_file, tmp_path, capsys):
@@ -755,19 +767,20 @@ class TestSelfcheck:
     def test_passes_and_prints_one_line_per_check(self, capsys):
         assert run_cli("selfcheck") == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 3
         assert "[FAIL]" not in out
 
-    def test_route_missing_a_quadrature_node_fails_routes_exact(self, monkeypatch, capsys):
+    def test_route_missing_a_quadrature_node_fails_weights_exact(self, monkeypatch, capsys):
         nodes = propest.properties._quadrature_nodes()
         middle = len(nodes[0]) // 2
         monkeypatch.setattr(propest.properties, "_quadrature_nodes", lambda: tuple(np.delete(a, middle) for a in nodes))
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split(":")[0] for line in lines] == ["[PASS] weights_exact", "[PASS] coefficient_bound",
-                                                          "[FAIL] routes_exact", "[FAIL] routes_series"]
+        assert [line.split(":")[0] for line in lines] == ["[FAIL] weights_exact", "[PASS] coefficient_bound",
+                                                          "[FAIL] routes_series"]
 
-    def test_route_with_the_log_term_flipped_fails_routes_exact(self, monkeypatch, capsys):
+    def test_route_with_the_log_term_flipped_fails_weights_exact_and_routes_series(self, monkeypatch, capsys):
+        # routes_series catches it with the float series alone.
         properties = propest.properties
 
         def flipped(spec, v, t, lam, qx):
@@ -775,18 +788,28 @@ class TestSelfcheck:
 
         monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=flipped))
         assert run_cli("selfcheck") == 2
-        assert "[FAIL] routes_exact: " in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("[FAIL] weights_exact: ") and lines[2].startswith("[FAIL] routes_series: ")
 
-    def test_route_with_the_log_term_flipped_fails_routes_series(self, monkeypatch, capsys):
-        # The same mutant, caught by the float series alone.
+    @pytest.mark.parametrize("mutate, failed", [
+        (lambda w: w * (1 + 1e-9), "weights_exact"),
+        (lambda w: np.full_like(w, 1e101), "coefficient_bound"),
+    ], ids=["off_by_1e_9", "past_1e101"])
+    def test_route_entry_at_v_20_fails_one_check(self, monkeypatch, capsys, mutate, failed):
+        # README n = 1e3 reads its v = 20 weight from the entropy route.  A weight past 1e101 is
+        # clamped, which weights_exact skips and coefficient_bound holds to the exact weight.
         properties = propest.properties
+        real = properties.KINDS["entropy"].weights
 
-        def flipped(spec, v, t, lam, qx):
-            return v * t / lam * (-np.log(lam) - properties._log1p_mean(v - 1.0, t))
+        def mutated(spec, v, t, lam, qx):
+            weights = real(spec, v, t, lam, qx)
+            return np.where(v == 20, mutate(weights), weights)
 
-        monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=flipped))
+        monkeypatch.setitem(properties.KINDS, "entropy", dataclasses.replace(properties.KINDS["entropy"], weights=mutated))
         assert run_cli("selfcheck") == 2
-        assert capsys.readouterr().out.splitlines()[-1].startswith("[FAIL] routes_series: ")
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"[{'FAIL' if name == failed else 'PASS'}] {name}" for name in ("weights_exact", "coefficient_bound", "routes_series")]
 
     def test_route_entry_off_by_1e_9_fails_deep_weights_exact(self, monkeypatch, capsys):
         # README n = 59948 reads its v = 59 weight from the entropy route.  The series' condition
@@ -833,8 +856,8 @@ class TestSelfcheck:
         assert run_cli("selfcheck") == 2
         lines = capsys.readouterr().out.splitlines()
         refusal = "ValueError: condition number 1.000e+0 at count 1 needs more than 41 digits"
-        assert lines[:3] == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound", "routes_exact")]
-        assert lines[3].startswith("[PASS] routes_series: ")  # no decimal weight
+        assert lines[:2] == [f"[FAIL] {name}: {refusal}" for name in ("weights_exact", "coefficient_bound")]
+        assert lines[2].startswith("[PASS] routes_series: ")  # no decimal weight
 
 
 @pytest.fixture(scope="module")
@@ -973,8 +996,7 @@ class TestTwoCountFiles:
         c1, c2 = self._paths(tmp_path, "pear,70\napple,90\nfig,30\nkiwi,8\n",
                              "kiwi,5\nplum,6\nfig,28\nlime,3\napple,85\npear,75\n")
         reads, labels = cli._read_count_files([c1, c2], PropertySpec("entropy"))
-        assert labels.tolist() == [b"pear,", b"apple,", b"fig,", b"kiwi,", b"plum,", b"lime,"]
-        assert [x.tolist() for x, _ in reads] == [[0, 1, 2, 3], [3, 4, 2, 5, 1, 0]]
+        assert labels == 6 and [x.tolist() for x, _ in reads] == [[0, 1, 2, 3], [3, 4, 2, 5, 1, 0]]
         assert run_cli("estimate", *ENTROPY_AMPLIFIED, "--counts", c1, "--counts2", c2) == 0
         # The reply sums in symbol-id order, so its digits pin the ids too.
         assert capsys.readouterr().out == (
@@ -1189,9 +1211,9 @@ def old_histogram(counts, spec, ids):
 
 
 def reference_streams(paths, spec):
-    """Both streams as the line-by-line reader read them: ``(vectors, labels)``, or None if rejected.
+    """Both streams as the line-by-line reader read them: ``(vectors, ids)``, or None if rejected.
 
-    ``labels`` lists the opaque labels' ``(label, id)`` pairs in id order.
+    ``ids`` lists each file's symbol ids in line order: a label's is its place in ``ids``' insertion order.
     """
     ids = {}
     try:
@@ -1199,7 +1221,7 @@ def reference_streams(paths, spec):
         vectors = [old_histogram(r, spec, ids) for r in reads]
     except (cli.UsageError, OverflowError):  # it let counts above 2^63-1, or a total above it, overflow
         return None
-    return vectors, list(ids.items())
+    return vectors, [list(r) for r in reads]
 
 
 def read_streams(paths, spec):
@@ -1209,8 +1231,7 @@ def read_streams(paths, spec):
         vectors = [cli._histogram(r, spec, labels).array for r in reads]
     except cli.UsageError:
         return None
-    # A label's key is its UTF-8 bytes and one byte more; l1/kl ids have no labels.
-    return vectors, [(key[:-1].decode(), i) for i, key in enumerate([] if labels is None else labels.tolist())]
+    return vectors, [x.tolist() for x, _ in reads]
 
 
 def assert_reads_like_reference(paths, spec):
@@ -1357,7 +1378,7 @@ def test_long_label_read_without_padding(stream_paths):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(x, np.arange(1000)) and counts[3] == 2 and len(labels) == 1000
+    assert np.array_equal(x, np.arange(1000)) and counts[3] == 2 and labels == 1000
     assert peak < 2_000_000  # padding the 1000 labels to the longest would take 20 MB
 
 

@@ -511,17 +511,17 @@ UNIFORM_KL = kl_divergence(np.full(10**4, 1e-4))
 class TestRoutes:
     """The kinds' weight routes, and which entries take them."""
 
-    @pytest.mark.parametrize("spec, params, q_x", [
+    @pytest.mark.parametrize("spec, params", [
         pytest.param(*case, id=f"{case[0].kind}-{case[1].rate:g}") for case in selfcheck._route_cases()
     ])
-    def test_entries_match_exact_weights(self, spec, params, q_x):
+    def test_entries_match_exact_weights(self, spec, params):
         # Every v <= 120 and a stride of 16 up to u_max, against f evaluated in decimal.
         counts = sorted(set(range(1, min(120, params.u_max) + 1)) | set(range(1, params.u_max + 1, 16)) | {params.u_max})
         tables = build_coefficient_tables(spec, params)  # one row: q is uniform
         assert tables.route is not None
         (table,) = tables.tables
         values = table.weights(counts)
-        exact, _ = exact_weights(spec, params, counts, q_x, exact_f=True)
+        exact, _ = exact_weights(spec, params, counts, table.q_x, exact_f=True)
         for v, value, weight in zip(counts, values.tolist(), exact):
             assert abs(Decimal(value) - weight) <= Decimal(2) ** -45 * abs(weight), v
         assert not table.clamped.any() and not table.cancelled.any()

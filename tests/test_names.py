@@ -116,9 +116,9 @@ def test_cli_paths_run_without_scipy(subprocess_env, tmp_path):
     script = f"import sys\nsys.modules['scipy'] = None\n{_CLI_PATH_SCRIPT}print(main(['selfcheck', '--deep']))\n"
     proc = _run_cli_paths(subprocess_env, tmp_path, script)
     lines = proc.stdout.strip().splitlines()
-    assert lines[-6] == f"{_ALL_EXIT_0} ['scipy']"
-    assert [line.split(":")[0] for line in lines[-5:-1]] == [
-        "[PASS] weights_exact", "[PASS] coefficient_bound", "[PASS] routes_exact", "[PASS] routes_series"]
+    assert lines[-5] == f"{_ALL_EXIT_0} ['scipy']"
+    assert [line.split(":")[0] for line in lines[-4:-1]] == [
+        "[PASS] weights_exact", "[PASS] coefficient_bound", "[PASS] routes_series"]
     assert lines[-1] == "0"
     assert "error" not in proc.stderr
 

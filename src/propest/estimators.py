@@ -477,11 +477,12 @@ def _count_vectors(spec: PropertySpec, *hists: Histogram) -> list[np.ndarray]:
     return [c if len(c) == size else np.pad(c, (0, size - len(c))) for c in vectors]
 
 
-def _plug_in(hist: Histogram, scale: float, spec: PropertySpec) -> float:
+def _plug_in(hist: Histogram, scale: float | None, spec: PropertySpec) -> float:
     (counts,) = _count_vectors(spec, hist)
     seen = counts > 0
-    values = eval_fx_many(spec, seen, np.compress(seen, counts) / scale)
-    return float(values.sum()) + spec.report_offset
+    p = np.compress(seen, counts)
+    p = p / (int(p.sum()) if scale is None else scale)  # scale None: N, the total of the seen counts
+    return float(eval_fx_many(spec, seen, p).sum()) + spec.report_offset
 
 
 def empirical(hist: Histogram, spec: PropertySpec) -> float:
@@ -490,7 +491,7 @@ def empirical(hist: Histogram, spec: PropertySpec) -> float:
     The empty histogram reports the offset alone (the estimate of the
     offset-form sum is zero).
     """
-    return _plug_in(hist, hist.total, spec)
+    return _plug_in(hist, None, spec)
 
 
 def modified_empirical(hist: Histogram, rate: float, spec: PropertySpec) -> float:

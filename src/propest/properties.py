@@ -52,9 +52,10 @@ class Kind:
     """One property kind.
 
     ``reads``: the spec parameters it requires, the only ones a spec of it
-    accepts.  ``fx(spec, p, qx)``: the offset ``f_x`` at ``p`` in [0, 1], given
-    reference masses ``qx`` if it reads ``q``.  ``lipschitz(spec, h)``: the
-    constant on ``[h, 1]``, KL's taken over the positive masses of ``q``.
+    accepts.  ``fx(spec, p, qx)``: the offset ``f_x`` at ``p`` in (0, 1], given
+    reference masses ``qx`` if it reads ``q``; :func:`eval_fx_grid` writes
+    ``f_x(0) = +0.0`` itself.  ``lipschitz(spec, h)``: the constant on
+    ``[h, 1]``, KL's taken over the positive masses of ``q``.
     ``report_offset``: the mass the offset form subtracts.  ``preset``: the
     amplified estimator's ``(c, e, m)`` for ``t = c * log(n)^e + 1`` and
     ``s0 = round(m * log(n)^0.2)``; None: no preset.  ``weights(spec, v,
@@ -72,26 +73,10 @@ class Kind:
     weights: Callable[..., np.ndarray] | None = None
 
 
-# Entropy and kl run each ufunc only where p > 0: an entry with p == 0 keeps the
-# zeroed result's +0.0, which negating would turn into -0.0.
-
-
-def _entropy_fx(spec, p, qx):
-    pos = p > 0
-    out = np.log(p, out=np.zeros_like(p), where=pos)
-    np.multiply(out, p, out=out, where=pos)
-    return np.negative(out, out=out, where=pos)
-
-
 def _kl_fx(spec, p, qx):
-    pos = p > 0
-    qx = np.broadcast_to(qx, p.shape)
-    if np.any(pos & (qx == 0)):
+    if np.any(np.broadcast_to(qx, p.shape) == 0):
         raise ValueError("KL divergence undefined: q_x = 0 with p_x > 0")
-    out = np.log(p, out=np.zeros_like(p), where=pos)
-    log_qx = np.log(qx, out=None, where=pos)  # unset where p == 0, and never read there
-    np.subtract(out, log_qx, out=out, where=pos)
-    return np.multiply(out, p, out=out, where=pos)
+    return (np.log(p) - np.log(qx)) * p
 
 
 # The quadrature's nodes: a tanh-sinh rule of step 1/16 over |s| <= 3.5, 113 of them.
@@ -178,8 +163,8 @@ def _support_coverage_weights(spec, v, t, lam, qx):
 
 
 KINDS = {
-    "entropy": Kind((), _entropy_fx, lambda spec, h: -math.log(h), preset=(2.0, 0.8, 16.0),
-                    weights=_entropy_weights),
+    "entropy": Kind((), lambda spec, p, qx: -(np.log(p) * p), lambda spec, h: -math.log(h),
+                    preset=(2.0, 0.8, 16.0), weights=_entropy_weights),
     "support_size": Kind(("k",), lambda spec, p, qx: np.true_divide(p > 0, spec.k),
                          lambda spec, h: min(1.0, 1.0 / (spec.k * h)), preset=(1.0, 0.7, 16.0),
                          weights=_support_size_weights),
@@ -298,17 +283,27 @@ def eval_fx_grid(spec: PropertySpec, p: np.ndarray, qx=None) -> np.ndarray:
     """Offset per-symbol values ``f_x`` at probabilities ``p`` (clamped to [0, 1]).
 
     ``qx`` is the reference mass, a scalar or an array aligned with ``p``;
-    l1/kl require it and the other kinds ignore it.
+    l1/kl require it and the other kinds ignore it.  Every kind has
+    ``f_x(0) = +0.0``: where some ``p`` is 0, ``Kind.fx`` runs on the
+    positive entries alone, with their masses, and the zeros read +0.0.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.size and not p.max() <= 1.0:  # a copy only where some p > 1 (or is NaN)
         p = np.minimum(p, 1.0)
-    if np.any(p < 0):
+    low = p.min(initial=1.0)
+    if not low >= 0:  # refuses NaN too
         raise ValueError("probabilities must be nonnegative")
     kind = KINDS[spec.kind]
     if qx is None and "q" in kind.reads:
         raise ValueError(f"{spec.kind} needs the symbols' reference masses qx")
-    return kind.fx(spec, p, qx)
+    if low != 0:
+        return kind.fx(spec, p, qx)
+    pos = p > 0
+    if "q" in kind.reads:
+        qx = np.broadcast_to(qx, p.shape)[pos]
+    out = np.zeros_like(p)
+    out[pos] = kind.fx(spec, p[pos], qx)
+    return out
 
 
 def eval_fx_many(spec: PropertySpec, symbols: np.ndarray, p: np.ndarray) -> np.ndarray:

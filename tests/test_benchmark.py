@@ -65,6 +65,16 @@ class TestTrialSeed:
         s = trial_seed(2**63, 10**6, "empirical_plusplus", 99)
         assert 0 <= s < 2**64
 
+    @pytest.mark.parametrize("args, seed", [
+        ((7, 1000, "amplified", 0), 0x232D69F40EA0FAC7),
+        ((7, 59948, "empirical_plus", 64), 0x61E4344DBAF6615F),
+        ((7, 0, "distribution", 0), 0xA4A43FB689523216),
+        ((2**63, 10**6, "empirical_plusplus", 99), 0x0C99E51F136DC911),
+    ])
+    def test_pinned_values(self, args, seed):
+        # The README sweep's cells and its distribution draw, beside the CSV pins.
+        assert trial_seed(*args) == seed
+
     def test_avalanche(self):
         # flipping one master-seed bit should flip about half the output bits
         rng = np.random.default_rng(55)
@@ -281,14 +291,16 @@ class TestRunExperiment:
         dist = make_distribution("dirichlet", 30, None, rng=dist_rng)
         assert row.true_value == exact_value(support_size(30), dist.probs)
 
-    def test_readme_sweep_pinned(self, tmp_path):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_readme_sweep_pinned(self, tmp_path, threads):
         # The README's CLI sweep, every cell byte for byte; trial 64 of
         # n=59948 reads the weight at v=59, which the series put at -497.
+        # Threads share each cell's table.
         out = tmp_path / "results.csv"
         assert main([
             "simulate", "--property", "entropy", "--dist", "zipf", "--k", "10000",
             "--n-grid", "1000:100000:10", "--trials", "100", "--seed", "7",
-            "--estimators", "amplified,empirical,empirical_plus", "--threads", "1",
+            "--estimators", "amplified,empirical,empirical_plus", "--threads", threads,
             "--out", str(out),
         ]) == 0
         assert out.read_bytes() == README_SWEEP.read_bytes()

@@ -134,6 +134,27 @@ def test_entropy_terms_keep_their_signed_zeros():
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_kind_has_one_zero_rule(kind):
+    """p == 0 gives +0.0; the positive entries of a mixed array have the bits they have alone."""
+    spec = SPECS[kind]
+    p = FIRST / RATE  # exact zeros at ids 8-10, where Q[10] == 0, and a ratio above 1
+    qx = Q if "q" in KINDS[kind].reads else None
+    mixed = eval_fx_grid(spec, p, qx)
+    pos = p > 0
+    assert mixed[~pos].tobytes() == np.zeros(np.count_nonzero(~pos)).tobytes()
+    alone = eval_fx_grid(spec, p[pos], None if qx is None else qx[pos])
+    assert mixed[pos].tobytes() == alone.tobytes()
+    if qx is not None:  # a zero mass is refused only where its p is positive
+        assert eval_fx_grid(spec, np.zeros(3), 0.0).tobytes() == np.zeros(3).tobytes()
+        refused = np.array([0.0, 0.5, 0.0]), np.array([0.5, 0.0, 0.5])
+        if kind == "kl_divergence":
+            with pytest.raises(ValueError, match="q_x = 0 with p_x > 0"):
+                eval_fx_grid(spec, *refused)
+        else:
+            eval_fx_grid(spec, *refused)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_inputs_stay_untouched(kind):
     """A read-only input gives the bits of a writable copy, and neither changes."""
     spec = SPECS[kind]

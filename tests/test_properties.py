@@ -82,6 +82,8 @@ class TestEvalFx:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             eval_fx_grid(entropy(), -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):  # NaN too, not spread to the zeros
+            eval_fx_grid(entropy(), np.array([0.0, np.nan]))
 
     def test_many_matches_scalar(self):
         q = np.array([0.2, 0.3, 0.5])

@@ -21,9 +21,9 @@ import numpy as np
 from .distributions import (
     SPLIT_MODES,
     Distribution,
+    _sampler,
+    _splitter,
     make_distribution,
-    sample_histogram,
-    split_sample,
 )
 from .estimators import (
     amplified_estimate,
@@ -87,12 +87,21 @@ def trial_seed(master_seed: int, n: int, estimator_id: str, trial_index: int) ->
     """Derive a 64-bit per-trial seed by counter-style mixing.
 
     Stable across releases: changing it would silently change every
-    published benchmark number.
+    published benchmark number.  A sweep cell computes the prefix over (master
+    seed, n, estimator) once, and one round per trial finishes it.
     """
+    return _finish_seed(_seed_prefix(master_seed, n, estimator_id), trial_index)
+
+
+def _seed_prefix(master_seed: int, n: int, estimator_id: str) -> int:
     s = _splitmix64(int(master_seed) & _MASK64)
-    for part in (int(n) & _MASK64, _fnv1a64(estimator_id.encode("utf-8")), int(trial_index) & _MASK64):
+    for part in (int(n) & _MASK64, _fnv1a64(estimator_id.encode("utf-8"))):
         s = _splitmix64(s ^ _splitmix64(part))
     return s
+
+
+def _finish_seed(prefix: int, trial_index: int) -> int:
+    return _splitmix64(prefix ^ _splitmix64(int(trial_index) & _MASK64))
 
 
 def mse(estimates: Sequence[float], truth: float) -> float:
@@ -201,7 +210,7 @@ def _plug_in_budget(estimator: str, n: int) -> int:
 
 
 def _make_trial_fn(cfg: ExperimentConfig, dist, n: int, estimator: str) -> Callable[[int], float]:
-    spec = cfg.spec
+    spec, prefix = cfg.spec, _seed_prefix(cfg.seed, n, estimator)
     if estimator == "amplified":
         params = derive_params(
             n,
@@ -213,19 +222,19 @@ def _make_trial_fn(cfg: ExperimentConfig, dist, n: int, estimator: str) -> Calla
             t_decay=cfg.t_decay,
         )
         tables = build_coefficient_tables(spec, params)
+        split = _splitter(dist, n, cfg.split_mode)
 
         def run(trial: int) -> float:
-            rng = np.random.default_rng(trial_seed(cfg.seed, n, estimator, trial))
-            sample = split_sample(dist, n, mode=cfg.split_mode, rng=rng)
-            return amplified_estimate(sample, spec, params, tables)
+            rng = np.random.default_rng(_finish_seed(prefix, trial))
+            return amplified_estimate(split(rng), spec, params, tables)
 
         return run
 
     budget = _plug_in_budget(estimator, n)
+    draw = _sampler(dist, budget, cfg.poissonized)
 
     def run(trial: int) -> float:
-        rng = np.random.default_rng(trial_seed(cfg.seed, n, estimator, trial))
-        hist = sample_histogram(dist, budget, poissonized=cfg.poissonized, rng=rng)
+        hist = draw(np.random.default_rng(_finish_seed(prefix, trial)))
         if estimator == "modified_empirical":
             return modified_empirical(hist, budget, spec)
         return empirical(hist, spec)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,6 +58,8 @@ class Histogram:
 
     ``array`` is a read-only ``int64`` view of the given integer vector (an
     ``int64`` vector is not copied); ``total`` is its sum, taken when read.
+    The samplers' own draws skip the checks for outside input while their total
+    rate keeps them far below 2^63-1 (see :func:`_sampler`).
     """
 
     array: np.ndarray
@@ -85,6 +88,14 @@ class Histogram:
     def total(self) -> int:
         """The sum of the counts, at most 2^63-1."""
         return int(self.array.sum())
+
+    @classmethod
+    def _of_draw(cls, counts: np.ndarray) -> "Histogram":
+        """Wrap a fresh ``int64`` draw that cannot fail the checks, without them."""
+        counts.flags.writeable = False
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "array", counts)
+        return hist
 
     @classmethod
     def from_array(cls, count_vector: np.ndarray) -> "Histogram":
@@ -188,17 +199,31 @@ def make_distribution(
     return Distribution(probs)
 
 
-def _poisson_counts(dist: Distribution, n: float, rng: np.random.Generator) -> np.ndarray:
-    """Independent ``Poisson(n * p_x)`` counts, one per symbol.
+def _sampler(dist: Distribution, n: float, poissonized: bool) -> Callable[[np.random.Generator], Histogram]:
+    """:func:`sample_histogram` as a function of the generator, for many draws of one size.
 
-    A distribution of one constant mass is drawn with numpy's scalar-rate call,
-    which skips the rate array's broadcast loop.  Both calls draw each count with
-    the same generator routine in symbol order, so they return the same counts and
-    leave ``rng`` in the same state (tier-1 pins this).
+    The Poisson rate is computed once: the scalar ``constant_mass * n`` for numpy's
+    scalar-rate call, which skips the rate array's broadcast loop, else the vector
+    ``probs * n``.  Both calls draw each count with the same generator routine in
+    symbol order, so they return the same counts and leave the generator in the
+    same state (tier-1 pins this).  Up to a total rate of 2^60, whose draws total
+    far below 2^63-1, the counts skip :class:`Histogram`'s outside-input checks.
     """
+    if not n > 0:
+        raise ValueError(f"sample size must be positive, got {n!r}")
+    if not poissonized:
+        if not n <= 2**63 - 1:
+            raise ValueError(f"fixed sample size must be at most 2^63-1, got {n!r}")
+        size = int(round(n))
+        return lambda rng: Histogram(rng.multinomial(size, dist.probs))
     if dist.constant_mass is None:
-        return rng.poisson(dist.probs * float(n))
-    return rng.poisson(dist.constant_mass * float(n), size=dist.probs.size)
+        rate, size = dist.probs * float(n), None
+        total = float(rate.sum())
+    else:
+        rate, size = dist.constant_mass * float(n), dist.probs.size
+        total = rate * size
+    wrap = Histogram._of_draw if total <= 2.0**60 else Histogram
+    return lambda rng: wrap(rng.poisson(rate, size))
 
 
 def sample_histogram(
@@ -212,18 +237,29 @@ def sample_histogram(
 
     Poissonized mode draws independent ``Poisson(n * p_x)`` counts per
     symbol, at one scalar rate when every mass is equal (the same bits as
-    the rate vector; see :func:`_poisson_counts`); fixed mode draws exactly
+    the rate vector; see :func:`_sampler`); fixed mode draws exactly
     ``n`` i.i.d. symbols, and refuses an ``n`` past 2^63-1.
     """
-    if not n > 0:
-        raise ValueError(f"sample size must be positive, got {n!r}")
-    if poissonized:
-        counts = _poisson_counts(dist, n, rng)
-    elif not n <= 2**63 - 1:
-        raise ValueError(f"fixed sample size must be at most 2^63-1, got {n!r}")
-    else:
-        counts = rng.multinomial(int(round(n)), dist.probs)
-    return Histogram(counts)
+    return _sampler(dist, n, poissonized)(rng)
+
+
+def _splitter(dist: Distribution, budget: float, mode: str) -> Callable[[np.random.Generator], SplitSample]:
+    """:func:`split_sample`'s draw as a function of the generator, its rate computed once."""
+    if mode not in SPLIT_MODES:
+        raise ValueError(f"unknown split mode {mode!r}; choose from {tuple(SPLIT_MODES)}")
+    if not budget > 0:
+        raise ValueError(f"budget must be positive, got {budget!r}")
+    draw, rate = _sampler(dist, budget, True), float(budget) * SPLIT_MODES[mode]
+
+    def split(rng: np.random.Generator) -> SplitSample:
+        first = draw(rng)
+        if mode != "thinned":
+            return SplitSample(first=first, second=first if mode == "shared" else draw(rng), rate=rate)
+        # Each side is at most the draw symbol by symbol, so it passes whatever checks the draw did.
+        side = rng.binomial(first.array, 0.5)
+        return SplitSample(first=Histogram._of_draw(side), second=Histogram._of_draw(first.array - side), rate=rate)
+
+    return split
 
 
 def split_sample(
@@ -242,17 +278,7 @@ def split_sample(
     rate-``budget`` stream as both sides; the sides are then fully dependent,
     which trades theory for sample thrift.  Side rates: :data:`SPLIT_MODES`.
     Every mode draws its Poisson counts as :func:`sample_histogram` does, at
-    one scalar rate for a distribution of one constant mass, with the same bits.
+    one scalar rate for a distribution of one constant mass, with the same bits,
+    and computes the rate once for both streams.
     """
-    if mode not in SPLIT_MODES:
-        raise ValueError(f"unknown split mode {mode!r}; choose from {tuple(SPLIT_MODES)}")
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget!r}")
-    rate = float(budget) * SPLIT_MODES[mode]
-    if mode == "thinned":
-        counts = _poisson_counts(dist, budget, rng)
-        first = rng.binomial(counts, 0.5)
-        return SplitSample(first=Histogram(first), second=Histogram(counts - first), rate=rate)
-    first = sample_histogram(dist, budget, poissonized=True, rng=rng)
-    second = first if mode == "shared" else sample_histogram(dist, budget, poissonized=True, rng=rng)
-    return SplitSample(first=first, second=second, rate=rate)
+    return _splitter(dist, budget, mode)(rng)

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propest import benchmark
 from propest.benchmark import (
     CSV_HEADER,
+    ESTIMATORS,
     ExperimentConfig,
     mse,
     results_to_csv,
@@ -17,7 +20,14 @@ from propest.benchmark import (
     trial_seed,
 )
 from propest.cli import main
-from propest.distributions import make_distribution
+from propest.distributions import (
+    SPLIT_MODES,
+    Distribution,
+    Histogram,
+    make_distribution,
+    sample_histogram,
+    split_sample,
+)
 from propest.properties import entropy, exact_value, kl_divergence, l1_distance, support_size
 
 README_SWEEP = Path(__file__).parent / "data" / "readme_sweep.csv"
@@ -86,6 +96,144 @@ class TestTrialSeed:
             b = trial_seed(master ^ (1 << bit), 1000, "amplified", 5)
             flips.append(bin(a ^ b).count("1"))
         assert np.mean(flips) >= 20.0
+
+
+def _trial_seed_reference(master_seed, n, estimator_id, trial_index):
+    """trial_seed as first written: seven splitmix64 rounds per call, nothing shared."""
+    mask = (1 << 64) - 1
+
+    def splitmix64(z):
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    h = 0xCBF29CE484222325
+    for b in estimator_id.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & mask
+    s = splitmix64(int(master_seed) & mask)
+    for part in (int(n) & mask, h, int(trial_index) & mask):
+        s = splitmix64(s ^ splitmix64(part))
+    return s
+
+
+class TestTrialSeedReference:
+    """The per-cell seed prefix gives every trial the seed of the one-call form."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        master=st.integers(0, 2**64),
+        n=st.integers(0, 2**63),
+        estimator=st.one_of(
+            st.sampled_from([*ESTIMATORS, "distribution"]),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+        ),
+        trial=st.integers(0, 2**63),
+    )
+    @example(master=2**64, n=2**63, estimator="entropie-\u00e9", trial=0)
+    @example(master=7, n=59948, estimator="\u4f30\u8ba1\U0001f600", trial=2**63)
+    def test_equals_the_one_call_form(self, master, n, estimator, trial):
+        assert trial_seed(master, n, estimator, trial) == _trial_seed_reference(master, n, estimator, trial)
+
+
+def _rate_vector_draw(probs, n, how, rng):
+    """The counts a draw makes with numpy's rate-vector (or multinomial) call, in draw order."""
+    if how == "fixed":
+        return [rng.multinomial(int(round(n)), probs)]
+    counts = rng.poisson(probs * float(n))
+    if how == "histogram":
+        return [counts]
+    if how == "thinned":
+        first = rng.binomial(counts, 0.5)
+        return [first, counts - first]
+    return [counts, counts if how == "shared" else rng.poisson(probs * float(n))]
+
+
+def _arrays(drawn):
+    return [drawn.array] if isinstance(drawn, Histogram) else [drawn.first.array, drawn.second.array]
+
+
+class TestCellDraws:
+    """A sweep cell draws its trials with the bits of the public samplers and of numpy's own calls."""
+
+    CASES = [("amplified", mode, True) for mode in SPLIT_MODES]
+    CASES += [("empirical", "histogram", True), ("empirical", "fixed", False)]
+
+    @pytest.mark.parametrize("family, n", [("zipf", 1000), ("uniform", 12915)])
+    @pytest.mark.parametrize("estimator, how, poissonized", CASES)
+    def test_trials_draw_the_public_samplers_bits(self, monkeypatch, family, n, estimator, how, poissonized):
+        cfg = ExperimentConfig(
+            spec=entropy(), family=family, k=2000, n_grid=(n,), trials=3, seed=7,
+            estimators=(estimator,), split_mode=how if estimator == "amplified" else "two_stream",
+            poissonized=poissonized,
+        )
+        dist = benchmark.realized_distribution(cfg)
+        drawn, rngs, default_rng = [], [], np.random.default_rng
+        monkeypatch.setattr(benchmark, "amplified_estimate", lambda sample, *_: drawn.append(sample) or 0.0)
+        monkeypatch.setattr(benchmark, "empirical", lambda hist, _: drawn.append(hist) or 0.0)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rngs.append(default_rng(seed)) or rngs[-1])
+        run = benchmark._make_trial_fn(cfg, dist, n, estimator)
+        for trial in range(cfg.trials):
+            run(trial)
+        monkeypatch.undo()
+        assert len(drawn) == len(rngs) == cfg.trials
+        for trial, (got, rng) in enumerate(zip(drawn, rngs)):
+            seed = trial_seed(cfg.seed, n, estimator, trial)
+            public, raw = default_rng(seed), default_rng(seed)
+            if estimator == "amplified":
+                want = split_sample(dist, n, mode=how, rng=public)
+            else:
+                want = sample_histogram(dist, n, poissonized=poissonized, rng=public)
+            for a, b, c in zip(_arrays(got), _arrays(want), _rate_vector_draw(dist.probs, n, how, raw), strict=True):
+                assert a.dtype == b.dtype == c.dtype and np.array_equal(a, b) and np.array_equal(a, c)
+                assert not a.flags.writeable
+            assert rng.bit_generator.state == public.bit_generator.state == raw.bit_generator.state
+
+
+def _count_checked_constructions(monkeypatch):
+    """Patch ``Histogram.__post_init__`` to count its calls; returns the one-element counter."""
+    calls, check = [0], Histogram.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        check(self)
+
+    monkeypatch.setattr(Histogram, "__post_init__", counted)
+    return calls
+
+
+class TestUncheckedDraws:
+    """The samplers skip Histogram's outside-input pass only below the total-rate bound."""
+
+    def test_readme_scale_cell_makes_no_checked_histogram(self, monkeypatch):
+        calls = _count_checked_constructions(monkeypatch)
+        cfg = ExperimentConfig(
+            spec=entropy(), family="zipf", k=10_000, n_grid=(1000,), trials=5, seed=7,
+            estimators=("amplified", "empirical", "empirical_plus"),
+        )
+        assert all(row.error is None for row in run_experiment(cfg))
+        assert calls == [0]
+
+    def test_total_rate_past_the_bound_takes_the_checked_constructor(self, monkeypatch):
+        calls = _count_checked_constructions(monkeypatch)
+        probs = np.full(4, 2.0**58)  # total rate exactly 2^60: unchecked
+        sample_histogram(Distribution(probs), 1.0, rng=np.random.default_rng(0))
+        assert calls == [0]
+        probs[0] += 2.0**8  # total rate 2^60 + 2^8, the next float past the bound
+        split_sample(Distribution(probs), 1.0, rng=np.random.default_rng(0))
+        assert calls == [2]
+
+    def test_sweep_past_the_bound_keeps_the_total_refusal(self, monkeypatch):
+        calls = _count_checked_constructions(monkeypatch)
+        cfg = ExperimentConfig(
+            spec=entropy(), family="uniform", k=10, n_grid=(2**62,), trials=2, seed=7,
+            estimators=("empirical", "empirical_plus"),
+        )
+        rows = {row.estimator: row for row in run_experiment(cfg)}
+        assert rows["empirical"].error is None  # a total near 2^62 passes the checks
+        assert rows["empirical_plus"].error == "counts must total at most 2^63-1"
+        assert math.isnan(rows["empirical_plus"].mse)
+        assert calls == [3]  # both empirical trials, and the first empirical_plus trial
 
 
 class TestConfigValidation:
